@@ -26,7 +26,9 @@ import numpy as np
 from .datapipe import (
     SplitSpec,
     preprocess_series,
+    read_archive_split,
     read_patient_archive,
+    read_scaling_json,
     read_series_csv,
     write_patient_archive,
     write_series_csv,
@@ -276,13 +278,23 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_target_test(data_dir, target):
-    archive = read_patient_archive(Path(data_dir), target)
-    test = archive["test"]
-    scaling = archive["scaling"]
+def _load_target_test(data_dir, target, model, model_path):
+    """The target's test split (train.csv and valid.csv are not read), after
+    checking that the model takes the archive's windows."""
+    root = Path(data_dir) / target
+    scaling, meta = read_scaling_json(root / "scaling.json")
+    test = read_archive_split(root, "test", scaling, meta)
+    archive = {"seq_len": (meta["seq_len"], test.x.shape[1]),
+               "input_dim": (len(scaling.input_mean), test.x.shape[2])}
+    for name, value in model.window_geometry().items():
+        if any(have != value for have in archive[name]):
+            raise ConfigError(
+                f"model {model_path} has {name} = {value}, but the archive "
+                f"{root / 'scaling.json'} and its test windows have "
+                f"{name} = {archive[name][0]}")
     truth = {np.datetime64(t, "m"): float(v)
              for t, v in zip(test.target_t, scaling.invert_target(test.y))}
-    return archive, test, scaling, truth
+    return meta, test, scaling, truth
 
 
 def cmd_evaluate(args) -> int:
@@ -291,7 +303,8 @@ def cmd_evaluate(args) -> int:
     if not model_path.is_file():
         raise FileNotFoundError(f"model file {model_path} does not exist")
     model = load_model(model_path)
-    archive, test, scaling, truth = _load_target_test(args.data, args.target)
+    _, test, scaling, truth = _load_target_test(args.data, args.target, model,
+                                                model_path)
 
     out = _ensure_out_dir(args.out)
     preds = model.predict(test.x)
@@ -334,15 +347,18 @@ def cmd_explain(args) -> int:
               "the two-level-attention model)", file=sys.stderr)
         return EXIT_CAPABILITY
 
-    archive, test, scaling, _ = _load_target_test(args.data, args.target)
-    period = archive["meta"]["period_minutes"]
+    meta, test, scaling, _ = _load_target_test(args.data, args.target, model,
+                                               model_path)
+    if not len(test):
+        raise ValueError(f"the test split of {args.target} has no windows to explain")
+    if args.sample is not None and not 0 <= args.sample < len(test):
+        raise ConfigError(f"--sample must be in [0, {len(test)})")
+    period = meta["period_minutes"]
     out = _ensure_out_dir(args.out)
 
-    attributions = []
-    for x in test.x:
-        trace = model.forward(x)
-        attributions.append(normalized_contributions(
-            contributions(x, trace, model.params)))
+    trace = model.trace_batch(test.x)
+    cmap = contributions(test.x, trace, model.params)
+    attributions = normalized_contributions(cmap)
 
     _write_matrix_csv(out / "attribution_mean.csv",
                       aggregate_attributions(attributions, "mean"), period)
@@ -350,23 +366,19 @@ def cmd_explain(args) -> int:
                       aggregate_attributions(attributions, "max"), period)
 
     if args.sample is not None:
-        if not 0 <= args.sample < len(test):
-            raise ConfigError(f"--sample must be in [0, {len(test)})")
-        x = test.x[args.sample]
-        trace = model.forward(x)
-        cmap = contributions(x, trace, model.params)
+        contribution = cmap.contribution[args.sample]
         with open(out / f"contributions_{args.sample}.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["age_minutes"] + [f"{v}_contribution"
                                                for v in VARIABLE_NAMES])
-            seq_len = cmap.contribution.shape[0]
+            seq_len = contribution.shape[0]
             for i in range(seq_len):
                 age = (seq_len - 1 - i) * period
-                writer.writerow([age] + [repr(float(v))
-                                         for v in cmap.contribution[i]])
+                writer.writerow([age] + [repr(float(v)) for v in contribution[i]])
             writer.writerow(["bias", repr(cmap.bias), "", ""])
-            writer.writerow(["prediction", repr(trace.y_hat), "", ""])
+            writer.writerow(["prediction", repr(float(trace.y_hat[args.sample])),
+                             "", ""])
 
     if args.event is not None:
         var_index = VARIABLE_NAMES.index(args.event)

@@ -104,16 +104,18 @@ def write_patient_archive(directory, patient_id, train, valid, test, scaling,
     return root
 
 
+def read_archive_split(root, split, scaling, meta) -> SampleSet:
+    """Load one split ("train", "valid" or "test") of the patient archive in
+    directory ``root``, given its sidecar as returned by read_scaling_json."""
+    return read_sample_csv(Path(root) / f"{split}.csv", seq_len=meta["seq_len"],
+                           provenance=split, period_minutes=meta["period_minutes"],
+                           ph_steps=meta["ph_steps"], scaling=scaling)
+
+
 def read_patient_archive(directory, patient_id):
     """Load one patient's archive back into SampleSets."""
     root = Path(directory) / patient_id
     scaling, meta = read_scaling_json(root / "scaling.json")
-    kw = dict(seq_len=meta["seq_len"], period_minutes=meta["period_minutes"],
-              ph_steps=meta["ph_steps"], scaling=scaling)
-    return {
-        "train": read_sample_csv(root / "train.csv", provenance="train", **kw),
-        "valid": read_sample_csv(root / "valid.csv", provenance="valid", **kw),
-        "test": read_sample_csv(root / "test.csv", provenance="test", **kw),
-        "scaling": scaling,
-        "meta": meta,
-    }
+    archive = {split: read_archive_split(root, split, scaling, meta)
+               for split in ("train", "valid", "test")}
+    return {**archive, "scaling": scaling, "meta": meta}

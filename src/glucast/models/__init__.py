@@ -21,21 +21,17 @@ from .retain import (
     ForwardTrace,
     RetainConfig,
     RetainParams,
-    context_vector,
-    embed,
     forward,
     init_retain_params,
     predict_batch,
-    temporal_attention,
-    variable_attention,
+    trace_batch,
 )
 from .serialize import load_model, save_model
 from .wrappers import LstmRegModel, RetainModel, StdAttnModel, restore, snapshot
 
 __all__ = [
     "RetainConfig", "RetainParams", "ForwardTrace", "init_retain_params",
-    "forward", "predict_batch", "embed", "temporal_attention",
-    "variable_attention", "context_vector",
+    "forward", "trace_batch", "predict_batch",
     "ContributionMap", "contributions", "normalized_contributions",
     "aggregate_attributions", "event_conditioned_attributions",
     "event_mask_from_windows", "EventAttributionProfile",

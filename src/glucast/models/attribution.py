@@ -18,52 +18,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConsistencyError, DegenerateAttributionError, DimensionError
-from .retain import ForwardTrace, RetainParams
+from .retain import ForwardTrace, RetainParams, first_bad_window
 
 RECONSTRUCTION_RTOL = 1e-6
 
 
 @dataclass
 class ContributionMap:
-    """Additive decomposition of one prediction over its input window."""
+    """Additive decomposition of one prediction over its input window, or of
+    a batch of predictions with a leading batch axis."""
 
-    contribution: np.ndarray  # (L, r), sums with bias to y_hat
-    coefficients: np.ndarray  # (L, r), contribution without the input factor
+    contribution: np.ndarray  # (..., L, r), sums with bias to y_hat
+    coefficients: np.ndarray  # (..., L, r), contribution without the input factor
     bias: float
 
 
 def contributions(x, trace: ForwardTrace, params: RetainParams) -> ContributionMap:
-    """Decompose trace.y_hat into per-input contributions for window x."""
+    """Decompose trace.y_hat into per-input contributions for window x, or
+    for every window of a (B, L, r) batch and its batch trace."""
     x = np.asarray(x, dtype=np.float64)
     m, r = params.embed_w.shape
-    seq_len = trace.temporal_weights.shape[0]
-    if x.shape != (seq_len, r):
+    lead = trace.temporal_weights.shape[:-1]
+    seq_len = trace.temporal_weights.shape[-1]
+    if x.shape != (*lead, seq_len, r):
         raise ConsistencyError(
-            f"window shape {x.shape} does not match trace/params ({seq_len}, {r})")
-    if trace.variable_weights.shape != (seq_len, m) or params.out_w.shape != (m,):
+            f"window shape {x.shape} does not match trace/params "
+            f"{(*lead, seq_len, r)}")
+    if trace.variable_weights.shape != (*lead, seq_len, m) or params.out_w.shape != (m,):
         raise ConsistencyError("trace shapes do not match params; stale trace?")
 
-    coeff = trace.temporal_weights[:, None] * (
-        (trace.variable_weights * params.out_w[None, :]) @ params.embed_w)
+    coeff = np.einsum("...l,...lm,mr->...lr", trace.temporal_weights,
+                      trace.variable_weights * params.out_w, params.embed_w)
     omega = coeff * x
     cmap = ContributionMap(contribution=omega, coefficients=coeff,
                            bias=float(params.out_b))
 
-    recon = omega.sum() + cmap.bias
-    if abs(recon - trace.y_hat) > RECONSTRUCTION_RTOL * max(1.0, abs(trace.y_hat)):
+    recon = omega.sum(axis=(-2, -1)) + cmap.bias
+    y_hat = np.asarray(trace.y_hat)
+    bad = np.abs(recon - y_hat) > RECONSTRUCTION_RTOL * np.maximum(1.0, np.abs(y_hat))
+    if bad.any():
+        i = np.flatnonzero(bad)[0] if bad.ndim else ()
         raise ConsistencyError(
-            f"contributions do not reconstruct the prediction "
-            f"({recon} vs {trace.y_hat}); stale trace?")
+            f"contributions do not reconstruct the prediction{first_bad_window(bad)} "
+            f"({recon[i]} vs {y_hat[i]}); stale trace?")
     return cmap
 
 
 def normalized_contributions(cmap: ContributionMap) -> np.ndarray:
-    """Absolute contributions rescaled to sum to 1 over the window."""
+    """Absolute contributions rescaled to sum to 1 over each window."""
     magnitude = np.abs(cmap.contribution)
-    total = magnitude.sum()
-    if total == 0.0:
+    total = magnitude.sum(axis=(-2, -1), keepdims=True)
+    zero = total[..., 0, 0] == 0.0
+    if zero.any():
         raise DegenerateAttributionError(
-            "all contributions are zero; normalized attribution is undefined")
+            f"all contributions are zero{first_bad_window(zero)}; normalized "
+            "attribution is undefined")
     return magnitude / total
 
 
@@ -71,7 +80,7 @@ def aggregate_attributions(samples, mode) -> np.ndarray:
     """Elementwise mean or max of normalized attribution matrices."""
     if len(samples) == 0:
         raise ValueError("cannot aggregate an empty list of attributions")
-    stack = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
+    stack = np.asarray(samples, dtype=np.float64)
     if mode == "mean":
         return stack.mean(axis=0)
     if mode == "max":
@@ -99,7 +108,7 @@ def event_conditioned_attributions(event_mask, attributions, horizon_after_minut
     of its offsets. Returns an empty profile when no events exist at all.
     """
     mask = np.asarray(event_mask, dtype=bool)
-    att = np.stack([np.asarray(a, dtype=np.float64) for a in attributions])
+    att = np.asarray(attributions, dtype=np.float64)
     if mask.shape[0] != att.shape[0] or mask.shape[1] != att.shape[1]:
         raise DimensionError(
             f"event mask {mask.shape} does not align with attributions {att.shape[:2]}")

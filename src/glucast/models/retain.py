@@ -13,18 +13,16 @@ the model usable for adversarial multi-source transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import ConfigError, ConsistencyError, DimensionError
 from ..kernel import (
     LstmParams,
-    Tape,
     check_finite,
     glorot,
     init_lstm_params,
-    lstm_forward,
     lstm_scan,
 )
 from ..kernel import tape as T
@@ -101,9 +99,23 @@ def param_arrays(params) -> dict:
     return out
 
 
+def first_bad_window(bad) -> str:
+    """' (window i)' naming the first True of per-window flags, or '' for the
+    scalar flag of a single window."""
+    bad = np.asarray(bad)
+    return f" (window {int(np.flatnonzero(bad)[0])})" if bad.ndim else ""
+
+
+def _check_rows(bad, message):
+    if np.any(bad):
+        raise ConsistencyError(message + first_bad_window(bad))
+
+
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, kept for attribution."""
+    """Every intermediate of a forward pass, kept for attribution. A batch
+    trace (from :func:`trace_batch`) carries a leading (B,) axis on every
+    field; a single-window trace has none and a float ``y_hat``."""
 
     embeddings: np.ndarray        # (L, m) v_i
     scores: np.ndarray            # (L,) pre-softmax temporal scores
@@ -114,12 +126,20 @@ class ForwardTrace:
     adv_probs: np.ndarray         # (K,)
 
     def __post_init__(self):
-        if abs(self.temporal_weights.sum() - 1.0) > 1e-9:
-            raise ConsistencyError("temporal attention weights do not sum to 1")
-        if np.any(np.abs(self.variable_weights) > 1.0):
-            raise ConsistencyError("variable attention weights outside [-1, 1]")
-        if abs(self.adv_probs.sum() - 1.0) > 1e-9:
-            raise ConsistencyError("classifier probabilities do not sum to 1")
+        _check_rows(np.abs(self.temporal_weights.sum(axis=-1) - 1.0) > 1e-9,
+                    "temporal attention weights do not sum to 1")
+        _check_rows(np.any(np.abs(self.variable_weights) > 1.0, axis=(-2, -1)),
+                    "variable attention weights outside [-1, 1]")
+        _check_rows(np.abs(self.adv_probs.sum(axis=-1) - 1.0) > 1e-9,
+                    "classifier probabilities do not sum to 1")
+
+    def row(self, i) -> "ForwardTrace":
+        """The single-window trace of row i of a batch trace."""
+        return ForwardTrace(
+            embeddings=self.embeddings[i], scores=self.scores[i],
+            temporal_weights=self.temporal_weights[i],
+            variable_weights=self.variable_weights[i], context=self.context[i],
+            y_hat=float(self.y_hat[i]), adv_probs=self.adv_probs[i])
 
 
 @dataclass
@@ -190,6 +210,42 @@ def build_graph(tp, x_batch, p, config: RetainConfig, with_adversary=True,
                         context=context, y_hat=y_hat, adv_probs=adv_probs)
 
 
+# windows per untaped pass in trace_batch: bounds the LSTM intermediates
+# alive at once (a whole 1440-window test split in one pass triples peak memory)
+TRACE_CHUNK = 128
+
+
+def in_chunks(fn, x, chunk):
+    """fn over consecutive blocks of at most ``chunk`` rows of x, with its
+    array result (or each array of its tuple result) concatenated on axis 0."""
+    x = np.asarray(x, dtype=np.float64)
+    parts = [fn(x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
+    if not parts:
+        return np.empty(0)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def trace_batch(x, params: RetainParams, config: RetainConfig) -> ForwardTrace:
+    """Run a (B, L, r) batch through the model, TRACE_CHUNK windows at a
+    time, and keep all intermediates with a leading batch axis."""
+    x = check_finite(x, "input windows")
+    if x.ndim != 3 or x.shape[1:] != (config.seq_len, config.input_dim) or not len(x):
+        raise DimensionError(
+            f"input windows have shape {x.shape}, expected "
+            f"(B >= 1, {config.seq_len}, {config.input_dim})")
+    arrays = param_arrays(params)
+
+    def trace_chunk(xs):
+        outs = build_graph(None, xs, arrays, config)
+        return tuple(node.value for node in (
+            outs.embeddings, outs.scores, outs.temporal_weights,
+            outs.variable_weights, outs.context, outs.y_hat, outs.adv_probs))
+
+    return ForwardTrace(*in_chunks(trace_chunk, x, TRACE_CHUNK))
+
+
 def forward(x, params: RetainParams, config: RetainConfig) -> ForwardTrace:
     """Run one (L, r) window through the model and keep all intermediates."""
     x = check_finite(x, "input window")
@@ -197,16 +253,7 @@ def forward(x, params: RetainParams, config: RetainConfig) -> ForwardTrace:
         raise DimensionError(
             f"input window has shape {x.shape}, expected "
             f"{(config.seq_len, config.input_dim)}")
-    outs = build_graph(None, x[None, :, :], param_arrays(params), config)
-    return ForwardTrace(
-        embeddings=outs.embeddings.value[0],
-        scores=outs.scores.value[0],
-        temporal_weights=outs.temporal_weights.value[0],
-        variable_weights=outs.variable_weights.value[0],
-        context=outs.context.value[0],
-        y_hat=float(outs.y_hat.value[0]),
-        adv_probs=outs.adv_probs.value[0],
-    )
+    return trace_batch(x[None], params, config).row(0)
 
 
 def predict_batch(x_batch, params: RetainParams, config: RetainConfig) -> np.ndarray:
@@ -214,44 +261,3 @@ def predict_batch(x_batch, params: RetainParams, config: RetainConfig) -> np.nda
     outs = build_graph(None, np.asarray(x_batch, dtype=np.float64),
                        param_arrays(params), config, with_adversary=False)
     return outs.y_hat.value
-
-
-# ---------------------------------------------------------------------------
-# The same pipeline as standalone stages, useful for inspection and testing.
-
-def embed(x, embed_w) -> np.ndarray:
-    """Bias-free linear embedding of each row: row i -> embed_w @ x_i."""
-    x = np.asarray(x, dtype=np.float64)
-    embed_w = np.asarray(embed_w, dtype=np.float64)
-    if x.ndim != 2 or embed_w.ndim != 2 or x.shape[1] != embed_w.shape[1]:
-        raise DimensionError(
-            f"embedding shapes incompatible: input {x.shape}, weights {embed_w.shape}")
-    return x @ embed_w.T
-
-
-def temporal_attention(embeddings, rnn: LstmParams, attn_w, attn_b,
-                       reverse_time=False) -> np.ndarray:
-    """Scalar weight per timestep: dense layer on LSTM states, then softmax."""
-    states = lstm_forward(embeddings, rnn, reverse_time=reverse_time)
-    scores = states @ np.asarray(attn_w, dtype=np.float64) + float(attn_b)
-    return T.softmax(scores).value
-
-
-def variable_attention(embeddings, rnn: LstmParams, weight, bias,
-                       reverse_time=False) -> np.ndarray:
-    """Per-feature weight vector per timestep: tanh of a dense layer on LSTM states."""
-    states = lstm_forward(embeddings, rnn, reverse_time=reverse_time)
-    return np.tanh(states @ np.asarray(weight, dtype=np.float64).T
-                   + np.asarray(bias, dtype=np.float64))
-
-
-def context_vector(embeddings, temporal_weights, variable_weights) -> np.ndarray:
-    """Attention-weighted sum over time of the feature-weighted embeddings."""
-    v = np.asarray(embeddings, dtype=np.float64)
-    a = np.asarray(temporal_weights, dtype=np.float64)
-    b = np.asarray(variable_weights, dtype=np.float64)
-    if v.shape != b.shape or a.shape != (v.shape[0],):
-        raise DimensionError(
-            f"context shapes incompatible: embeddings {v.shape}, "
-            f"temporal {a.shape}, variable {b.shape}")
-    return (a[:, None] * b * v).sum(axis=0)

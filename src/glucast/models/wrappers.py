@@ -2,7 +2,8 @@
 
 The training loop and the CLI only need a handful of operations: the live
 parameter arrays, a loss-ready forward graph for a batch, cheap batched
-prediction, and snapshot/restore. Each wrapper provides those for one
+prediction, the window geometry the model takes (``window_geometry``: input
+width, and window length where the model fixes one), and snapshot/restore. Each wrapper provides those for one
 parameter set.
 """
 
@@ -13,11 +14,7 @@ import numpy as np
 from ..kernel import init_lstm_params
 from . import baselines, retain
 
-
-def _predict_in_chunks(graph_fn, x, chunk=512):
-    x = np.asarray(x, dtype=np.float64)
-    outs = [graph_fn(x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
-    return np.concatenate(outs) if outs else np.empty(0)
+PREDICT_CHUNK = 512  # windows per untaped prediction pass
 
 
 class RetainModel:
@@ -45,11 +42,18 @@ class RetainModel:
         return outs.y_hat, outs.adv_probs
 
     def predict(self, x) -> np.ndarray:
-        return _predict_in_chunks(
-            lambda xs: retain.predict_batch(xs, self.params, self.config), x)
+        return retain.in_chunks(
+            lambda xs: retain.predict_batch(xs, self.params, self.config), x,
+            PREDICT_CHUNK)
 
     def forward(self, x) -> retain.ForwardTrace:
         return retain.forward(x, self.params, self.config)
+
+    def trace_batch(self, x) -> retain.ForwardTrace:
+        return retain.trace_batch(x, self.params, self.config)
+
+    def window_geometry(self) -> dict:
+        return {"seq_len": self.config.seq_len, "input_dim": self.config.input_dim}
 
 
 class StdAttnModel:
@@ -73,13 +77,17 @@ class StdAttnModel:
                 "rnn.bias": p.rnn.bias, "attn_w": p.attn_w, "attn_b": p.attn_b,
                 "out_w": p.out_w, "out_b": p.out_b}
 
+    def window_geometry(self) -> dict:
+        return {"input_dim": self.params.rnn.input_size}
+
     def graph(self, tp, x_batch, p, with_adversary=False):
         y_hat, _ = baselines.std_attn_graph(tp, x_batch, p)
         return y_hat, None
 
     def predict(self, x) -> np.ndarray:
-        return _predict_in_chunks(
-            lambda xs: baselines.std_attn_graph(None, xs, self.param_arrays())[0].value, x)
+        return retain.in_chunks(
+            lambda xs: baselines.std_attn_graph(None, xs, self.param_arrays())[0].value, x,
+            PREDICT_CHUNK)
 
 
 class LstmRegModel:
@@ -106,15 +114,19 @@ class LstmRegModel:
                 "out_w": p.out_w, "out_b": p.out_b,
                 "adv_w": p.adv_w, "adv_b": p.adv_b}
 
+    def window_geometry(self) -> dict:
+        return {"input_dim": self.params.layer1.input_size}
+
     def graph(self, tp, x_batch, p, with_adversary=True):
         y_hat, _, adv = baselines.lstm_reg_graph(tp, x_batch, p,
                                                  with_adversary=with_adversary)
         return y_hat, adv
 
     def predict(self, x) -> np.ndarray:
-        return _predict_in_chunks(
+        return retain.in_chunks(
             lambda xs: baselines.lstm_reg_graph(None, xs, self.param_arrays(),
-                                                with_adversary=False)[0].value, x)
+                                                with_adversary=False)[0].value, x,
+            PREDICT_CHUNK)
 
 
 def snapshot(model) -> dict:

@@ -10,6 +10,7 @@ from glucast.models import (
     forward,
     init_retain_params,
     normalized_contributions,
+    trace_batch,
 )
 from glucast.models.attribution import ContributionMap, event_mask_from_windows
 
@@ -77,6 +78,40 @@ def test_stale_trace_raises_consistency_error():
     mutated = make(seed=7)
     with pytest.raises(ConsistencyError):
         contributions(x, trace, mutated)
+
+
+def test_batched_contributions_match_per_window():
+    params = make(seed=8)
+    xs = np.random.default_rng(8).normal(scale=2.0,
+                                         size=(50, CFG.seq_len, CFG.input_dim))
+    batch = contributions(xs, trace_batch(xs, params, CFG), params)
+    norm = normalized_contributions(batch)
+    assert batch.contribution.shape == norm.shape == xs.shape
+    for i, x in enumerate(xs):
+        one = contributions(x, forward(x, params, CFG), params)
+        assert batch.bias == one.bias
+        assert np.allclose(batch.contribution[i], one.contribution, rtol=0, atol=1e-12)
+        assert np.allclose(batch.coefficients[i], one.coefficients, rtol=0, atol=1e-12)
+        assert np.allclose(norm[i], normalized_contributions(one), rtol=0, atol=1e-12)
+
+
+def test_stale_batch_trace_names_the_bad_row():
+    params = make(seed=9)
+    xs = RNG.normal(size=(6, CFG.seq_len, CFG.input_dim))
+    trace = trace_batch(xs, params, CFG)
+    stale = xs.copy()
+    stale[4] *= 3.0  # row 4 no longer matches its trace
+    with pytest.raises(ConsistencyError, match=r"window 4\b"):
+        contributions(stale, trace, params)
+    with pytest.raises(ConsistencyError):
+        contributions(xs[:5], trace, params)  # one window short of the trace
+
+
+def test_normalized_batch_names_the_all_zero_row():
+    omega = RNG.normal(size=(3, 2, 2))
+    omega[1] = 0.0
+    with pytest.raises(DegenerateAttributionError, match=r"window 1\b"):
+        normalized_contributions(ContributionMap(omega, omega, 0.0))
 
 
 def test_normalized_equal_magnitudes():

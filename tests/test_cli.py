@@ -185,22 +185,81 @@ def test_explain_sample_reconstructs_prediction(mini_run):
     assert all(int(r["count"]) >= 0 for r in event_rows)
 
 
+def _read_matrix(path):
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(v) if v else np.nan for v in row[1:]] for row in rows])
+
+
 def test_explain_aggregate_matches_offline_recomputation(mini_run):
     out = mini_run / "explain"
     from glucast.datapipe import read_patient_archive
     from glucast.models import (contributions, load_model,
-                                normalized_contributions, aggregate_attributions)
+                                normalized_contributions, aggregate_attributions,
+                                event_conditioned_attributions)
+    from glucast.models.attribution import event_mask_from_windows
     model = load_model(mini_run / "run" / "model.json")
-    test = read_patient_archive(mini_run / "prep", "p02")["test"]
+    archive = read_patient_archive(mini_run / "prep", "p02")
+    test, scaling = archive["test"], archive["scaling"]
     atts = []
     for x in test.x:
         trace = model.forward(x)
         atts.append(normalized_contributions(contributions(x, trace, model.params)))
-    expect = aggregate_attributions(atts, "mean")
-    with open(out / "attribution_mean.csv") as fh:
-        rows = list(csv.reader(fh))[1:]
-    got = np.array([[float(v) for v in row[1:]] for row in rows])
-    assert np.allclose(got, expect, atol=1e-12)
+    for mode in ("mean", "max"):
+        got = _read_matrix(out / f"attribution_{mode}.csv")
+        assert np.allclose(got, aggregate_attributions(atts, mode), rtol=0, atol=1e-12)
+
+    mask = event_mask_from_windows(test.x, scaling.input_mean, scaling.input_std, 1)
+    profile = event_conditioned_attributions(
+        mask, atts, 60, archive["meta"]["period_minutes"])
+    expect = np.array([np.full(3, np.nan) if mean is None else mean.sum(axis=0)
+                       for mean in profile.means])
+    got = _read_matrix(out / "event_cho.csv")
+    assert np.array_equal(got[:, 0], np.array(profile.counts, dtype=float))
+    assert np.allclose(got[:, 1:], expect, rtol=0, atol=1e-12, equal_nan=True)
+
+
+def test_explain_rerun_is_byte_identical(mini_run, tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run("explain", "--model", str(mini_run / "run" / "model.json"),
+                   "--data", str(mini_run / "prep"), "--target", "p02",
+                   "--sample", "3", "--event", "cho", "--out", str(out)) == 0
+        runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert runs[0] == runs[1]
+    assert "contributions_3.csv" in runs[0] and "event_cho.csv" in runs[0]
+
+
+def _edit_model(src, dst, **config):
+    doc = json.loads(Path(src).read_text())
+    doc["config"].update(config)
+    Path(dst).write_text(json.dumps(doc))
+    return dst
+
+
+@pytest.mark.parametrize("field, value", [("seq_len", 12), ("input_dim", 2)])
+def test_evaluate_rejects_model_of_other_window_geometry(mini_run, tmp_path,
+                                                         capsys, field, value):
+    model = _edit_model(mini_run / "run" / "model.json", tmp_path / "model.json",
+                        **{field: value})
+    assert run("evaluate", "--model", str(model), "--data", str(mini_run / "prep"),
+               "--target", "p02", "--out", str(tmp_path / "ev")) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and field in err
+    assert str(mini_run / "prep" / "p02" / "scaling.json") in err
+    assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
+def test_explain_rejects_model_of_other_window_geometry(mini_run, tmp_path, capsys):
+    model = _edit_model(mini_run / "run" / "model.json", tmp_path / "model.json",
+                        seq_len=12)
+    assert run("explain", "--model", str(model), "--data", str(mini_run / "prep"),
+               "--target", "p02", "--sample", "0", "--out", str(tmp_path / "ex")) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and "seq_len" in err
+    assert str(mini_run / "prep" / "p02" / "scaling.json") in err
+    assert not (tmp_path / "ex").exists()
 
 
 def test_explain_non_attributable_model_exit_5(mini_run, tmp_path):

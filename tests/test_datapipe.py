@@ -7,7 +7,9 @@ from glucast.datapipe import (
     build_samples,
     clean_spikes,
     five_fold_rotations,
+    read_archive_split,
     read_patient_archive,
+    read_scaling_json,
     read_series_csv,
     recover_missing,
     resample,
@@ -353,3 +355,12 @@ def test_patient_archive_round_trip(tmp_path):
     assert np.array_equal(back["test"].target_t, te.target_t)
     assert back["scaling"].target_mean == scaling.target_mean
     assert back["meta"]["ph_steps"] == 6
+
+    # one split alone, with only the sidecar and that split's CSV present
+    (tmp_path / "p07" / "train.csv").unlink()
+    (tmp_path / "p07" / "valid.csv").unlink()
+    sidecar = read_scaling_json(tmp_path / "p07" / "scaling.json")
+    alone = read_archive_split(tmp_path / "p07", "test", *sidecar)
+    assert alone.provenance == "test"
+    for name in ("x", "y", "t", "target_t"):
+        assert np.array_equal(getattr(alone, name), getattr(back["test"], name))

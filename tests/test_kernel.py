@@ -78,6 +78,12 @@ def test_softmax_forced_values():
     assert np.allclose(out, [2 / 3, 1 / 3], atol=1e-15)
 
 
+def test_softmax_length_one():
+    assert np.array_equal(T.softmax(np.array([0.3])).value, np.array([1.0]))
+    assert np.array_equal(T.softmax(np.array([[-7.0], [2.5]])).value,
+                          np.ones((2, 1)))
+
+
 def test_softmax_empty_vector():
     with pytest.raises(ValueError):
         T.softmax(np.empty(0))

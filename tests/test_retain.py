@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from glucast.errors import ConfigError, DimensionError
-from glucast.kernel import Tape, init_lstm_params, lstm_forward
+from glucast.errors import ConfigError, ConsistencyError, DimensionError
+from glucast.kernel import Tape, lstm_forward
 from glucast.kernel import tape as T
 from glucast.models import retain
 from glucast.models.retain import (
+    TRACE_CHUNK,
     RetainConfig,
     build_graph,
-    context_vector,
-    embed,
     forward,
     init_retain_params,
     param_arrays,
     predict_batch,
-    temporal_attention,
-    variable_attention,
+    trace_batch,
 )
 
 from _utils import finite_diff_params, max_rel_err
@@ -28,6 +26,21 @@ TINY = RetainConfig(seq_len=4, input_dim=2, embed_dim=3, alpha_hidden=2,
 
 def tiny_model(seed=0, config=TINY):
     return config, init_retain_params(config, np.random.default_rng(seed))
+
+
+def np_softmax(s):
+    e = np.exp(s - s.max())
+    return e / e.sum()
+
+
+def stage_oracles(x, params):
+    """One window through the model, stage by stage, in plain numpy (the LSTM
+    from the standalone kernel.lstm_forward): v, alphas, betas, context."""
+    v = x @ params.embed_w.T
+    alphas = np_softmax(lstm_forward(v, params.alpha_rnn) @ params.alpha_w
+                        + float(params.alpha_b))
+    betas = np.tanh(lstm_forward(v, params.beta_rnn) @ params.beta_w.T + params.beta_b)
+    return v, alphas, betas, (alphas[:, None] * betas * v).sum(axis=0)
 
 
 # --- config ---------------------------------------------------------------
@@ -46,88 +59,121 @@ def test_config_defaults_match_production_setup():
     assert cfg.reverse_time is False
 
 
-# --- embed ------------------------------------------------------------------
+# --- embedding stage -------------------------------------------------------------
+
+SQUARE = RetainConfig(seq_len=5, input_dim=3, embed_dim=3, alpha_hidden=2,
+                      beta_hidden=2, n_sources=2)
+
 
 def test_embed_identity_and_zero():
-    x = RNG.normal(size=(5, 3))
-    assert np.array_equal(embed(x, np.eye(3)), x)
-    assert np.array_equal(embed(np.zeros((5, 3)), RNG.normal(size=(4, 3))),
-                          np.zeros((5, 4)))
+    cfg, params = tiny_model(seed=1, config=SQUARE)
+    params.embed_w[...] = np.eye(3)
+    x = RNG.normal(size=(2, cfg.seq_len, 3))
+    assert np.array_equal(trace_batch(x, params, cfg).embeddings, x)
+    params.embed_w[...] = RNG.normal(size=(3, 3))
+    assert np.array_equal(trace_batch(np.zeros_like(x), params, cfg).embeddings,
+                          np.zeros_like(x))
 
 
 def test_embed_rows_match_matvec_oracle():
-    x = RNG.normal(size=(6, 2))
-    w = RNG.normal(size=(3, 2))
-    got = embed(x, w)
-    for i in range(6):
-        assert np.allclose(got[i], w @ x[i], atol=1e-14)
+    cfg, params = tiny_model(seed=2)
+    x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
+    got = trace_batch(x, params, cfg).embeddings
+    for b in range(3):
+        for i in range(cfg.seq_len):
+            assert np.allclose(got[b, i], params.embed_w @ x[b, i], atol=1e-14)
 
 
 def test_embed_shape_mismatch():
+    cfg, params = tiny_model()
     with pytest.raises(DimensionError):
-        embed(np.zeros((5, 3)), np.zeros((4, 2)))
+        trace_batch(np.zeros((2, cfg.seq_len, cfg.input_dim + 1)), params, cfg)
+    with pytest.raises(DimensionError):
+        trace_batch(np.zeros((cfg.seq_len, cfg.input_dim)), params, cfg)
 
 
 # --- attention stages -------------------------------------------------------
 
 def test_temporal_attention_uniform_when_weights_zero():
-    rnn = init_lstm_params(3, 2, np.random.default_rng(1))
-    v = RNG.normal(size=(5, 3))
-    alphas = temporal_attention(v, rnn, np.zeros(2), 0.0)
-    assert np.allclose(alphas, np.full(5, 0.2), atol=1e-15)
-
-
-def test_temporal_attention_length_one():
-    rnn = init_lstm_params(3, 2, np.random.default_rng(1))
-    alphas = temporal_attention(RNG.normal(size=(1, 3)), rnn, RNG.normal(size=2), 0.3)
-    assert np.array_equal(alphas, np.array([1.0]))
+    cfg, params = tiny_model(seed=1)
+    params.alpha_w[...] = 0.0
+    params.alpha_b[...] = 0.0
+    x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
+    alphas = trace_batch(x, params, cfg).temporal_weights
+    assert np.allclose(alphas, np.full((3, cfg.seq_len), 1 / cfg.seq_len), atol=1e-15)
 
 
 def test_temporal_attention_matches_composed_oracles():
-    rnn = init_lstm_params(3, 2, np.random.default_rng(2))
-    v = RNG.normal(size=(3, 3))
-    w, b = RNG.normal(size=2), 0.17
-    states = lstm_forward(v, rnn)
-    expect = T.softmax(states @ w + b).value
-    assert np.allclose(temporal_attention(v, rnn, w, b), expect, atol=1e-14)
+    cfg, params = tiny_model(seed=2)
+    params.alpha_b[...] = 0.17
+    x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
+    got = trace_batch(x, params, cfg).temporal_weights
+    for b in range(3):
+        assert np.allclose(got[b], stage_oracles(x[b], params)[1], atol=1e-14)
 
 
 def test_variable_attention_zero_and_saturated():
-    rnn = init_lstm_params(3, 2, np.random.default_rng(3))
-    v = RNG.normal(size=(4, 3))
-    assert np.array_equal(variable_attention(v, rnn, np.zeros((3, 2)), np.zeros(3)),
-                          np.zeros((4, 3)))
-    sat = variable_attention(v, rnn, np.zeros((3, 2)), np.full(3, 10.0))
-    assert np.all(sat > 0.9999)
+    cfg, params = tiny_model(seed=3)
+    x = RNG.normal(size=(2, cfg.seq_len, cfg.input_dim))
+    params.beta_w[...] = 0.0
+    params.beta_b[...] = 0.0
+    assert np.array_equal(trace_batch(x, params, cfg).variable_weights,
+                          np.zeros((2, cfg.seq_len, cfg.embed_dim)))
+    params.beta_b[...] = 10.0
+    assert np.all(trace_batch(x, params, cfg).variable_weights > 0.9999)
 
 
 def test_variable_attention_matches_composed_oracles():
-    rnn = init_lstm_params(3, 2, np.random.default_rng(4))
-    v = RNG.normal(size=(4, 3))
-    w = RNG.normal(size=(3, 2))
-    b = RNG.normal(size=3)
-    expect = np.tanh(lstm_forward(v, rnn) @ w.T + b)
-    assert np.allclose(variable_attention(v, rnn, w, b), expect, atol=1e-14)
+    cfg, params = tiny_model(seed=4)
+    params.beta_b[...] = RNG.normal(size=cfg.embed_dim)
+    x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
+    got = trace_batch(x, params, cfg).variable_weights
+    for b in range(3):
+        assert np.allclose(got[b], stage_oracles(x[b], params)[2], atol=1e-14)
 
 
 def test_context_vector_one_hot_and_zero():
-    v = RNG.normal(size=(5, 3))
-    alphas = np.zeros(5)
-    alphas[2] = 1.0
-    assert np.allclose(context_vector(v, alphas, np.ones((5, 3))), v[2], atol=1e-15)
-    assert np.array_equal(context_vector(v, np.full(5, 0.2), np.zeros((5, 3))),
-                          np.zeros(3))
+    # an alpha LSTM that fires only where embedding 0 is non-zero (step 2)
+    # makes the temporal weights one-hot, and saturated variable weights are
+    # exactly 1, so the context is that step's embedding; zero variable
+    # weights give a zero context
+    cfg, params = tiny_model(seed=5)
+    h = cfg.alpha_hidden
+    params.embed_w[...] = np.eye(cfg.embed_dim, cfg.input_dim)
+    rnn = params.alpha_rnn
+    rnn.w_in[...] = 0.0
+    rnn.w_rec[...] = 0.0
+    rnn.w_in[2 * h:3 * h, 0] = 1000.0  # the cell candidate reads embedding 0
+    rnn.bias[...] = 50.0               # input and output gates open
+    rnn.bias[h:2 * h] = -50.0          # forget gate shut
+    rnn.bias[2 * h:3 * h] = 0.0
+    params.alpha_w[...] = 2000.0
+    params.beta_w[...] = 0.0
+    params.beta_b[...] = 40.0  # tanh(40) == 1.0 in float64
+    x = RNG.normal(size=(2, cfg.seq_len, cfg.input_dim))
+    x[:, :, 0] = 0.0
+    x[:, 2, 0] = 1.0
+    trace = trace_batch(x, params, cfg)
+    assert np.all(trace.temporal_weights[:, 2] == 1.0)
+    assert np.all(np.delete(trace.temporal_weights, 2, axis=1) <= 5e-324)  # floor
+    assert np.allclose(trace.context, trace.embeddings[:, 2], atol=1e-15)
+    params.beta_b[...] = 0.0
+    assert np.array_equal(trace_batch(x, params, cfg).context,
+                          np.zeros((2, cfg.embed_dim)))
 
 
 def test_context_vector_matches_loop_oracle():
-    v = RNG.normal(size=(4, 3))
-    alphas = T.softmax(RNG.normal(size=4)).value
-    betas = np.tanh(RNG.normal(size=(4, 3)))
-    expect = np.zeros(3)
-    for i in range(4):
-        for k in range(3):
-            expect[k] += alphas[i] * betas[i, k] * v[i, k]
-    assert np.allclose(context_vector(v, alphas, betas), expect, atol=1e-14)
+    cfg, params = tiny_model(seed=6)
+    x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
+    trace = trace_batch(x, params, cfg)
+    for b in range(3):
+        expect = np.zeros(cfg.embed_dim)
+        for i in range(cfg.seq_len):
+            for k in range(cfg.embed_dim):
+                expect[k] += (trace.temporal_weights[b, i]
+                              * trace.variable_weights[b, i, k]
+                              * trace.embeddings[b, i, k])
+        assert np.allclose(trace.context[b], expect, atol=1e-14)
 
 
 # --- full forward ------------------------------------------------------------
@@ -163,11 +209,7 @@ def test_forward_matches_pipeline_of_stage_oracles():
     x = RNG.normal(size=(cfg.seq_len, cfg.input_dim))
     trace = forward(x, params, cfg)
 
-    v = embed(x, params.embed_w)
-    alphas = temporal_attention(v, params.alpha_rnn, params.alpha_w,
-                                float(params.alpha_b))
-    betas = variable_attention(v, params.beta_rnn, params.beta_w, params.beta_b)
-    ctx = context_vector(v, alphas, betas)
+    v, alphas, betas, ctx = stage_oracles(x, params)
     y = float(params.out_w @ ctx + params.out_b)
 
     assert np.allclose(trace.embeddings, v, atol=1e-12)
@@ -210,6 +252,56 @@ def test_predict_batch_matches_single_forward():
     batched = predict_batch(xs, params, cfg)
     singles = np.array([forward(x, params, cfg).y_hat for x in xs])
     assert np.allclose(batched, singles, rtol=1e-12, atol=1e-12)
+
+
+# --- batched trace -------------------------------------------------------------
+
+TRACE_FIELDS = ("embeddings", "scores", "temporal_weights", "variable_weights",
+                "context", "adv_probs")
+
+
+# 2 * TRACE_CHUNK + 44 = 300 windows: two full chunks and a partial one
+@pytest.mark.parametrize("n, reverse_time",
+                         [(1, False), (2 * TRACE_CHUNK + 44, False), (40, True)])
+def test_trace_batch_rows_match_forward(n, reverse_time):
+    cfg = RetainConfig(seq_len=6, input_dim=3, embed_dim=5, alpha_hidden=4,
+                       beta_hidden=3, n_sources=2, reverse_time=reverse_time)
+    cfg, params = tiny_model(seed=23, config=cfg)
+    xs = np.random.default_rng(n).normal(scale=2.0,
+                                         size=(n, cfg.seq_len, cfg.input_dim))
+    batch = trace_batch(xs, params, cfg)
+    assert batch.y_hat.shape == (n,)
+    for i, x in enumerate(xs):
+        one = forward(x, params, cfg)
+        assert abs(batch.y_hat[i] - one.y_hat) <= 1e-12
+        for name in TRACE_FIELDS:
+            assert np.allclose(getattr(batch, name)[i], getattr(one, name),
+                               rtol=0, atol=1e-12), (i, name)
+    if reverse_time:  # the order does reach the batched path
+        fwd = trace_batch(xs, params, RetainConfig(
+            **{**vars(cfg), "reverse_time": False}))
+        assert not np.allclose(fwd.temporal_weights, batch.temporal_weights)
+
+
+def test_trace_batch_invariant_names_bad_row():
+    cfg, params = tiny_model(seed=29)
+    trace = trace_batch(RNG.normal(size=(4, cfg.seq_len, cfg.input_dim)), params, cfg)
+    broken = trace.temporal_weights.copy()
+    broken[2, 0] += 0.5
+    with pytest.raises(ConsistencyError, match=r"window 2"):
+        retain.ForwardTrace(trace.embeddings, trace.scores, broken,
+                            trace.variable_weights, trace.context, trace.y_hat,
+                            trace.adv_probs)
+
+
+def test_trace_batch_rejects_nonfinite_and_empty():
+    cfg, params = tiny_model()
+    bad = np.zeros((3, cfg.seq_len, cfg.input_dim))
+    bad[1, 0, 0] = np.inf
+    with pytest.raises(ValueError):
+        trace_batch(bad, params, cfg)
+    with pytest.raises(DimensionError):
+        trace_batch(np.zeros((0, cfg.seq_len, cfg.input_dim)), params, cfg)
 
 
 def test_prediction_gradients_match_finite_differences():
