@@ -1,7 +1,7 @@
 """Dense numeric primitives with reverse-mode gradient support."""
 
 from .gradcheck import grad_check
-from .lstm import LstmParams, glorot, init_lstm_params, lstm_forward, lstm_scan
+from .lstm import LstmParams, glorot, init_lstm_params, lstm_scan
 from .tape import (
     Node,
     Tape,
@@ -19,13 +19,10 @@ from .tape import (
     reshape,
     scale,
     sigmoid,
-    slice_cols,
     softmax,
-    stack_steps,
     sub,
     sum_all,
     sum_axis,
-    take_step,
     tanh,
     transpose,
 )
@@ -33,9 +30,8 @@ from .tape import (
 __all__ = [
     "Node", "Tape", "lift", "check_finite",
     "add", "sub", "mul", "neg", "scale", "matmul", "transpose", "reshape",
-    "stack_steps", "take_step", "slice_cols", "tanh", "sigmoid", "log",
-    "clip_min", "softmax", "sum_all", "sum_axis", "mean_all", "gather_rows",
-    "grad_reverse",
-    "LstmParams", "glorot", "init_lstm_params", "lstm_forward", "lstm_scan",
+    "tanh", "sigmoid", "log", "clip_min", "softmax", "sum_all", "sum_axis",
+    "mean_all", "gather_rows", "grad_reverse",
+    "LstmParams", "glorot", "init_lstm_params", "lstm_scan",
     "grad_check",
 ]

@@ -1,4 +1,4 @@
-"""A plain LSTM layer built on the tape primitives.
+"""A plain LSTM layer as one fused tape operation.
 
 Gate layout is fixed: the stacked weight rows hold the input, forget,
 cell-candidate and output gates, in that order. Initial hidden and cell
@@ -62,57 +62,97 @@ def init_lstm_params(input_size, hidden_size, rng) -> LstmParams:
 
 
 def lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
-    """Run the LSTM over a (B, L, input) sequence node.
+    """Run the LSTM over a (B, L, input) sequence as one taped op.
 
-    The input-side gate projection is hoisted out of the time loop into one
-    large matmul; only the recurrent projection stays sequential. Returns
-    one (B, hidden) node per step, aligned to the original time order
-    regardless of the scan direction.
+    Returns a (B, L, hidden) node aligned to the original time order
+    regardless of the scan direction. All buffers are time-major in scan
+    order, so each step reads and writes one contiguous block. The sigmoid
+    gate rows of the weights are pre-scaled by 0.5, so one tanh per step
+    evaluates all four gates (sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, exact in
+    binary floating point). Recording keeps every step's gate activations and
+    cell states for the hand-written backward pass through time; an untaped
+    run keeps only the hidden states, the gate buffer and two cell rows.
     """
-    h4 = T._val(w_in).shape[0]
+    wi, wr, b, x = T._val(w_in), T._val(w_rec), T._val(bias), T._val(seq)
+    h4, n_in = wi.shape
     hidden = h4 // 4
-    batch, length, n_in = T._val(seq).shape
-    w_rec_t = T.transpose(w_rec, tp)
-
-    flat = T.matmul(T.reshape(seq, (batch * length, n_in), tp),
-                    T.transpose(w_in, tp), tp)
-    z_in = T.reshape(T.add(flat, bias, tp), (batch, length, h4), tp)
-
-    order = range(length - 1, -1, -1) if reverse_time else range(length)
-    h = None
-    c = None
-    outputs = [None] * length
-    for t in order:
-        z = T.take_step(z_in, t, tp)
-        if h is not None:
-            z = T.add(z, T.matmul(h, w_rec_t, tp), tp)
-        gate_i = T.sigmoid(T.slice_cols(z, 0, hidden, tp), tp)
-        gate_f = T.sigmoid(T.slice_cols(z, hidden, 2 * hidden, tp), tp)
-        gate_g = T.tanh(T.slice_cols(z, 2 * hidden, 3 * hidden, tp), tp)
-        gate_o = T.sigmoid(T.slice_cols(z, 3 * hidden, 4 * hidden, tp), tp)
-        if c is None:
-            c = T.mul(gate_i, gate_g, tp)
-        else:
-            c = T.add(T.mul(gate_f, c, tp), T.mul(gate_i, gate_g, tp), tp)
-        h = T.mul(gate_o, T.tanh(c, tp), tp)
-        outputs[t] = h
-    return outputs
-
-
-def lstm_forward(inputs, params: LstmParams, reverse_time=False) -> np.ndarray:
-    """Evaluate the layer on a (L, input) sequence, returning (L, hidden).
-
-    Pure function of its arguments; nothing is recorded for differentiation.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a (L, input) sequence, got shape {x.shape}")
-    if x.shape[0] < 1:
-        raise DimensionError("sequence must contain at least one step")
-    if x.shape[1] != params.input_size:
+    if x.ndim != 3 or x.shape[2] != n_in:
         raise DimensionError(
-            f"input vectors have length {x.shape[1]}, layer expects {params.input_size}")
-    outputs = lstm_scan(None, T.lift(params.w_in), T.lift(params.w_rec),
-                        T.lift(params.bias), T.lift(x[None, :, :]),
-                        reverse_time=reverse_time)
-    return np.vstack([o.value[0] for o in outputs])
+            f"LSTM input has shape {x.shape}, expected (B, L, {n_in})")
+    batch, length, _ = x.shape
+
+    gate_scale = np.full(h4, 0.5)
+    gate_scale[2 * hidden:3 * hidden] = 1.0
+    xs = x.transpose(1, 0, 2)
+    if reverse_time:
+        xs = xs[::-1]
+    # the input projection as one batched matmul that reads the batch-major
+    # input in place and writes the time-major buffer, so no copy of the input
+    z = np.empty((length, batch, h4))
+    np.matmul(xs, (wi * gate_scale[:, None]).T, out=z)
+    z += b * gate_scale
+    wr_t = (wr * gate_scale[:, None]).T
+    gate_shift = 1.0 - gate_scale
+
+    h = np.empty((length, batch, hidden))
+    c = np.empty((length if tp is not None else 2, batch, hidden))
+    for s in range(length):
+        a = z[s]
+        if s:
+            a += h[s - 1] @ wr_t
+        np.tanh(a, out=a)
+        a *= gate_scale
+        a += gate_shift
+        i, f, g, o = (a[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        c_s = c[s % len(c)]
+        if s:
+            np.multiply(f, c[(s - 1) % len(c)], out=c_s)
+            c_s += i * g
+        else:
+            np.multiply(i, g, out=c_s)
+        np.tanh(c_s, out=h[s])
+        h[s] *= o
+
+    value = (h[::-1] if reverse_time else h).transpose(1, 0, 2)
+    if tp is None:
+        return T.Node(value)
+
+    def bptt(grad):
+        """(dW_in, dW_rec, dbias, dseq) of the whole scan for an upstream
+        (B, L, hidden) gradient; dseq is None for a constant sequence."""
+        gs = grad.transpose(1, 0, 2)
+        if reverse_time:
+            gs = gs[::-1]
+        gates = z.reshape(length, batch, 4, hidden)
+        i, f, g, o = (gates[:, :, k] for k in range(4))
+        tanh_c = np.tanh(c)
+        # dz = [dc * d_i, dc * d_f, dc * d_g, dh * d_o], where dc and dh are the
+        # step's cell and hidden adjoints; fill the d_* factors for all steps
+        dz = gates * (1.0 - gates)
+        dz[:, :, 0] *= g
+        dz[1:, :, 1] *= c[:-1]
+        dz[0, :, 1] = 0.0
+        dz[:, :, 2] = i * (1.0 - g * g)
+        dz[:, :, 3] *= tanh_c
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+
+        dc_next = None
+        for s in range(length - 1, -1, -1):
+            dh = gs[s] + dz[s + 1].reshape(batch, h4) @ wr if s + 1 < length else gs[s]
+            dc = dh * dc_dh[s]
+            if dc_next is not None:
+                dc += dc_next
+            dz[s, :, :3] *= dc[:, None, :]
+            dz[s, :, 3] *= dh
+            dc_next = dc * f[s]
+
+        flat = dz.reshape(length * batch, h4)
+        d_w_in = flat.T @ np.ascontiguousarray(xs).reshape(-1, n_in)
+        d_w_rec = flat[batch:].T @ h[:-1].reshape(-1, hidden)
+        d_seq = None
+        if isinstance(seq, T.Node):
+            d_seq = (flat @ wi).reshape(length, batch, n_in)
+            d_seq = (d_seq[::-1] if reverse_time else d_seq).transpose(1, 0, 2)
+        return d_w_in, d_w_rec, flat.sum(axis=0), d_seq
+
+    return T._emit_shared(tp, value, (w_in, w_rec, bias, seq), bptt)

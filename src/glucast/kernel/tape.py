@@ -35,9 +35,6 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
-    "stack_steps",
-    "take_step",
-    "slice_cols",
     "tanh",
     "sigmoid",
     "log",
@@ -71,74 +68,28 @@ class Tape:
         return len(self._ops)
 
     def record(self, out, pulls):
-        # pulls: list of (parent Node, kind, payload); see PULL_* for kinds
+        # pulls: list of (parent Node, vjp); vjp maps out's adjoint to the
+        # parent's share of it
         self._ops.append((out, pulls))
 
     def backward(self, root, seed=None):
         """Accumulate d(root)/d(node) into every node reachable from root.
 
-        Scatter-style pulls (slicing ops touching a few entries of a large
-        operand) add into a shared buffer instead of materializing
-        full-size contribution arrays; a buffer is only written in place
-        once this pass owns it, so contributions that alias upstream
-        gradients are never corrupted. GEMM-style pulls (the weight side of
-        a matmul) are deferred and flushed as one stacked product per
-        weight, which turns the many thin per-timestep products of a
-        recurrent scan into a single efficient one. Both reorderings are
-        fixed functions of the recorded op sequence, so replays stay
-        bit-identical.
+        The adjoints of recorded op outputs are reset first, so a graph can be
+        replayed; leaf nodes accumulate across passes.
         """
+        for out, _ in self._ops:
+            out.grad = None
         if seed is None:
             seed = np.ones_like(root.value)
-        root.grad = np.asarray(seed, dtype=np.float64)
-        owned = set()
-        deferred = {}
-
-        def flush(entry):
-            parent, lhs, ups = entry
-            a = lhs[0] if len(lhs) == 1 else np.vstack(lhs)
-            g = ups[0] if len(ups) == 1 else np.vstack(ups)
-            contrib = a.T @ g
-            if parent.grad is None:
-                parent.grad = contrib
-            else:
-                parent.grad = parent.grad + contrib
-            owned.add(id(parent))
-
+        root.grad = np.array(seed, dtype=np.float64)
         for out, pulls in reversed(self._ops):
-            pending = deferred.pop(id(out), None)
-            if pending is not None:
-                # every consumer of this node was recorded later and has
-                # already been replayed; its stacked product is complete
-                flush(pending)
             g = out.grad
             if g is None:
                 continue
-            for parent, kind, payload in pulls:
-                if kind == PULL_VJP:
-                    contrib = payload(g)
-                    if parent.grad is None:
-                        parent.grad = contrib
-                    else:
-                        parent.grad = parent.grad + contrib
-                        owned.add(id(parent))
-                elif kind == PULL_SCATTER:
-                    if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.value)
-                        owned.add(id(parent))
-                    elif id(parent) not in owned:
-                        parent.grad = parent.grad.copy()
-                        owned.add(id(parent))
-                    payload(g, parent.grad)
-                else:  # PULL_GEMM: contribution is payload.T @ g, deferred
-                    entry = deferred.get(id(parent))
-                    if entry is None:
-                        deferred[id(parent)] = (parent, [payload], [g])
-                    else:
-                        entry[1].append(payload)
-                        entry[2].append(g)
-        for entry in deferred.values():  # leaf parameters
-            flush(entry)
+            for parent, vjp in pulls:
+                contrib = vjp(g)
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def lift(x) -> Node:
@@ -167,18 +118,25 @@ def _emit(tape, value, pulls):
     return out
 
 
-PULL_VJP = 0
-PULL_SCATTER = 1
-PULL_GEMM = 2
-
-
 def _pulls(*pairs):
     # keep pull entries only for differentiable (Node) operands
-    return [(x, PULL_VJP, fn) for x, fn in pairs if isinstance(x, Node)]
+    return [(x, fn) for x, fn in pairs if isinstance(x, Node)]
 
 
-def _scatter_pulls(*pairs):
-    return [(x, PULL_SCATTER, fn) for x, fn in pairs if isinstance(x, Node)]
+def _emit_shared(tape, value, inputs, vjps):
+    """Emit one op over several inputs whose VJPs come from a single call
+    ``vjps(g)`` returning one gradient per input (None for a constant input).
+    The call is made once per backward pass and its result shared."""
+    cache = [None, None]
+
+    def pull_at(k):
+        def pull(g):
+            if cache[0] is not g:
+                cache[0], cache[1] = g, vjps(g)
+            return cache[1][k]
+        return pull
+
+    return _emit(tape, value, _pulls(*((x, pull_at(k)) for k, x in enumerate(inputs))))
 
 
 def _unbroadcast(g, shape):
@@ -240,11 +198,9 @@ def matmul(a, b, tape=None):
     value = av @ bv
 
     if av.ndim == 2 and bv.ndim == 2:
-        pulls = _pulls((a, lambda g: g @ bv.T))
-        if isinstance(b, Node):
-            pulls.append((b, PULL_GEMM, av))
-        return _emit(tape, value, pulls)
-    if av.ndim == 2 and bv.ndim == 1:
+        da = lambda g: g @ bv.T
+        db = lambda g: av.T @ g
+    elif av.ndim == 2 and bv.ndim == 1:
         da = lambda g: np.outer(g, bv)
         db = lambda g: av.T @ g
     elif av.ndim == 1 and bv.ndim == 2:
@@ -267,37 +223,6 @@ def reshape(a, shape, tape=None):
     av = _val(a)
     old = av.shape
     return _emit(tape, av.reshape(shape), _pulls((a, lambda g: g.reshape(old))))
-
-
-def stack_steps(nodes, tape=None):
-    """Stack a sequence of equally shaped (B, n) values into (B, L, n)."""
-    values = [_val(x) for x in nodes]
-    value = np.stack(values, axis=1)
-
-    def pull_at(i):
-        return lambda g: g[:, i, :]
-
-    return _emit(tape, value, _pulls(*((x, pull_at(i)) for i, x in enumerate(nodes))))
-
-
-def take_step(a, i, tape=None):
-    """Select timestep i from a (B, L, n) array, producing (B, n)."""
-    av = _val(a)
-
-    def scatter(g, buf):
-        buf[:, i, :] += g
-
-    return _emit(tape, av[:, i, :], _scatter_pulls((a, scatter)))
-
-
-def slice_cols(a, lo, hi, tape=None):
-    """Slice [lo:hi] along the last axis."""
-    av = _val(a)
-
-    def scatter(g, buf):
-        buf[..., lo:hi] += g
-
-    return _emit(tape, av[..., lo:hi], _scatter_pulls((a, scatter)))
 
 
 def tanh(a, tape=None):
@@ -369,10 +294,12 @@ def gather_rows(a, idx, tape=None):
     idx = np.asarray(idx, dtype=np.intp)
     rows = np.arange(av.shape[0])
 
-    def scatter(g, buf):
-        np.add.at(buf, (rows, idx), g)
+    def pull(g):
+        out = np.zeros_like(av)
+        out[rows, idx] = g
+        return out
 
-    return _emit(tape, av[rows, idx], _scatter_pulls((a, scatter)))
+    return _emit(tape, av[rows, idx], _pulls((a, pull)))
 
 
 def grad_reverse(a, tape=None):

@@ -14,8 +14,6 @@ from .baselines import (
     StdAttnParams,
     init_lstm_reg_params,
     init_std_attn_params,
-    lstm_regressor_forward,
-    std_attention_forward,
 )
 from .retain import (
     ForwardTrace,
@@ -36,7 +34,7 @@ __all__ = [
     "aggregate_attributions", "event_conditioned_attributions",
     "event_mask_from_windows", "EventAttributionProfile",
     "StdAttnParams", "LstmRegParams", "init_std_attn_params",
-    "init_lstm_reg_params", "std_attention_forward", "lstm_regressor_forward",
+    "init_lstm_reg_params",
     "RetainModel", "StdAttnModel", "LstmRegModel", "snapshot", "restore",
     "save_model", "load_model",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError
-from ..kernel import LstmParams, check_finite, glorot, init_lstm_params, lstm_forward, lstm_scan
+from ..kernel import LstmParams, glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
 LSTM_REG_L2 = 1e-4  # weight penalty used when training the stacked regressor
@@ -65,28 +65,28 @@ def std_attn_graph(tp, x_batch, p):
     x = T._val(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
-    seq_len = x.shape[1]
-    node = T.lift(x) if not isinstance(x_batch, T.Node) else x_batch
-    states = lstm_scan(tp, p["rnn.w_in"], p["rnn.w_rec"], p["rnn.bias"], node)
-    stacked = T.stack_steps(states, tp)                      # (B, L, p)
-    flat = T.reshape(stacked, (x.shape[0] * seq_len, -1), tp)
+    batch, seq_len, _ = x.shape
+    states = lstm_scan(tp, p["rnn.w_in"], p["rnn.w_rec"], p["rnn.bias"], x_batch)
+    flat = T.reshape(states, (batch * seq_len, -1), tp)
     scores = T.reshape(T.add(T.matmul(flat, p["attn_w"], tp), p["attn_b"], tp),
-                       (x.shape[0], seq_len), tp)
+                       (batch, seq_len), tp)
     weights = T.softmax(scores, tp)
-    pooled = T.sum_axis(T.mul(stacked, T.reshape(weights, (x.shape[0], seq_len, 1), tp), tp),
+    pooled = T.sum_axis(T.mul(states, T.reshape(weights, (batch, seq_len, 1), tp), tp),
                         1, tp)                               # (B, p)
     y_hat = T.add(T.matmul(pooled, p["out_w"], tp), p["out_b"], tp)
     return y_hat, weights
 
 
-def std_attention_forward(x, params: StdAttnParams):
-    """Single-window forward; returns (prediction, attention weights)."""
-    x = check_finite(x, "input window")
-    p = {"rnn.w_in": params.rnn.w_in, "rnn.w_rec": params.rnn.w_rec,
-         "rnn.bias": params.rnn.bias, "attn_w": params.attn_w,
-         "attn_b": params.attn_b, "out_w": params.out_w, "out_b": params.out_b}
-    y_hat, weights = std_attn_graph(None, x[None, :, :], p)
-    return float(y_hat.value[0]), weights.value[0]
+def _last_step(seq, tp):
+    """The final timestep (B, n) of a (B, L, n) node."""
+    sv = T._val(seq)
+
+    def pull(g):
+        out = np.zeros_like(sv)
+        out[:, -1] = g
+        return out
+
+    return T._emit(tp, sv[:, -1], T._pulls((seq, pull)))
 
 
 def lstm_reg_graph(tp, x_batch, p, with_adversary=True, reverse_adversary=True):
@@ -94,31 +94,13 @@ def lstm_reg_graph(tp, x_batch, p, with_adversary=True, reverse_adversary=True):
     x = T._val(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
-    node = T.lift(x) if not isinstance(x_batch, T.Node) else x_batch
-    h1 = lstm_scan(tp, p["layer1.w_in"], p["layer1.w_rec"], p["layer1.bias"], node)
-    h2 = lstm_scan(tp, p["layer2.w_in"], p["layer2.w_rec"], p["layer2.bias"],
-                   T.stack_steps(h1, tp))
-    hidden = h2[-1]                                          # (B, n2)
+    h1 = lstm_scan(tp, p["layer1.w_in"], p["layer1.w_rec"], p["layer1.bias"], x_batch)
+    h2 = lstm_scan(tp, p["layer2.w_in"], p["layer2.w_rec"], p["layer2.bias"], h1)
+    hidden = _last_step(h2, tp)                              # (B, n2)
     y_hat = T.add(T.matmul(hidden, p["out_w"], tp), p["out_b"], tp)
     adv_probs = None
     if with_adversary:
         fed = T.grad_reverse(hidden, tp) if reverse_adversary else hidden
         logits = T.add(T.matmul(fed, T.transpose(p["adv_w"], tp), tp), p["adv_b"], tp)
         adv_probs = T.softmax(logits, tp)
-    return y_hat, hidden, adv_probs
-
-
-def lstm_regressor_forward(x, params: LstmRegParams):
-    """Single-window forward; returns (prediction, hidden state, class probs)."""
-    x = check_finite(x, "input window")
-    if x.shape[1] != params.layer1.input_size:
-        raise DimensionError(
-            f"input vectors have length {x.shape[1]}, "
-            f"model expects {params.layer1.input_size}")
-    h1 = lstm_forward(x, params.layer1)
-    h2 = lstm_forward(h1, params.layer2)
-    hidden = h2[-1]
-    y_hat = float(hidden @ params.out_w + params.out_b)
-    logits = params.adv_w @ hidden + params.adv_b
-    adv_probs = T.softmax(logits).value
     return y_hat, hidden, adv_probs

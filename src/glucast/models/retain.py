@@ -176,18 +176,18 @@ def build_graph(tp, x_batch, p, config: RetainConfig, with_adversary=True,
     v_flat = T.matmul(flat, T.transpose(p["embed_w"], tp), tp)
     embeddings = T.reshape(v_flat, (batch, seq_len, m), tp)
 
-    g_steps = lstm_scan(tp, p["alpha_rnn.w_in"], p["alpha_rnn.w_rec"],
-                        p["alpha_rnn.bias"], embeddings,
-                        reverse_time=config.reverse_time)
-    g_all = T.reshape(T.stack_steps(g_steps, tp), (batch * seq_len, -1), tp)
+    g_seq = lstm_scan(tp, p["alpha_rnn.w_in"], p["alpha_rnn.w_rec"],
+                      p["alpha_rnn.bias"], embeddings,
+                      reverse_time=config.reverse_time)
+    g_all = T.reshape(g_seq, (batch * seq_len, -1), tp)
     scores = T.reshape(T.add(T.matmul(g_all, p["alpha_w"], tp), p["alpha_b"], tp),
                        (batch, seq_len), tp)
     temporal = T.softmax(scores, tp)
 
-    h_steps = lstm_scan(tp, p["beta_rnn.w_in"], p["beta_rnn.w_rec"],
-                        p["beta_rnn.bias"], embeddings,
-                        reverse_time=config.reverse_time)
-    h_all = T.reshape(T.stack_steps(h_steps, tp), (batch * seq_len, -1), tp)
+    h_seq = lstm_scan(tp, p["beta_rnn.w_in"], p["beta_rnn.w_rec"],
+                      p["beta_rnn.bias"], embeddings,
+                      reverse_time=config.reverse_time)
+    h_all = T.reshape(h_seq, (batch * seq_len, -1), tp)
     variable = T.reshape(
         T.tanh(T.add(T.matmul(h_all, T.transpose(p["beta_w"], tp), tp),
                      p["beta_b"], tp), tp),

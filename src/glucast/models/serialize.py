@@ -13,18 +13,13 @@ import json
 import numpy as np
 
 from ..errors import ConfigError
-from ..kernel import LstmParams
-from . import baselines, retain
+from . import retain
 from .wrappers import LstmRegModel, RetainModel, StdAttnModel
 
 
 def _arrays_to_lists(arrays):
     return {name: np.asarray(arr, dtype=np.float64).tolist()
             for name, arr in arrays.items()}
-
-
-def _list_to_array(doc, name):
-    return np.asarray(doc["params"][name], dtype=np.float64)
 
 
 def save_model(model, path) -> None:
@@ -51,53 +46,45 @@ def save_model(model, path) -> None:
         json.dump(doc, fh)
 
 
+# a freshly initialised model of each format tag, from its config block
+_BLANK_MODELS = {
+    "retain-v1": lambda cfg: RetainModel.create(retain.RetainConfig(**cfg), seed=0),
+    "stdattn-v1": lambda cfg: StdAttnModel.create(cfg["input_dim"], cfg["hidden"], seed=0),
+    "lstmreg-v1": lambda cfg: LstmRegModel.create(
+        cfg["input_dim"], cfg["n_sources"], seed=0, hidden1=cfg["hidden1"],
+        hidden2=cfg["hidden2"]),
+}
+
+
 def load_model(path):
+    """Read a saved model, checking that every parameter array is present and
+    has the shape its config block implies; ConfigError names the file and
+    the field otherwise."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    fmt = doc.get("format")
-    if fmt == "retain-v1":
-        cfg = retain.RetainConfig(**doc["config"])
-        params = retain.RetainParams(
-            embed_w=_list_to_array(doc, "embed_w"),
-            alpha_rnn=LstmParams(_list_to_array(doc, "alpha_rnn.w_in"),
-                                 _list_to_array(doc, "alpha_rnn.w_rec"),
-                                 _list_to_array(doc, "alpha_rnn.bias")),
-            alpha_w=_list_to_array(doc, "alpha_w"),
-            alpha_b=_list_to_array(doc, "alpha_b"),
-            beta_rnn=LstmParams(_list_to_array(doc, "beta_rnn.w_in"),
-                                _list_to_array(doc, "beta_rnn.w_rec"),
-                                _list_to_array(doc, "beta_rnn.bias")),
-            beta_w=_list_to_array(doc, "beta_w"),
-            beta_b=_list_to_array(doc, "beta_b"),
-            out_w=_list_to_array(doc, "out_w"),
-            out_b=_list_to_array(doc, "out_b"),
-            adv_w=_list_to_array(doc, "adv_w"),
-            adv_b=_list_to_array(doc, "adv_b"),
-        )
-        return RetainModel(cfg, params)
-    if fmt == "stdattn-v1":
-        params = baselines.StdAttnParams(
-            rnn=LstmParams(_list_to_array(doc, "rnn.w_in"),
-                           _list_to_array(doc, "rnn.w_rec"),
-                           _list_to_array(doc, "rnn.bias")),
-            attn_w=_list_to_array(doc, "attn_w"),
-            attn_b=_list_to_array(doc, "attn_b"),
-            out_w=_list_to_array(doc, "out_w"),
-            out_b=_list_to_array(doc, "out_b"),
-        )
-        return StdAttnModel(params)
-    if fmt == "lstmreg-v1":
-        params = baselines.LstmRegParams(
-            layer1=LstmParams(_list_to_array(doc, "layer1.w_in"),
-                              _list_to_array(doc, "layer1.w_rec"),
-                              _list_to_array(doc, "layer1.bias")),
-            layer2=LstmParams(_list_to_array(doc, "layer2.w_in"),
-                              _list_to_array(doc, "layer2.w_rec"),
-                              _list_to_array(doc, "layer2.bias")),
-            out_w=_list_to_array(doc, "out_w"),
-            out_b=_list_to_array(doc, "out_b"),
-            adv_w=_list_to_array(doc, "adv_w"),
-            adv_b=_list_to_array(doc, "adv_b"),
-        )
-        return LstmRegModel(params)
-    raise ConfigError(f"unknown model format {fmt!r}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"model {path} is not a JSON object")
+    blank = _BLANK_MODELS.get(doc.get("format"))
+    if blank is None:
+        raise ConfigError(f"model {path} has unknown model format {doc.get('format')!r}")
+    try:
+        model = blank(doc.get("config") or {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"model {path} has a bad config block: {exc!r}") from exc
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        raise ConfigError(f"model {path} has no params block")
+    for name, arr in model.param_arrays().items():
+        if name not in params:
+            raise ConfigError(f"model {path} lacks parameter {name!r}")
+        try:
+            value = np.asarray(params[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"model {path}: parameter {name!r} is not a numeric array") from exc
+        if value.shape != arr.shape:
+            raise ConfigError(
+                f"model {path}: parameter {name!r} has shape {value.shape}, "
+                f"but its config block implies {arr.shape}")
+        arr[...] = value
+    return model

@@ -1,55 +1,68 @@
 import numpy as np
-import pytest
 
-from glucast.kernel import LstmParams, Tape, init_lstm_params, lstm_forward
+from glucast.kernel import LstmParams, Tape
 from glucast.kernel import tape as T
 from glucast.models import (
     LstmRegModel,
     StdAttnModel,
     init_lstm_reg_params,
     init_std_attn_params,
-    lstm_regressor_forward,
-    std_attention_forward,
 )
 from glucast.models.baselines import lstm_reg_graph, std_attn_graph
 
-from _utils import finite_diff_params, max_rel_err
+from _utils import finite_diff_params, max_rel_err, oracle_lstm, oracle_lstm_cell
 
 RNG = np.random.default_rng(31)
+
+
+def std_attn(x, params):
+    """(predictions (B,), attention weights (B, L)) of a (B, L, r) batch."""
+    y, weights = std_attn_graph(None, x, StdAttnModel(params).param_arrays())
+    return y.value, weights.value
+
+
+def lstm_reg(x, params):
+    """(predictions, last hidden states, class probabilities) of a batch."""
+    y, hidden, adv = lstm_reg_graph(None, x, LstmRegModel(params).param_arrays())
+    return y.value, hidden.value, adv.value
+
+
+def np_softmax(s):
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def test_std_attention_uniform_weights_when_attn_zero():
     params = init_std_attn_params(3, 4, np.random.default_rng(0))
     params.attn_w[...] = 0.0
-    y, alphas = std_attention_forward(RNG.normal(size=(5, 3)), params)
-    assert np.allclose(alphas, np.full(5, 0.2), atol=1e-15)
+    _, alphas = std_attn(RNG.normal(size=(2, 5, 3)), params)
+    assert np.allclose(alphas, np.full((2, 5), 0.2), atol=1e-15)
 
 
 def test_std_attention_zero_rnn_outputs_bias():
     params = init_std_attn_params(3, 4, np.random.default_rng(1))
     params.rnn = LstmParams(np.zeros((16, 3)), np.zeros((16, 4)), np.zeros(16))
     params.out_b[...] = 2.5
-    y, _ = std_attention_forward(RNG.normal(size=(5, 3)), params)
-    assert y == pytest.approx(2.5, abs=1e-15)
+    y, _ = std_attn(RNG.normal(size=(2, 5, 3)), params)
+    assert np.allclose(y, 2.5, rtol=0, atol=1e-15)
 
 
 def test_std_attention_matches_composed_oracles():
     params = init_std_attn_params(2, 3, np.random.default_rng(2))
-    x = RNG.normal(size=(4, 2))
-    y, alphas = std_attention_forward(x, params)
+    x = RNG.normal(size=(3, 4, 2))
+    y, alphas = std_attn(x, params)
 
-    states = lstm_forward(x, params.rnn)
-    expect_alphas = T.softmax(states @ params.attn_w + float(params.attn_b)).value
-    ctx = (expect_alphas[:, None] * states).sum(axis=0)
-    expect_y = float(params.out_w @ ctx + params.out_b)
+    states = oracle_lstm(x, params.rnn.w_in, params.rnn.w_rec, params.rnn.bias)
+    expect_alphas = np_softmax(states @ params.attn_w + float(params.attn_b))
+    ctx = (expect_alphas[:, :, None] * states).sum(axis=1)
+    expect_y = ctx @ params.out_w + params.out_b
 
     assert np.allclose(alphas, expect_alphas, atol=1e-12)
-    assert y == pytest.approx(expect_y, rel=1e-12)
+    assert np.allclose(y, expect_y, rtol=1e-12, atol=0)
     # the returned weights really are the ones used in the pooled state
-    recomputed = float(params.out_w @ (alphas[:, None] * states).sum(axis=0)
-                       + params.out_b)
-    assert y == pytest.approx(recomputed, rel=1e-12)
-    assert alphas.sum() == pytest.approx(1.0, abs=1e-12)
+    recomputed = (alphas[:, :, None] * states).sum(axis=1) @ params.out_w + params.out_b
+    assert np.allclose(y, recomputed, rtol=1e-12, atol=0)
+    assert np.allclose(alphas.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_lstm_regressor_zero_weights():
@@ -59,39 +72,52 @@ def test_lstm_regressor_zero_weights():
                 params.out_w, params.adv_w, params.adv_b):
         arr[...] = 0.0
     params.out_b[...] = -1.5
-    y, hidden, adv = lstm_regressor_forward(RNG.normal(size=(5, 3)), params)
-    assert y == pytest.approx(-1.5, abs=1e-15)
-    assert np.array_equal(hidden, np.zeros(2))
-    assert np.allclose(adv, np.full(4, 0.25), atol=1e-15)
+    y, hidden, adv = lstm_reg(RNG.normal(size=(2, 5, 3)), params)
+    assert np.allclose(y, -1.5, rtol=0, atol=1e-15)
+    assert np.array_equal(hidden, np.zeros((2, 2)))
+    assert np.allclose(adv, np.full((2, 4), 0.25), atol=1e-15)
 
 
 def test_lstm_regressor_length_one_is_single_cell():
     params = init_lstm_reg_params(2, 2, np.random.default_rng(4), hidden1=3, hidden2=2)
-    x = RNG.normal(size=(1, 2))
-    y, hidden, _ = lstm_regressor_forward(x, params)
-    h1 = lstm_forward(x, params.layer1)
-    h2 = lstm_forward(h1, params.layer2)
-    assert np.allclose(hidden, h2[-1], atol=1e-14)
-    assert y == pytest.approx(float(h2[-1] @ params.out_w + params.out_b), rel=1e-12)
+    x = RNG.normal(size=(2, 1, 2))
+    y, hidden, _ = lstm_reg(x, params)
+    h1, _ = oracle_lstm_cell(x[:, 0], np.zeros((2, 3)), np.zeros((2, 3)),
+                             params.layer1.w_in, params.layer1.w_rec, params.layer1.bias)
+    h2, _ = oracle_lstm_cell(h1, np.zeros((2, 2)), np.zeros((2, 2)),
+                             params.layer2.w_in, params.layer2.w_rec, params.layer2.bias)
+    assert np.allclose(hidden, h2, atol=1e-14)
+    assert np.allclose(y, h2 @ params.out_w + params.out_b, rtol=1e-12, atol=0)
+
+
+def test_lstm_regressor_matches_stacked_oracle():
+    params = init_lstm_reg_params(2, 3, np.random.default_rng(8), hidden1=4, hidden2=3)
+    x = RNG.normal(size=(3, 6, 2))
+    y, hidden, adv = lstm_reg(x, params)
+    l1, l2 = params.layer1, params.layer2
+    h2 = oracle_lstm(oracle_lstm(x, l1.w_in, l1.w_rec, l1.bias), l2.w_in, l2.w_rec, l2.bias)
+    assert np.max(np.abs(hidden - h2[:, -1])) <= 1e-12
+    assert np.allclose(y, h2[:, -1] @ params.out_w + params.out_b, rtol=1e-12, atol=0)
+    assert np.allclose(adv, np_softmax(h2[:, -1] @ params.adv_w.T + params.adv_b),
+                       rtol=0, atol=1e-12)
 
 
 def test_determinism_given_params_and_input():
     params = init_std_attn_params(3, 4, np.random.default_rng(5))
-    x = RNG.normal(size=(6, 3))
-    y1, a1 = std_attention_forward(x, params)
-    y2, a2 = std_attention_forward(x, params)
-    assert y1 == y2 and np.array_equal(a1, a2)
+    x = RNG.normal(size=(2, 6, 3))
+    y1, a1 = std_attn(x, params)
+    y2, a2 = std_attn(x, params)
+    assert np.array_equal(y1, y2) and np.array_equal(a1, a2)
 
     reg = init_lstm_reg_params(3, 2, np.random.default_rng(6), hidden1=3, hidden2=2)
-    r1 = lstm_regressor_forward(x, reg)
-    r2 = lstm_regressor_forward(x, reg)
-    assert r1[0] == r2[0]
-    assert np.array_equal(r1[1], r2[1]) and np.array_equal(r1[2], r2[2])
+    r1 = lstm_reg(x, reg)
+    r2 = lstm_reg(x, reg)
+    assert all(np.array_equal(a, b) for a, b in zip(r1, r2))
 
 
 def test_std_attention_gradients_match_finite_differences():
     model = StdAttnModel.create(input_dim=2, hidden=3, seed=6)
-    x = RNG.normal(size=(1, 4, 2))
+    x = RNG.normal(size=(2, 4, 2))
     arrays = model.param_arrays()
 
     nodes = {k: T.Node(v) for k, v in arrays.items()}
@@ -100,14 +126,14 @@ def test_std_attention_gradients_match_finite_differences():
     tp.backward(T.sum_all(y, tp))
     analytic = {k: (n.grad if n.grad is not None else np.zeros_like(n.value))
                 for k, n in nodes.items()}
-    numeric = finite_diff_params(lambda: float(model.predict(x)[0]), arrays, eps=1e-5)
+    numeric = finite_diff_params(lambda: float(model.predict(x).sum()), arrays, eps=1e-5)
     for name in arrays:
         assert max_rel_err(analytic[name], numeric[name]) <= 1e-4, name
 
 
 def test_lstm_regressor_gradients_match_finite_differences():
     model = LstmRegModel.create(input_dim=2, n_sources=3, seed=7, hidden1=3, hidden2=2)
-    x = RNG.normal(size=(1, 4, 2))
+    x = RNG.normal(size=(2, 4, 2))
     arrays = model.param_arrays()
 
     nodes = {k: T.Node(v) for k, v in arrays.items()}
@@ -116,7 +142,7 @@ def test_lstm_regressor_gradients_match_finite_differences():
     tp.backward(T.sum_all(y, tp))
     analytic = {k: (n.grad if n.grad is not None else np.zeros_like(n.value))
                 for k, n in nodes.items()}
-    numeric = finite_diff_params(lambda: float(model.predict(x)[0]), arrays, eps=1e-5)
+    numeric = finite_diff_params(lambda: float(model.predict(x).sum()), arrays, eps=1e-5)
     for name in arrays:
         if name.startswith("adv_"):
             continue

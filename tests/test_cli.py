@@ -234,6 +234,9 @@ def test_explain_rerun_is_byte_identical(mini_run, tmp_path):
 def _edit_model(src, dst, **config):
     doc = json.loads(Path(src).read_text())
     doc["config"].update(config)
+    if "input_dim" in config:  # a model of that width, which load_model accepts
+        doc["params"]["embed_w"] = [row[:config["input_dim"]]
+                                    for row in doc["params"]["embed_w"]]
     Path(dst).write_text(json.dumps(doc))
     return dst
 
@@ -260,6 +263,32 @@ def test_explain_rejects_model_of_other_window_geometry(mini_run, tmp_path, caps
     assert str(model) in err and "seq_len" in err
     assert str(mini_run / "prep" / "p02" / "scaling.json") in err
     assert not (tmp_path / "ex").exists()
+
+
+def _delete_param(params, name):
+    del params[name]
+
+
+def _truncate_param(params, name):
+    params[name] = params[name][:-1]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_delete_param, "beta_b"),
+    (_truncate_param, "out_w"),
+    (_truncate_param, "alpha_rnn.w_in"),
+])
+def test_evaluate_rejects_model_with_bad_parameter(mini_run, tmp_path, capsys,
+                                                   edit, field):
+    doc = json.loads((mini_run / "run" / "model.json").read_text())
+    edit(doc["params"], field)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert run("evaluate", "--model", str(model), "--data", str(mini_run / "prep"),
+               "--target", "p02", "--out", str(tmp_path / "ev")) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and repr(field) in err and "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_explain_non_attributable_model_exit_5(mini_run, tmp_path):

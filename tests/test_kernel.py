@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glucast.errors import DimensionError, EvaluationError
-from glucast.kernel import Tape, grad_check, lstm_forward, init_lstm_params, LstmParams
+from glucast.kernel import LstmParams, Tape, grad_check, init_lstm_params, lstm_scan
 from glucast.kernel import tape as T
+
+from _utils import oracle_lstm, oracle_lstm_cell
 
 
 def finite_diff(build, arrays, eps=1e-6):
@@ -152,18 +154,11 @@ def test_grad_transpose():
         T.tanh(T.matmul(T.transpose(ns[0], tp), ns[1], tp), tp), tp), [a, w])
 
 
-def test_grad_reshape_stack_take_slice():
+def test_grad_reshape():
     a = RNG.normal(size=(2, 3))
-    b = RNG.normal(size=(2, 3))
-
-    def build(tp, ns):
-        stacked = T.stack_steps([ns[0], ns[1]], tp)        # (2, 2, 3)
-        step = T.take_step(stacked, 1, tp)                  # (2, 3)
-        cols = T.slice_cols(step, 0, 2, tp)                 # (2, 2)
-        return T.sum_all(T.mul(T.reshape(cols, (4,), tp),
-                               T.reshape(cols, (4,), tp), tp), tp)
-
-    check_op(build, [a, b])
+    w = RNG.normal(size=(3, 2))
+    check_op(lambda tp, ns: T.sum_all(T.mul(T.reshape(ns[0], (3, 2), tp), ns[1], tp), tp),
+             [a, w])
 
 
 def test_grad_sum_axis_gather_reverse():
@@ -217,73 +212,102 @@ def test_tanh_sigmoid_open_bounds():
 
 # --- lstm ------------------------------------------------------------------
 
-def oracle_lstm_cell(x, h, c, params):
-    """Straight-line transcription of the cell equations."""
-    hs = params.hidden_size
-    z = params.w_in @ x + params.w_rec @ h + params.bias
-    i = 1 / (1 + np.exp(-z[:hs]))
-    f = 1 / (1 + np.exp(-z[hs:2 * hs]))
-    g = np.tanh(z[2 * hs:3 * hs])
-    o = 1 / (1 + np.exp(-z[3 * hs:]))
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
+def scan(params, x, reverse_time=False):
+    """Untaped lstm_scan of a (B, L, input) batch, as a (B, L, hidden) array."""
+    return lstm_scan(None, params.w_in, params.w_rec, params.bias, x,
+                     reverse_time=reverse_time).value
 
 
 def test_lstm_zero_params_zero_output():
     params = LstmParams(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-    out = lstm_forward(RNG.normal(size=(5, 3)), params)
-    assert np.array_equal(out, np.zeros((5, 2)))
+    out = scan(params, RNG.normal(size=(1, 5, 3)))
+    assert np.array_equal(out, np.zeros((1, 5, 2)))
 
 
 def test_lstm_length_one_reverse_is_noop():
     params = init_lstm_params(3, 2, np.random.default_rng(1))
-    x = RNG.normal(size=(1, 3))
-    assert np.array_equal(lstm_forward(x, params, reverse_time=False),
-                          lstm_forward(x, params, reverse_time=True))
+    x = RNG.normal(size=(2, 1, 3))
+    assert np.array_equal(scan(params, x, reverse_time=False),
+                          scan(params, x, reverse_time=True))
 
 
 def test_lstm_two_steps_match_oracle():
     params = init_lstm_params(3, 2, np.random.default_rng(2))
-    x = RNG.normal(size=(2, 3))
-    h = np.zeros(2)
-    c = np.zeros(2)
+    x = RNG.normal(size=(1, 2, 3))
+    h = np.zeros((1, 2))
+    c = np.zeros((1, 2))
     expect = []
     for t in range(2):
-        h, c = oracle_lstm_cell(x[t], h, c, params)
-        expect.append(h.copy())
-    got = lstm_forward(x, params)
-    assert np.allclose(got, np.vstack(expect), atol=1e-12)
+        h, c = oracle_lstm_cell(x[:, t], h, c, params.w_in, params.w_rec, params.bias)
+        expect.append(h)
+    assert np.allclose(scan(params, x), np.stack(expect, axis=1), atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse_time", [False, True])
+@pytest.mark.parametrize("hidden", [1, 5])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_lstm_scan_matches_numpy_lstm(batch, hidden, reverse_time):
+    params = init_lstm_params(3, hidden, np.random.default_rng(hidden))
+    x = RNG.normal(size=(batch, 6, 3))
+    expect = oracle_lstm(x, params.w_in, params.w_rec, params.bias, reverse_time)
+    got = scan(params, x, reverse_time)
+    assert got.shape == (batch, 6, hidden)
+    assert np.max(np.abs(got - expect)) <= 1e-12
 
 
 def test_lstm_reverse_time_consumes_backwards():
     params = init_lstm_params(2, 3, np.random.default_rng(3))
-    x = RNG.normal(size=(4, 2))
-    rev = lstm_forward(x, params, reverse_time=True)
-    plain_on_flipped = lstm_forward(x[::-1], params, reverse_time=False)
-    assert np.allclose(rev, plain_on_flipped[::-1], atol=1e-14)
+    x = RNG.normal(size=(2, 4, 2))
+    rev = scan(params, x, reverse_time=True)
+    plain_on_flipped = scan(params, x[:, ::-1], reverse_time=False)
+    assert np.allclose(rev, plain_on_flipped[:, ::-1], atol=1e-14)
 
 
 def test_lstm_input_size_mismatch():
     params = init_lstm_params(3, 2, np.random.default_rng(4))
+    with pytest.raises(DimensionError, match=r"\(2, 5, 4\)"):
+        scan(params, RNG.normal(size=(2, 5, 4)))
     with pytest.raises(DimensionError):
-        lstm_forward(RNG.normal(size=(5, 4)), params)
+        scan(params, RNG.normal(size=(5, 3)))
+
+
+def lstm_graph(tp, ns, weights, reverse_time):
+    """Weighted sum of lstm_scan(w_in, w_rec, bias, seq) outputs, so every
+    step and unit gets its own upstream gradient."""
+    out = lstm_scan(tp, ns[0], ns[1], ns[2], ns[3], reverse_time=reverse_time)
+    return T.sum_all(T.mul(out, weights, tp), tp)
 
 
 def test_lstm_gradients_match_finite_differences():
     params = init_lstm_params(2, 2, np.random.default_rng(5))
-    x = RNG.normal(size=(3, 2))
-    arrays = [params.w_in.copy(), params.w_rec.copy(), params.bias.copy()]
+    x = RNG.normal(size=(2, 3, 2))
+    weights = RNG.normal(size=(2, 3, 2))
+    for reverse_time in (False, True):
+        arrays = [params.w_in.copy(), params.w_rec.copy(), params.bias.copy(), x.copy()]
+        check_op(lambda tp, ns: lstm_graph(tp, ns, weights, reverse_time), arrays,
+                 rtol=1e-5)
 
-    def build(tp, ns):
-        from glucast.kernel import lstm_scan
-        outs = lstm_scan(tp, ns[0], ns[1], ns[2], T.lift(x[None, :, :]))
-        total = outs[0]
-        for o in outs[1:]:
-            total = T.add(total, o, tp)
-        return T.sum_all(total, tp)
 
-    check_op(build, arrays, rtol=1e-5)
+def test_lstm_scan_is_one_tape_op_and_replays_bit_identically():
+    params = init_lstm_params(3, 4, np.random.default_rng(6))
+    weights = RNG.normal(size=(3, 5, 4))
+    nodes = [T.Node(a) for a in (params.w_in, params.w_rec, params.bias,
+                                 RNG.normal(size=(3, 5, 3)))]
+    tp = Tape()
+    lstm_scan(tp, *nodes)
+    assert len(tp) == 1
+
+    tp = Tape()
+    out = lstm_graph(tp, nodes, weights, reverse_time=True)
+    grads = []
+    for seed in (1.0, 1.0, 2.0):
+        for n in nodes:
+            n.grad = None
+        tp.backward(out, seed=np.array(seed))
+        grads.append([n.grad for n in nodes])
+    for first, second, doubled in zip(*grads):
+        assert np.array_equal(first, second)
+        assert np.array_equal(2.0 * first, doubled)
 
 
 # --- grad_check ------------------------------------------------------------

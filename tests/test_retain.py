@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glucast.errors import ConfigError, ConsistencyError, DimensionError
-from glucast.kernel import Tape, lstm_forward
+from glucast.kernel import Tape
 from glucast.kernel import tape as T
 from glucast.models import retain
 from glucast.models.retain import (
@@ -16,7 +16,7 @@ from glucast.models.retain import (
     trace_batch,
 )
 
-from _utils import finite_diff_params, max_rel_err
+from _utils import finite_diff_params, max_rel_err, oracle_lstm
 
 RNG = np.random.default_rng(7)
 
@@ -33,13 +33,17 @@ def np_softmax(s):
     return e / e.sum()
 
 
+def np_lstm(v, rnn):
+    return oracle_lstm(v[None], rnn.w_in, rnn.w_rec, rnn.bias)[0]
+
+
 def stage_oracles(x, params):
     """One window through the model, stage by stage, in plain numpy (the LSTM
-    from the standalone kernel.lstm_forward): v, alphas, betas, context."""
+    from the cell-by-cell oracle of _utils): v, alphas, betas, context."""
     v = x @ params.embed_w.T
-    alphas = np_softmax(lstm_forward(v, params.alpha_rnn) @ params.alpha_w
+    alphas = np_softmax(np_lstm(v, params.alpha_rnn) @ params.alpha_w
                         + float(params.alpha_b))
-    betas = np.tanh(lstm_forward(v, params.beta_rnn) @ params.beta_w.T + params.beta_b)
+    betas = np.tanh(np_lstm(v, params.beta_rnn) @ params.beta_w.T + params.beta_b)
     return v, alphas, betas, (alphas[:, None] * betas * v).sum(axis=0)
 
 

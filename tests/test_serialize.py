@@ -58,3 +58,19 @@ def test_save_load_forward_bit_identical(build, tmp_path, ):
     before = model.predict(xs)
     after = loaded.predict(xs)
     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: StdAttnModel.create(input_dim=3, hidden=4, seed=7), "hidden"),
+    (lambda: LstmRegModel.create(input_dim=3, n_sources=2, seed=7, hidden1=4,
+                                 hidden2=3), "hidden2"),
+])
+def test_load_rejects_config_block_without_a_dimension(build, key, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(build(), path)
+    doc = json.loads(path.read_text())
+    del doc["config"][key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=key) as err:
+        load_model(path)
+    assert str(path) in str(err.value)

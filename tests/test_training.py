@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glucast.errors import TrainingError
+from glucast.kernel import Tape
 from glucast.models import RetainConfig, RetainModel, snapshot
 from glucast.training import (
     AdamState,
@@ -112,6 +113,21 @@ def test_adam_nonfinite_gradient_names_parameter():
 
 
 # --- gradient reversal --------------------------------------------------------
+
+def test_retain_step_records_few_tape_ops(monkeypatch):
+    # each LSTM is one fused op, so the op count does not grow with seq_len
+    sizes = []
+    replay = Tape.backward
+
+    def counting(tape, root, seed=None):
+        sizes.append(len(tape))
+        return replay(tape, root, seed)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    x, y, labels = toy_batch(seed=3)
+    backward_with_reversal(RetainModel.create(CFG, seed=1), x, y, labels, lam=0.1)
+    assert len(sizes) == 1 and sizes[0] < 60
+
 
 def test_reversal_lambda_zero_equals_plain_mse_gradients():
     model = RetainModel.create(CFG, seed=1)
