@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +44,7 @@ from .evalmetrics import (
     write_points_csv,
 )
 from .models import (
-    LstmRegModel,
-    RetainConfig,
-    RetainModel,
-    StdAttnModel,
+    MODELS,
     aggregate_attributions,
     contributions,
     event_conditioned_attributions,
@@ -169,24 +167,18 @@ def _splits_from_archive(archive) -> PatientSplits:
 
 
 def _build_model(cfg, n_sources):
-    kind = cfg["model"]
-    if kind == "retain":
-        model_cfg = RetainConfig(seq_len=cfg["seq_len"], input_dim=cfg["input_dim"],
-                                 embed_dim=cfg["embed_dim"],
-                                 alpha_hidden=cfg["alpha_hidden"],
-                                 beta_hidden=cfg["beta_hidden"],
-                                 n_sources=max(n_sources, 1),
-                                 reverse_time=cfg["reverse_time"])
-        return RetainModel.create(model_cfg, seed=cfg["seed"])
-    if kind == "stdattn":
-        return StdAttnModel.create(input_dim=cfg["input_dim"],
-                                   hidden=cfg["stdattn_hidden"], seed=cfg["seed"])
-    if kind == "lstm":
-        return LstmRegModel.create(input_dim=cfg["input_dim"],
-                                   n_sources=max(n_sources, 1), seed=cfg["seed"],
-                                   hidden1=cfg["lstm_hidden1"],
-                                   hidden2=cfg["lstm_hidden2"])
-    raise ConfigError(f"unknown model {kind!r} (use retain, stdattn, or lstm)")
+    """A fresh model of the family cfg["model"] names, its config read from
+    the config keys of the same name (or the family's ``cli_keys``)."""
+    cls = MODELS.get(cfg["model"])
+    if cls is None:
+        raise ConfigError(f"unknown model {cfg['model']!r} (use {', '.join(MODELS)})")
+    settings = {**cfg, "n_sources": max(n_sources, 1)}
+    try:
+        config = cls.config_type(**{f.name: settings[cls.cli_keys.get(f.name, f.name)]
+                                    for f in fields(cls.config_type)})
+    except ConfigError as exc:
+        raise ConfigError(f"{cls.kind} model: {exc}") from exc
+    return cls.build(config, seed=cfg["seed"])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -342,7 +334,7 @@ def cmd_explain(args) -> int:
     if not model_path.is_file():
         raise FileNotFoundError(f"model file {model_path} does not exist")
     model = load_model(model_path)
-    if not getattr(model, "attributable", False):
+    if not model.attributable:
         print("error: model is not attributable (per-input contributions need "
               "the two-level-attention model)", file=sys.stderr)
         return EXIT_CAPABILITY

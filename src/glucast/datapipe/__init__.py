@@ -19,7 +19,6 @@ from .pipeline import (
     SplitSpec,
     build_samples,
     clean_spikes,
-    five_fold_rotations,
     preprocess_series,
     recover_missing,
     resample,
@@ -32,7 +31,7 @@ __all__ = [
     "GlucoseSeries", "read_series_csv", "write_series_csv",
     "Sample", "SampleSet", "Scaling", "SplitSpec",
     "clean_spikes", "resample", "build_samples", "recover_missing",
-    "split", "standardize", "five_fold_rotations", "preprocess_series",
+    "split", "standardize", "preprocess_series",
     "SEQ_LEN", "PH_STEPS", "PERIOD_MINUTES",
     "write_sample_csv", "read_sample_csv", "write_scaling_json",
     "read_scaling_json", "write_patient_archive", "read_patient_archive",

@@ -207,21 +207,6 @@ def split(samples, spec: SplitSpec):
     return train, valid, test
 
 
-def five_fold_rotations(samples, spec: SplitSpec):
-    """Rotate validation over five contiguous folds of the non-test period."""
-    cutoff = samples[-1].target_t - np.timedelta64(spec.test_days * 24 * 60, "m")
-    rest = [s for s in samples if s.target_t <= cutoff]
-    if len(rest) < 5:
-        raise ConfigError("need at least 5 non-test samples for a 5-fold rotation")
-    bounds = np.linspace(0, len(rest), 6).astype(int)
-    rotations = []
-    for f in range(5):
-        valid = rest[bounds[f]:bounds[f + 1]]
-        train = rest[:bounds[f]] + rest[bounds[f + 1]:]
-        rotations.append((train, valid))
-    return rotations
-
-
 def _stack(samples, provenance) -> SampleSet:
     return SampleSet(
         x=np.stack([s.inputs for s in samples]),

@@ -1,7 +1,13 @@
 """Dense numeric primitives with reverse-mode gradient support."""
 
-from .gradcheck import grad_check
-from .lstm import LstmParams, glorot, init_lstm_params, lstm_scan
+from .lstm import (
+    LstmParams,
+    check_dimensions,
+    glorot,
+    init_lstm_params,
+    lstm_scan,
+    param_arrays,
+)
 from .tape import (
     Node,
     Tape,
@@ -32,6 +38,6 @@ __all__ = [
     "add", "sub", "mul", "neg", "scale", "matmul", "transpose", "reshape",
     "tanh", "sigmoid", "log", "clip_min", "softmax", "sum_all", "sum_axis",
     "mean_all", "gather_rows", "grad_reverse",
-    "LstmParams", "glorot", "init_lstm_params", "lstm_scan",
-    "grad_check",
+    "LstmParams", "glorot", "init_lstm_params", "lstm_scan", "param_arrays",
+    "check_dimensions",
 ]

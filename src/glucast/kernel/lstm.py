@@ -2,16 +2,19 @@
 
 Gate layout is fixed: the stacked weight rows hold the input, forget,
 cell-candidate and output gates, in that order. Initial hidden and cell
-states are zero vectors.
+states are zero vectors. Also here, for every model family built on these
+layers: the flat naming of a params dataclass and the dimension check of a
+config dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import DimensionError
+from ..errors import ConfigError, DimensionError
 from . import tape as T
 
 
@@ -45,6 +48,34 @@ class LstmParams:
     @property
     def hidden_size(self) -> int:
         return self.w_in.shape[0] // 4
+
+
+def param_arrays(params) -> dict:
+    """Flat name -> live ndarray view of a params dataclass, in field order;
+    an LstmParams field gives ``<field>.w_in``, ``.w_rec`` and ``.bias``."""
+    out = {}
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if isinstance(v, LstmParams):
+            out[f"{f.name}.w_in"] = v.w_in
+            out[f"{f.name}.w_rec"] = v.w_rec
+            out[f"{f.name}.bias"] = v.bias
+        else:
+            out[f.name] = v
+    return out
+
+
+def check_dimensions(config) -> None:
+    """Raise ConfigError naming the first field of a model config dataclass
+    that is not an integer of at least 1 (a bool field must be a bool)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("bool", bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+        elif (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+              or value < 1):
+            raise ConfigError(f"{f.name} must be an integer of at least 1, got {value!r}")
 
 
 def glorot(rng, rows, cols):

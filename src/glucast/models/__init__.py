@@ -10,7 +10,9 @@ from .attribution import (
     normalized_contributions,
 )
 from .baselines import (
+    LstmRegConfig,
     LstmRegParams,
+    StdAttnConfig,
     StdAttnParams,
     init_lstm_reg_params,
     init_std_attn_params,
@@ -21,20 +23,26 @@ from .retain import (
     RetainParams,
     forward,
     init_retain_params,
-    predict_batch,
     trace_batch,
 )
 from .serialize import load_model, save_model
-from .wrappers import LstmRegModel, RetainModel, StdAttnModel, restore, snapshot
+from .wrappers import (
+    MODELS,
+    LstmRegModel,
+    RetainModel,
+    StdAttnModel,
+    restore,
+    snapshot,
+)
 
 __all__ = [
     "RetainConfig", "RetainParams", "ForwardTrace", "init_retain_params",
-    "forward", "trace_batch", "predict_batch",
+    "forward", "trace_batch",
     "ContributionMap", "contributions", "normalized_contributions",
     "aggregate_attributions", "event_conditioned_attributions",
     "event_mask_from_windows", "EventAttributionProfile",
-    "StdAttnParams", "LstmRegParams", "init_std_attn_params",
-    "init_lstm_reg_params",
-    "RetainModel", "StdAttnModel", "LstmRegModel", "snapshot", "restore",
+    "StdAttnConfig", "StdAttnParams", "LstmRegConfig", "LstmRegParams",
+    "init_std_attn_params", "init_lstm_reg_params",
+    "MODELS", "RetainModel", "StdAttnModel", "LstmRegModel", "snapshot", "restore",
     "save_model", "load_model",
 ]

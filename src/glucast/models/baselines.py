@@ -14,10 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError
-from ..kernel import LstmParams, glorot, init_lstm_params, lstm_scan
+from ..kernel import LstmParams, check_dimensions, glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
 LSTM_REG_L2 = 1e-4  # weight penalty used when training the stacked regressor
+
+
+@dataclass
+class StdAttnConfig:
+    """Sizes of the single-level attention baseline (in saved key order)."""
+
+    input_dim: int
+    hidden: int
+
+    def __post_init__(self):
+        check_dimensions(self)
 
 
 @dataclass
@@ -29,14 +40,28 @@ class StdAttnParams:
     out_b: np.ndarray      # ()
 
 
-def init_std_attn_params(input_dim, hidden, rng) -> StdAttnParams:
+def init_std_attn_params(config: StdAttnConfig, rng) -> StdAttnParams:
+    hidden = config.hidden
     return StdAttnParams(
-        rnn=init_lstm_params(input_dim, hidden, rng),
+        rnn=init_lstm_params(config.input_dim, hidden, rng),
         attn_w=glorot(rng, hidden, 1)[:, 0],
         attn_b=np.zeros(()),
         out_w=glorot(rng, hidden, 1)[:, 0],
         out_b=np.zeros(()),
     )
+
+
+@dataclass
+class LstmRegConfig:
+    """Sizes of the stacked regressor (in saved key order)."""
+
+    input_dim: int
+    hidden1: int
+    hidden2: int
+    n_sources: int
+
+    def __post_init__(self):
+        check_dimensions(self)
 
 
 @dataclass
@@ -49,14 +74,15 @@ class LstmRegParams:
     adv_b: np.ndarray      # (K,)
 
 
-def init_lstm_reg_params(input_dim, n_sources, rng, hidden1=256, hidden2=256) -> LstmRegParams:
+def init_lstm_reg_params(config: LstmRegConfig, rng) -> LstmRegParams:
+    hidden1, hidden2, k = config.hidden1, config.hidden2, config.n_sources
     return LstmRegParams(
-        layer1=init_lstm_params(input_dim, hidden1, rng),
+        layer1=init_lstm_params(config.input_dim, hidden1, rng),
         layer2=init_lstm_params(hidden1, hidden2, rng),
         out_w=glorot(rng, hidden2, 1)[:, 0],
         out_b=np.zeros(()),
-        adv_w=glorot(rng, n_sources, hidden2),
-        adv_b=np.zeros(n_sources),
+        adv_w=glorot(rng, k, hidden2),
+        adv_b=np.zeros(k),
     )
 
 

@@ -13,17 +13,19 @@ the model usable for adversarial multi-source transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, ConsistencyError, DimensionError
 from ..kernel import (
     LstmParams,
+    check_dimensions,
     check_finite,
     glorot,
     init_lstm_params,
     lstm_scan,
+    param_arrays,
 )
 from ..kernel import tape as T
 
@@ -43,11 +45,9 @@ class RetainConfig:
     reverse_time: bool = False
 
     def __post_init__(self):
+        check_dimensions(self)
         if self.seq_len < 2:
-            raise ConfigError("seq_len must be at least 2")
-        if min(self.input_dim, self.embed_dim, self.alpha_hidden,
-               self.beta_hidden, self.n_sources) < 1:
-            raise ConfigError("all model dimensions must be at least 1")
+            raise ConfigError(f"seq_len must be at least 2, got {self.seq_len}")
 
 
 @dataclass
@@ -83,20 +83,6 @@ def init_retain_params(config: RetainConfig, rng) -> RetainParams:
         adv_w=glorot(rng, k, m),
         adv_b=np.zeros(k),
     )
-
-
-def param_arrays(params) -> dict:
-    """Flat name -> live ndarray view of a params dataclass (LSTMs nested)."""
-    out = {}
-    for f in fields(params):
-        v = getattr(params, f.name)
-        if isinstance(v, LstmParams):
-            out[f"{f.name}.w_in"] = v.w_in
-            out[f"{f.name}.w_rec"] = v.w_rec
-            out[f"{f.name}.bias"] = v.bias
-        else:
-            out[f.name] = v
-    return out
 
 
 def first_bad_window(bad) -> str:
@@ -216,14 +202,13 @@ TRACE_CHUNK = 128
 
 
 def in_chunks(fn, x, chunk):
-    """fn over consecutive blocks of at most ``chunk`` rows of x, with its
-    array result (or each array of its tuple result) concatenated on axis 0."""
+    """fn over consecutive blocks of at most ``chunk`` rows of a non-empty x,
+    with its array result (or each array of its tuple result, where a None
+    stays None) concatenated on axis 0."""
     x = np.asarray(x, dtype=np.float64)
     parts = [fn(x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
-    if not parts:
-        return np.empty(0)
     if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
 
 
@@ -255,9 +240,3 @@ def forward(x, params: RetainParams, config: RetainConfig) -> ForwardTrace:
             f"{(config.seq_len, config.input_dim)}")
     return trace_batch(x[None], params, config).row(0)
 
-
-def predict_batch(x_batch, params: RetainParams, config: RetainConfig) -> np.ndarray:
-    """Predictions for a (B, L, r) batch, without trace retention."""
-    outs = build_graph(None, np.asarray(x_batch, dtype=np.float64),
-                       param_arrays(params), config, with_adversary=False)
-    return outs.y_hat.value

@@ -10,11 +10,11 @@ from .loop import (
     train_source,
     write_history_csv,
 )
-from .loss import cross_entropy, cross_entropy_node, loss, mse_node
+from .loss import cross_entropy, cross_entropy_node, mse_node
 
 __all__ = [
     "AdamState", "adam_step", "BETA1", "BETA2", "EPSILON",
     "TrainConfig", "EarlyStopState", "PatientSplits",
     "backward_with_reversal", "train_source", "finetune", "write_history_csv",
-    "loss", "cross_entropy", "mse_node", "cross_entropy_node",
+    "cross_entropy", "mse_node", "cross_entropy_node",
 ]

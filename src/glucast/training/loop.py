@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..kernel import tape as T
-from ..models.wrappers import restore, snapshot
+from ..models.wrappers import restore, snapshot, untaped_pass
 from .adam import AdamState, adam_step
 from .loss import cross_entropy, cross_entropy_node, mse_node
 
@@ -110,14 +110,12 @@ def backward_with_reversal(model, batch_x, batch_y, batch_labels, lam):
 
 
 def _validation_scores(model, valid_x, valid_y, valid_labels, lam):
-    pred = model.predict(valid_x)
+    """Validation MSE, and the adversary's cross-entropy where it trains (nan
+    otherwise), from one untaped pass over the windows."""
+    use_adv = lam > 0 and valid_labels is not None and model.supports_adversary
+    pred, adv = untaped_pass(model, valid_x, with_adversary=use_adv)
     v_mse = float(np.mean((pred - valid_y) ** 2))
-    v_ce = float("nan")
-    if lam > 0 and valid_labels is not None and model.supports_adversary:
-        tp = None
-        _, adv = model.graph(tp, np.asarray(valid_x, dtype=np.float64),
-                             model.param_arrays(), with_adversary=True)
-        v_ce = cross_entropy(valid_labels, adv.value)
+    v_ce = cross_entropy(valid_labels, adv) if use_adv else float("nan")
     return v_mse, v_ce
 
 

@@ -15,20 +15,6 @@ from ..kernel import tape as T
 PROB_FLOOR = 1e-12
 
 
-def loss(y_true, y_pred, class_labels=None, class_probs=None, lam=0.0):
-    """Batch loss value as a plain float."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.size == 0:
-        raise ValueError("loss of an empty batch")
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"prediction shape {y_pred.shape} != target shape {y_true.shape}")
-    total = float(np.mean((y_pred - y_true) ** 2))
-    if lam != 0.0:
-        total += lam * cross_entropy(class_labels, class_probs)
-    return total
-
-
 def cross_entropy(labels, probs):
     """Mean multi-class cross-entropy in nats; labels index probability rows."""
     probs = np.asarray(probs, dtype=np.float64)

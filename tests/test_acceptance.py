@@ -14,6 +14,7 @@ from glucast.datapipe import SplitSpec, build_samples, preprocess_series, standa
 from glucast.evalmetrics import cg_ega_report, p_ega, r_ega, reconstruct, rmse
 from glucast.evalmetrics.grid_oracle import point_zones_oracle, rate_zones_oracle
 from glucast.evalmetrics.metrics import PredictionSeries
+from glucast.kernel import param_arrays
 from glucast.kernel import tape as T
 from glucast.models import (
     LstmRegModel,
@@ -30,7 +31,7 @@ from glucast.models import (
 )
 from glucast.models.attribution import event_mask_from_windows
 from glucast.models.baselines import lstm_reg_graph, std_attn_graph
-from glucast.models.retain import build_graph, param_arrays
+from glucast.models.retain import build_graph
 from glucast.synthdata import default_cohort, generate_patient
 from glucast.training import PatientSplits, TrainConfig, backward_with_reversal, finetune, train_source
 from glucast.training.loss import cross_entropy_node, mse_node

@@ -1,9 +1,11 @@
 import numpy as np
 
-from glucast.kernel import LstmParams, Tape
+from glucast.kernel import LstmParams, Tape, param_arrays
 from glucast.kernel import tape as T
 from glucast.models import (
+    LstmRegConfig,
     LstmRegModel,
+    StdAttnConfig,
     StdAttnModel,
     init_lstm_reg_params,
     init_std_attn_params,
@@ -17,13 +19,13 @@ RNG = np.random.default_rng(31)
 
 def std_attn(x, params):
     """(predictions (B,), attention weights (B, L)) of a (B, L, r) batch."""
-    y, weights = std_attn_graph(None, x, StdAttnModel(params).param_arrays())
+    y, weights = std_attn_graph(None, x, param_arrays(params))
     return y.value, weights.value
 
 
 def lstm_reg(x, params):
     """(predictions, last hidden states, class probabilities) of a batch."""
-    y, hidden, adv = lstm_reg_graph(None, x, LstmRegModel(params).param_arrays())
+    y, hidden, adv = lstm_reg_graph(None, x, param_arrays(params))
     return y.value, hidden.value, adv.value
 
 
@@ -33,14 +35,14 @@ def np_softmax(s):
 
 
 def test_std_attention_uniform_weights_when_attn_zero():
-    params = init_std_attn_params(3, 4, np.random.default_rng(0))
+    params = init_std_attn_params(StdAttnConfig(3, 4), np.random.default_rng(0))
     params.attn_w[...] = 0.0
     _, alphas = std_attn(RNG.normal(size=(2, 5, 3)), params)
     assert np.allclose(alphas, np.full((2, 5), 0.2), atol=1e-15)
 
 
 def test_std_attention_zero_rnn_outputs_bias():
-    params = init_std_attn_params(3, 4, np.random.default_rng(1))
+    params = init_std_attn_params(StdAttnConfig(3, 4), np.random.default_rng(1))
     params.rnn = LstmParams(np.zeros((16, 3)), np.zeros((16, 4)), np.zeros(16))
     params.out_b[...] = 2.5
     y, _ = std_attn(RNG.normal(size=(2, 5, 3)), params)
@@ -48,7 +50,7 @@ def test_std_attention_zero_rnn_outputs_bias():
 
 
 def test_std_attention_matches_composed_oracles():
-    params = init_std_attn_params(2, 3, np.random.default_rng(2))
+    params = init_std_attn_params(StdAttnConfig(2, 3), np.random.default_rng(2))
     x = RNG.normal(size=(3, 4, 2))
     y, alphas = std_attn(x, params)
 
@@ -66,7 +68,7 @@ def test_std_attention_matches_composed_oracles():
 
 
 def test_lstm_regressor_zero_weights():
-    params = init_lstm_reg_params(3, 4, np.random.default_rng(3), hidden1=3, hidden2=2)
+    params = init_lstm_reg_params(LstmRegConfig(3, 3, 2, 4), np.random.default_rng(3))
     for arr in (params.layer1.w_in, params.layer1.w_rec, params.layer1.bias,
                 params.layer2.w_in, params.layer2.w_rec, params.layer2.bias,
                 params.out_w, params.adv_w, params.adv_b):
@@ -79,7 +81,7 @@ def test_lstm_regressor_zero_weights():
 
 
 def test_lstm_regressor_length_one_is_single_cell():
-    params = init_lstm_reg_params(2, 2, np.random.default_rng(4), hidden1=3, hidden2=2)
+    params = init_lstm_reg_params(LstmRegConfig(2, 3, 2, 2), np.random.default_rng(4))
     x = RNG.normal(size=(2, 1, 2))
     y, hidden, _ = lstm_reg(x, params)
     h1, _ = oracle_lstm_cell(x[:, 0], np.zeros((2, 3)), np.zeros((2, 3)),
@@ -91,7 +93,7 @@ def test_lstm_regressor_length_one_is_single_cell():
 
 
 def test_lstm_regressor_matches_stacked_oracle():
-    params = init_lstm_reg_params(2, 3, np.random.default_rng(8), hidden1=4, hidden2=3)
+    params = init_lstm_reg_params(LstmRegConfig(2, 4, 3, 3), np.random.default_rng(8))
     x = RNG.normal(size=(3, 6, 2))
     y, hidden, adv = lstm_reg(x, params)
     l1, l2 = params.layer1, params.layer2
@@ -103,13 +105,13 @@ def test_lstm_regressor_matches_stacked_oracle():
 
 
 def test_determinism_given_params_and_input():
-    params = init_std_attn_params(3, 4, np.random.default_rng(5))
+    params = init_std_attn_params(StdAttnConfig(3, 4), np.random.default_rng(5))
     x = RNG.normal(size=(2, 6, 3))
     y1, a1 = std_attn(x, params)
     y2, a2 = std_attn(x, params)
     assert np.array_equal(y1, y2) and np.array_equal(a1, a2)
 
-    reg = init_lstm_reg_params(3, 2, np.random.default_rng(6), hidden1=3, hidden2=2)
+    reg = init_lstm_reg_params(LstmRegConfig(3, 3, 2, 2), np.random.default_rng(6))
     r1 = lstm_reg(x, reg)
     r2 = lstm_reg(x, reg)
     assert all(np.array_equal(a, b) for a, b in zip(r1, r2))

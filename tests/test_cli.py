@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glucast.cli import main
+from glucast.cli import load_config, main
 from glucast.errors import ConfigError
-from glucast.cli import load_config
+from glucast.models import LstmRegModel, StdAttnModel, save_model
 
 
 def run(*argv):
@@ -289,6 +289,33 @@ def test_evaluate_rejects_model_with_bad_parameter(mini_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(model) in err and repr(field) in err and "Traceback" not in err
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (lambda: StdAttnModel.create(input_dim=3, hidden=4, seed=0), "hidden", 0),
+    (lambda: LstmRegModel.create(input_dim=3, n_sources=2, seed=0, hidden1=4,
+                                 hidden2=3), "hidden1", -1),
+])
+def test_evaluate_rejects_baseline_dimension_below_one(mini_run, tmp_path, capsys,
+                                                       build, field, value):
+    model = tmp_path / "model.json"
+    save_model(build(), model)
+    _edit_model(model, model, **{field: value})
+    assert run("evaluate", "--model", str(model), "--data", str(mini_run / "prep"),
+               "--target", "p02", "--out", str(tmp_path / "ev")) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and field in err and "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_train_rejects_baseline_dimension_below_one(mini_run, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_mini_cfg(mini_run).read_text() + "stdattn_hidden = 0\n")
+    assert run("train", "--data", str(mini_run / "prep"), "--target", "p00",
+               "--model", "stdattn", "--max-epochs", "1", "--config", str(cfg),
+               "--out", str(tmp_path / "tr")) == 2
+    assert "hidden" in capsys.readouterr().err
+    assert not (tmp_path / "tr" / "model.json").exists()
 
 
 def test_explain_non_attributable_model_exit_5(mini_run, tmp_path):

@@ -6,7 +6,6 @@ from glucast.datapipe import (
     SplitSpec,
     build_samples,
     clean_spikes,
-    five_fold_rotations,
     read_archive_split,
     read_patient_archive,
     read_scaling_json,
@@ -326,18 +325,6 @@ def test_pipeline_idempotent_on_own_output():
     assert np.array_equal(once.glucose, twice.glucose, equal_nan=True)
     assert np.array_equal(once.cho, twice.cho)
     assert np.array_equal(once.insulin, twice.insulin)
-
-
-def test_five_fold_rotations_partition_non_test():
-    samples = make_samples(1000)
-    spec = SplitSpec(test_days=1, valid_fraction=0.2)
-    rotations = five_fold_rotations(samples, spec)
-    assert len(rotations) == 5
-    total = len(samples) - 288
-    for train, valid in rotations:
-        assert len(train) + len(valid) == total
-    all_valid = [id(s) for _, valid in rotations for s in valid]
-    assert len(all_valid) == total == len(set(all_valid))
 
 
 # --- archives -------------------------------------------------------------------

@@ -3,30 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glucast.errors import DimensionError, EvaluationError
-from glucast.kernel import LstmParams, Tape, grad_check, init_lstm_params, lstm_scan
+from glucast.errors import DimensionError
+from glucast.kernel import LstmParams, Tape, init_lstm_params, lstm_scan
 from glucast.kernel import tape as T
 
-from _utils import oracle_lstm, oracle_lstm_cell
-
-
-def finite_diff(build, arrays, eps=1e-6):
-    """Central differences of a scalar graph w.r.t. every input array."""
-    grads = []
-    for k, base in enumerate(arrays):
-        g = np.zeros_like(base)
-        flat = base.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = build([a for a in arrays])
-            flat[i] = keep - eps
-            lo = build([a for a in arrays])
-            flat[i] = keep
-            gflat[i] = (hi - lo) / (2 * eps)
-        grads.append(g)
-    return grads
+from _utils import finite_diff_params, max_rel_err, oracle_lstm, oracle_lstm_cell
 
 
 def check_op(build_node, arrays, rtol=1e-6):
@@ -36,15 +17,12 @@ def check_op(build_node, arrays, rtol=1e-6):
     out = build_node(tp, nodes)
     tp.backward(out)
 
-    def value_only(arrs):
-        ns = [T.Node(a) for a in arrs]
-        return float(build_node(None, ns).value)
-
-    numeric = finite_diff(value_only, arrays)
-    for node, num in zip(nodes, numeric):
-        got = node.grad if node.grad is not None else np.zeros_like(num)
-        denom = np.maximum(1e-8, np.abs(got) + np.abs(num))
-        assert np.max(np.abs(got - num) / denom) < rtol
+    numeric = finite_diff_params(
+        lambda: float(build_node(None, [T.Node(a) for a in arrays]).value),
+        dict(enumerate(arrays)), eps=1e-6)
+    for k, node in enumerate(nodes):
+        got = node.grad if node.grad is not None else np.zeros_like(arrays[k])
+        assert max_rel_err(got, numeric[k]) < rtol
 
 
 # --- matmul ---------------------------------------------------------------
@@ -308,36 +286,3 @@ def test_lstm_scan_is_one_tape_op_and_replays_bit_identically():
     for first, second, doubled in zip(*grads):
         assert np.array_equal(first, second)
         assert np.array_equal(2.0 * first, doubled)
-
-
-# --- grad_check ------------------------------------------------------------
-
-def test_grad_check_square():
-    err = grad_check(lambda p: (float(p[0] ** 2), np.array([2.0 * p[0]])),
-                     np.array([3.0]), eps=1e-5)
-    assert err < 1e-9
-
-
-def test_grad_check_softmax_sum_is_constant():
-    grads = {}
-
-    def f(p):
-        node = T.Node(p)
-        tp = Tape()
-        out = T.sum_all(T.softmax(node, tp), tp)
-        tp.backward(out)
-        grads["analytic"] = node.grad
-        return float(out.value), node.grad
-
-    # both sides are ~0; the 1e-8 denominator floor makes the ratio of two
-    # rounding-level quantities meaningful only up to ~1e-2
-    err = grad_check(f, RNG.normal(size=5), eps=1e-5)
-    assert err < 1e-2
-    assert np.max(np.abs(grads["analytic"])) < 1e-12
-
-
-def test_grad_check_rejects_bad_eps_and_nonfinite():
-    with pytest.raises(ValueError):
-        grad_check(lambda p: (0.0, np.zeros_like(p)), np.zeros(2), eps=0.0)
-    with pytest.raises(EvaluationError):
-        grad_check(lambda p: (float("nan"), np.zeros_like(p)), np.zeros(2), eps=1e-5)

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from glucast.errors import ConfigError, ConsistencyError, DimensionError
-from glucast.kernel import Tape
+from glucast.kernel import Tape, param_arrays
 from glucast.kernel import tape as T
-from glucast.models import retain
+from glucast.models import RetainModel, retain
 from glucast.models.retain import (
     TRACE_CHUNK,
     RetainConfig,
     build_graph,
     forward,
     init_retain_params,
-    param_arrays,
-    predict_batch,
     trace_batch,
 )
 
@@ -253,7 +251,7 @@ def test_reverse_time_changes_only_rnn_order():
 def test_predict_batch_matches_single_forward():
     cfg, params = tiny_model(seed=17)
     xs = RNG.normal(size=(8, cfg.seq_len, cfg.input_dim))
-    batched = predict_batch(xs, params, cfg)
+    batched = RetainModel(cfg, params).predict(xs)
     singles = np.array([forward(x, params, cfg).y_hat for x in xs])
     assert np.allclose(batched, singles, rtol=1e-12, atol=1e-12)
 
@@ -321,7 +319,7 @@ def test_prediction_gradients_match_finite_differences():
                 for k, n in nodes.items()}
 
     numeric = finite_diff_params(
-        lambda: float(predict_batch(x, params, cfg)[0]), arrays, eps=1e-5)
+        lambda: float(RetainModel(cfg, params).predict(x)[0]), arrays, eps=1e-5)
     for name in arrays:
         if name.startswith("adv_"):
             continue  # not part of the prediction path

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glucast.errors import ConfigError
 from glucast.models import (
@@ -62,6 +66,7 @@ def test_save_load_forward_bit_identical(build, tmp_path, ):
 
 @pytest.mark.parametrize("build, key", [
     (lambda: StdAttnModel.create(input_dim=3, hidden=4, seed=7), "hidden"),
+    (lambda: RetainModel.create(CFG, seed=7), "embed_dim"),
     (lambda: LstmRegModel.create(input_dim=3, n_sources=2, seed=7, hidden1=4,
                                  hidden2=3), "hidden2"),
 ])
@@ -74,3 +79,60 @@ def test_load_rejects_config_block_without_a_dimension(build, key, tmp_path):
     with pytest.raises(ConfigError, match=key) as err:
         load_model(path)
     assert str(path) in str(err.value)
+
+
+BUILDS = {
+    "retain-v1": lambda: RetainModel.create(CFG, seed=7),
+    "stdattn-v1": lambda: StdAttnModel.create(input_dim=3, hidden=4, seed=7),
+    "lstmreg-v1": lambda: LstmRegModel.create(input_dim=3, n_sources=2, seed=7,
+                                              hidden1=4, hidden2=3),
+}
+
+
+@pytest.mark.parametrize("fmt, key, value", [
+    ("retain-v1", "dropout", 0.5), ("stdattn-v1", "dropout", 0.5),
+    ("lstmreg-v1", "dropout", 0.5),
+    ("retain-v1", "embed_dim", 0), ("retain-v1", "seq_len", 1),
+    ("stdattn-v1", "hidden", 0), ("stdattn-v1", "hidden", -1),
+    ("lstmreg-v1", "hidden1", -1), ("lstmreg-v1", "n_sources", 2.0),
+])
+def test_load_rejects_unknown_key_or_dimension_below_one(fmt, key, value, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(BUILDS[fmt](), path)
+    doc = json.loads(path.read_text())
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=key) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
+DELETE = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=st.sampled_from(sorted(BUILDS)), data=st.data(),
+       value=st.one_of(st.integers(-2, 3), st.floats(), st.text(max_size=3),
+                       st.booleans(), st.none(), st.just(DELETE)))
+def test_load_model_fuzzed_config_block(fmt, data, value):
+    """A mutated config value either fails as ConfigError or loads a model
+    that predicts windows of its own geometry."""
+    model = BUILDS[fmt]()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        key = data.draw(st.sampled_from(sorted(doc["config"])))
+        if value is DELETE:
+            del doc["config"][key]
+        else:
+            doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        try:
+            loaded = load_model(path)
+        except ConfigError:
+            return
+    geometry = loaded.window_geometry()
+    x = np.random.default_rng(0).normal(
+        size=(2, geometry.get("seq_len", 5), geometry["input_dim"]))
+    assert np.all(np.isfinite(loaded.predict(x)))

@@ -3,7 +3,9 @@ import pytest
 
 from glucast.errors import TrainingError
 from glucast.kernel import Tape
+from glucast.kernel import tape as T
 from glucast.models import RetainConfig, RetainModel, snapshot
+from glucast.models.retain import build_graph
 from glucast.training import (
     AdamState,
     EarlyStopState,
@@ -12,8 +14,9 @@ from glucast.training import (
     adam_step,
     backward_with_reversal,
     cross_entropy,
+    cross_entropy_node,
     finetune,
-    loss,
+    mse_node,
     train_source,
 )
 
@@ -35,10 +38,19 @@ def toy_batch(n=6, seed=0, k=3):
 
 # --- loss -------------------------------------------------------------------
 
+def training_loss(y_true, y_pred, labels=None, probs=None, lam=0.0):
+    """MSE + lam * CE as the training graph composes it, as a float."""
+    total = mse_node(None, T.Node(y_pred), y_true)
+    if lam:
+        total = T.add(total, T.scale(cross_entropy_node(None, T.Node(probs), labels),
+                                     lam))
+    return float(total.value)
+
+
 def test_loss_lambda_zero_is_pure_mse():
     y = np.array([1.0, 2.0])
     pred = np.array([2.0, 0.0])
-    assert loss(y, pred, lam=0.0) == pytest.approx((1 + 4) / 2)
+    assert training_loss(y, pred, lam=0.0) == pytest.approx((1 + 4) / 2)
 
 
 def test_loss_perfect_predictions_uniform_probs():
@@ -47,21 +59,19 @@ def test_loss_perfect_predictions_uniform_probs():
     probs = np.full((3, k), 1 / k)
     labels = np.array([0, 1, 3])
     lam = 0.3
-    assert loss(y, y, labels, probs, lam) == pytest.approx(lam * np.log(k))
+    assert training_loss(y, y, labels, probs, lam) == pytest.approx(lam * np.log(k))
+    assert cross_entropy(labels, probs) == pytest.approx(np.log(k))
 
 
 def test_loss_single_pair_direct_value():
-    assert loss(np.array([1.0]), np.array([3.0]), lam=0.0) == pytest.approx(4.0)
+    assert training_loss(np.array([1.0]), np.array([3.0]), lam=0.0) == pytest.approx(4.0)
 
 
 def test_loss_validates_labels_and_probs():
-    y = np.array([0.0])
-    with pytest.raises(ValueError):
-        loss(np.empty(0), np.empty(0))
-    with pytest.raises(ValueError):
-        loss(y, y, np.array([5]), np.full((1, 3), 1 / 3), lam=0.1)
-    with pytest.raises(ValueError):
-        loss(y, y, np.array([0]), np.array([[0.9, 0.3]]), lam=0.1)
+    with pytest.raises(ValueError, match="out of range"):
+        cross_entropy(np.array([5]), np.full((1, 3), 1 / 3))
+    with pytest.raises(ValueError, match="sum to 1"):
+        cross_entropy(np.array([0]), np.array([[0.9, 0.3]]))
 
 
 def test_cross_entropy_clamps_zero_probability():
@@ -302,28 +312,54 @@ def test_divergence_raises_training_error():
 
 
 def test_grad_check_on_full_model_loss():
-    """The kernel's own checker against the combined training loss."""
-    from glucast.kernel import grad_check
-    from glucast.kernel import tape as T
-    from glucast.models.retain import build_graph
-    from glucast.training.loss import cross_entropy_node, mse_node
-
+    """Central differences against the combined training loss."""
     model = RetainModel.create(CFG, seed=14)
     x, y, labels = toy_batch(n=4, seed=15)
     lam = 0.05
     arrays = model.param_arrays()
 
-    def f(embed_flat):
-        arrays["embed_w"][...] = embed_flat.reshape(arrays["embed_w"].shape)
-        tp = T.Tape()
+    def total_loss(tp):
         nodes = {k: T.Node(v) for k, v in arrays.items()}
         outs = build_graph(tp, x, nodes, model.config, with_adversary=True,
                            reverse_adversary=False)
         total = T.add(mse_node(tp, outs.y_hat, y),
                       T.scale(cross_entropy_node(tp, outs.adv_probs, labels),
                               lam, tp), tp)
-        tp.backward(total)
-        return float(total.value), nodes["embed_w"].grad.reshape(-1)
+        return nodes, total
 
-    err = grad_check(f, arrays["embed_w"].reshape(-1).copy(), eps=1e-5)
-    assert err <= 1e-4
+    tp = T.Tape()
+    nodes, total = total_loss(tp)
+    tp.backward(total)
+    numeric = finite_diff_params(lambda: float(total_loss(None)[1].value),
+                                 {"embed_w": arrays["embed_w"]}, eps=1e-5)
+    assert max_rel_err(nodes["embed_w"].grad, numeric["embed_w"]) <= 1e-4
+
+
+def test_source_epoch_scores_validation_in_one_pass(monkeypatch):
+    """Each validation window goes through the model once per scoring, and
+    the history's scores equal a recomputation from predict and cross_entropy."""
+    import glucast.training.loop as loop
+
+    model = RetainModel.create(CFG, seed=16)
+    sources = [patient(1), patient(2)]
+    windows = []
+    graph = model.graph
+
+    def counting(tp, x_batch, p, with_adversary=True):
+        if tp is None:
+            windows.append(len(x_batch))
+        return graph(tp, x_batch, p, with_adversary=with_adversary)
+
+    monkeypatch.setattr(model, "graph", counting)
+    monkeypatch.setattr(loop, "restore", lambda model, snap: None)  # keep epoch 1
+    history = train_source(model, sources, TrainConfig(max_epochs=1, seed=0))
+
+    valid_x = np.concatenate([s.valid_x for s in sources])
+    valid_y = np.concatenate([s.valid_y for s in sources])
+    labels = np.repeat([0, 1], [len(s.valid_y) for s in sources])
+    # the score before epoch 1, then epoch 1's own
+    assert windows == [len(valid_x), len(valid_x)]
+    mse = float(np.mean((model.predict(valid_x) - valid_y) ** 2))
+    _, adv = graph(None, valid_x, model.param_arrays(), with_adversary=True)
+    assert history[0]["valid_mse"] == mse
+    assert history[0]["valid_ce"] == cross_entropy(labels, adv.value)
