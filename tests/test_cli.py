@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,37 @@ def test_evaluate_missing_model_exit_3(mini_run):
     assert run("evaluate", "--model", str(mini_run / "missing.json"),
                "--data", str(mini_run / "prep"), "--target", "p02",
                "--out", str(mini_run / "ev2")) == 3
+
+
+def _corrupt(line_no, column, token):
+    """An edit of test.csv that sets one field of one line (1-based)."""
+    def edit(lines):
+        fields = lines[line_no - 1].split(",")
+        fields[column] = token
+        lines[line_no - 1] = ",".join(fields)
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(_corrupt(5, 40, "abc"), "line 5, column 'cho_2'", id="token"),
+    pytest.param(_corrupt(12, -1, "inf"), "line 12, column 'target'", id="inf-target"),
+    pytest.param(lambda lines: lines.__delitem__(slice(1, None)), "no sample rows",
+                 id="header-only"),
+])
+def test_evaluate_rejects_corrupted_test_csv_exit_3(mini_run, tmp_path, capsys,
+                                                    edit, where):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep" / "p02", prep / "p02")
+    path = prep / "p02" / "test.csv"
+    lines = path.read_bytes().decode().split("\r\n")[:-1]
+    edit(lines)
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert run("evaluate", "--model", str(mini_run / "run" / "model.json"),
+               "--data", str(prep), "--target", "p02",
+               "--out", str(tmp_path / "ev")) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: {where}" in err and "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_explain_sample_reconstructs_prediction(mini_run):

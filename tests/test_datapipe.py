@@ -1,13 +1,25 @@
+import csv
+import io
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glucast import synthdata
 from glucast.datapipe import (
     GlucoseSeries,
+    SampleSet,
     SplitSpec,
     build_samples,
     clean_spikes,
+    preprocess_series,
     read_archive_split,
     read_patient_archive,
+    read_sample_csv,
     read_scaling_json,
     read_series_csv,
     recover_missing,
@@ -15,8 +27,10 @@ from glucast.datapipe import (
     split,
     standardize,
     write_patient_archive,
+    write_sample_csv,
     write_series_csv,
 )
+from glucast.datapipe.archive import BLOCK_ROWS
 from glucast.errors import ConfigError, IngestionError
 
 
@@ -351,3 +365,215 @@ def test_patient_archive_round_trip(tmp_path):
     assert alone.provenance == "test"
     for name in ("x", "y", "t", "target_t"):
         assert np.array_equal(getattr(alone, name), getattr(back["test"], name))
+
+
+def special_sample_set(n=BLOCK_ROWS + 6):
+    """Windows of two steps that mix ordinary values with -0.0, tiny, huge
+    and subnormal ones, over more rows than one block."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=3.0, size=(n, 2, 3))
+    specials = [-0.0, 0.0, 0.1, 1e-05, 1e+16, 5e-324, -5e-324, -2.5, -1e+16, 1 / 3]
+    x.reshape(-1)[:len(specials)] = specials
+    x.reshape(-1)[-len(specials):] = specials
+    y = rng.normal(size=n)
+    y[:3] = [-0.0, 5e-324, -1e-05]
+    t = minutes(*range(0, 5 * n, 5))
+    return SampleSet(x=x, y=y, t=t, target_t=t + np.timedelta64(30, "m"),
+                     provenance="test")
+
+
+def csv_writer_bytes(sample_set):
+    """The archive as ``csv.writer`` writes it with ``repr(float(v))`` per
+    value, one row at a time."""
+    n, seq_len, n_vars = sample_set.x.shape
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["timestamp"]
+                    + [f"{var}_{k}" for var in ("glucose", "cho", "insulin")[:n_vars]
+                       for k in range(seq_len)]
+                    + ["target"])
+    for i in range(n):
+        writer.writerow([str(sample_set.t[i])]
+                        + [repr(float(v)) for v in sample_set.x[i].T.reshape(-1)]
+                        + [repr(float(sample_set.y[i]))])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_sample_csv_golden_bytes_and_bit_exact_round_trip(tmp_path):
+    s = special_sample_set()
+    path = tmp_path / "test.csv"
+    write_sample_csv(s, path)
+    assert path.read_bytes() == csv_writer_bytes(s)
+
+    back = read_sample_csv(path, seq_len=2, provenance="test", period_minutes=5,
+                           ph_steps=6)
+    for name in ("x", "y", "t", "target_t"):
+        assert getattr(back, name).tobytes() == getattr(s, name).tobytes(), name
+    assert np.signbit(back.x[0, 0, 0]) and np.signbit(back.y[0])
+    # each window is a transposed row, the layout of stacked per-row views
+    assert back.x.transpose(0, 2, 1).flags.c_contiguous
+
+
+def array_bytes(sample_set):
+    return sum(getattr(sample_set, name).nbytes for name in ("x", "y", "t", "target_t"))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, as tracemalloc
+    (this process only) sees it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_csv_memory_stays_within_a_small_multiple_of_the_arrays(tmp_path):
+    profile = synthdata.default_cohort(1, seed=1)[0]
+    train = preprocess_series(synthdata.generate_patient(profile, 21),
+                              SplitSpec(test_days=5, valid_fraction=0.2))[0]
+    assert len(train) == 3653
+    path = tmp_path / "train.csv"
+    # The writer works a block of rows at a time, so even one split-sized
+    # temporary (a float copy, or one string reference per value) breaks this.
+    _, write_peak = traced_peak(write_sample_csv, train, path)
+    assert write_peak <= array_bytes(train)
+    # The reader holds the parsed blocks and their concatenation, plus one
+    # block of tokens.
+    back, read_peak = traced_peak(read_sample_csv, path, 37, "train", 5, 6)
+    assert read_peak <= 3 * array_bytes(back)
+
+
+# --- malformed archives ------------------------------------------------------------
+
+ARCHIVE_TEXT = csv_writer_bytes(special_sample_set()).decode()
+
+
+def set_field(line_no, column, token):
+    def edit(lines):
+        fields = lines[line_no - 1].split(",")
+        fields[column] = token
+        lines[line_no - 1] = ",".join(fields)
+    return edit
+
+
+def short_then_long(lines):
+    """Line 3 loses a field and line 4 gains one: the block keeps its size."""
+    lines[2] = lines[2].split(",", 2)[0] + "," + lines[2].split(",", 2)[2]
+    lines[3] += ",0.5"
+
+
+@pytest.mark.parametrize("edit, line, column", [
+    pytest.param(set_field(5, 4, "abc"), 5, "cho_1", id="token"),
+    pytest.param(lambda lines: lines.__setitem__(6, lines[6].rsplit(",", 3)[0]),
+                 7, "insulin_0", id="short-row"),
+    pytest.param(short_then_long, 3, "target", id="short-then-long-row"),
+    pytest.param(set_field(9, 2, "nan"), 9, "glucose_1", id="nan-input"),
+    pytest.param(set_field(70, -1, "inf"), 70, "target", id="inf-target-second-block"),
+    pytest.param(set_field(4, 0, "2026-13-05T00:00"), 4, "timestamp", id="bad-date"),
+    pytest.param(set_field(4, 0, "2026-01-05T00:15:30"), 4, "timestamp", id="seconds"),
+    pytest.param(set_field(6, 0, "NaT"), 6, "timestamp", id="nat"),
+    pytest.param(lambda lines: lines.insert(10, ""), 11, "glucose_0", id="blank-line"),
+    pytest.param(lambda lines: lines.__setitem__(0, lines[0].replace("cho_0", "carbs_0")),
+                 1, None, id="header"),
+    pytest.param(lambda lines: lines.__delitem__(slice(1, None)), None, None,
+                 id="header-only"),
+])
+def test_read_sample_csv_names_file_line_and_column_of_a_bad_row(tmp_path, edit,
+                                                                  line, column):
+    lines = ARCHIVE_TEXT.split("\r\n")[:-1]
+    edit(lines)
+    path = tmp_path / "test.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    with pytest.raises(IngestionError) as info:
+        read_sample_csv(path, 2, "test", 5, 6)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    if line is None:
+        assert "no sample rows" in message
+    else:
+        assert f"line {line}" in message
+    if column is not None:
+        assert f"column {column!r}" in message
+
+
+def test_read_sample_csv_rejects_non_utf8(tmp_path):
+    path = tmp_path / "test.csv"
+    data = ARCHIVE_TEXT.encode()
+    path.write_bytes(data[:400] + b"\xff\xfe" + data[400:])
+    with pytest.raises(IngestionError, match="not UTF-8"):
+        read_sample_csv(path, 2, "test", 5, 6)
+
+
+# --- fuzzing the archive reader ---------------------------------------------------
+
+BAD_TOKENS = ["", "abc", "nan", "-inf", "1e999", "NaT", "1.0.0", "0x10", " 0.5",
+              "1_0", "-0.0", "2026-01-05", "2026-01-05T00:00", "2026-01-05T00:00:30"]
+
+
+def oracle_read(text):
+    """Line-by-line reference reader: (x, y, t), or None where a line breaks
+    the format (field count, timestamp, finite floats) or no row exists."""
+    lines = [line.rstrip("\r") for line in text.split("\r\n")]
+    if text.endswith("\r\n"):
+        lines.pop()
+    if lines[0] != ARCHIVE_TEXT.split("\r\n")[0] or len(lines) < 2:
+        return None
+    xs, ys, ts = [], [], []
+    for line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != 2 + 3 * 2:
+            return None
+        try:
+            t = np.datetime64(fields[0], "m")
+            values = [float(v) for v in fields[1:]]
+        except ValueError:
+            return None
+        if np.isnat(t) or str(t) != fields[0] or not np.all(np.isfinite(values)):
+            return None
+        xs.append(np.reshape(values[:-1], (3, 2)).T)
+        ys.append(values[-1])
+        ts.append(t)
+    return np.stack(xs), np.array(ys), np.array(ts, dtype="datetime64[m]")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_sample_csv_fuzz_returns_oracle_windows_or_ingestion_error(data):
+    lines = ARCHIVE_TEXT.split("\r\n")[:-1]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        fields = lines[i].split(",")
+        j = data.draw(st.integers(0, len(fields) - 1), label="field")
+        edit = data.draw(st.sampled_from(["number", "replace", "insert", "delete",
+                                          "truncate"]), label="edit")
+        if edit == "number":
+            fields[j] = repr(data.draw(st.floats(allow_nan=False, allow_infinity=False),
+                                       label="number"))
+            lines[i] = ",".join(fields)
+        elif edit in ("replace", "insert"):
+            token = data.draw(st.sampled_from(BAD_TOKENS)
+                              | st.text(alphabet="0123456789.-+eEinfatT: _", max_size=12),
+                              label="token")
+            fields[j:j + (edit == "replace")] = [token]
+            lines[i] = ",".join(fields)
+        elif edit == "delete":
+            lines[i] = ",".join(fields[:j] + fields[j + 1:])
+        else:
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i])), label="cut")]
+    text = "\r\n".join(lines) + "\r\n"
+    if data.draw(st.integers(0, 3), label="truncate file") == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1), label="file cut")]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "test.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = oracle_read(text)
+        if expected is None:
+            with pytest.raises(IngestionError, match=str(path)):
+                read_sample_csv(path, 2, "test", 5, 6)
+        else:
+            back = read_sample_csv(path, 2, "test", 5, 6)
+            for have, want in zip((back.x, back.y, back.t), expected):
+                assert have.shape == want.shape and have.tobytes() == want.tobytes()
