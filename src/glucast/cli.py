@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from dataclasses import fields
@@ -34,14 +35,20 @@ from .datapipe import (
     write_patient_archive,
     write_series_csv,
 )
-from .errors import ConfigError, GlucastError, IngestionError, TrainingError
+from .errors import (
+    ConfigError,
+    EvaluationError,
+    GlucastError,
+    IngestionError,
+    TrainingError,
+)
 from .evalmetrics import (
     cg_ega_report,
     mape,
     reconstruct,
-    report_to_dict,
     rmse,
     write_points_csv,
+    write_report_json,
 )
 from .models import (
     MODELS,
@@ -298,16 +305,19 @@ def cmd_evaluate(args) -> int:
     _, test, scaling, truth = _load_target_test(args.data, args.target, model,
                                                 model_path)
 
-    out = _ensure_out_dir(args.out)
     preds = model.predict(test.x)
     series = reconstruct(list(zip(test.target_t, preds)), scaling, truth)
     report = cg_ega_report(series)
     metrics = {"rmse_mgdl": rmse(series), "mape_pct": mape(series),
                "n_test": len(series), "overall_cg_ega": report.overall}
+    if not all(map(math.isfinite, [metrics["rmse_mgdl"], metrics["mape_pct"],
+                                   *report.overall.values()])):
+        raise EvaluationError(f"model {model_path} gives non-finite metrics on the "
+                              f"test split of {args.target}: {metrics}")
+    out = _ensure_out_dir(args.out)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=1)
-    with open(out / "cgega.json", "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=1)
+    write_report_json(report, out / "cgega.json")
     write_points_csv(series, out / "points.csv")
     echo_config(cfg, out, "evaluate")
     print(f"RMSE {metrics['rmse_mgdl']:.2f} mg/dL, MAPE {metrics['mape_pct']:.2f}%, "

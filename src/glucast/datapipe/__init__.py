@@ -13,7 +13,6 @@ from .pipeline import (
     PERIOD_MINUTES,
     PH_STEPS,
     SEQ_LEN,
-    Sample,
     SampleSet,
     Scaling,
     SplitSpec,
@@ -29,7 +28,7 @@ from .series import GlucoseSeries, read_series_csv, write_series_csv
 
 __all__ = [
     "GlucoseSeries", "read_series_csv", "write_series_csv",
-    "Sample", "SampleSet", "Scaling", "SplitSpec",
+    "SampleSet", "Scaling", "SplitSpec",
     "clean_spikes", "resample", "build_samples", "recover_missing",
     "split", "standardize", "preprocess_series",
     "SEQ_LEN", "PH_STEPS", "PERIOD_MINUTES",

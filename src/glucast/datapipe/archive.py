@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import IngestionError
 from .pipeline import Scaling, SampleSet
+from .series import _FloatMemo, _shortest_reprs
 
 SCALING_FORMAT = "glucast-scaling-v1"
 VARIABLES = ["glucose", "cho", "insulin"]
@@ -33,14 +34,6 @@ def _header(seq_len, n_vars):
     return (["timestamp"]
             + [f"{var}_{k}" for var in VARIABLES[:n_vars] for k in range(seq_len)]
             + ["target"])
-
-
-def _shortest_reprs(values):
-    """``repr`` of each float64 in ``values`` as an object array of the same
-    shape, computed once per distinct bit pattern (-0.0 stays apart from 0.0)."""
-    bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    strings = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return strings[inverse].reshape(values.shape)
 
 
 def write_sample_csv(sample_set: SampleSet, path) -> None:
@@ -55,15 +48,6 @@ def write_sample_csv(sample_set: SampleSet, path) -> None:
             stamps = sample_set.t[lo:lo + BLOCK_ROWS].astype(str).tolist()
             fh.writelines(f"{t},{','.join(row)}\r\n"
                           for t, row in zip(stamps, _shortest_reprs(rows).tolist()))
-
-
-class _FloatMemo(dict):
-    """token -> float(token), parsing each distinct token once. One per block,
-    so it stays small whatever the file holds."""
-
-    def __missing__(self, token):
-        value = self[token] = float(token)
-        return value
 
 
 def _is_stamp(token):
@@ -171,11 +155,55 @@ def write_scaling_json(scaling: Scaling, path, seq_len, ph_steps, period_minutes
         json.dump(doc, fh, indent=1)
 
 
+def _is_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _is_geometry(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+# every sidecar key and the test its value must pass
+_SIDECAR_KEYS = {
+    "format": ("the tag " + repr(SCALING_FORMAT), lambda v: v == SCALING_FORMAT),
+    "input_mean": ("a non-empty list of finite numbers",
+                   lambda v: isinstance(v, list) and v and all(map(_is_number, v))),
+    "input_std": ("a non-empty list of finite numbers above 0",
+                  lambda v: isinstance(v, list) and v
+                  and all(_is_number(x) and x > 0 for x in v)),
+    "target_mean": ("a finite number", _is_number),
+    "target_std": ("a finite number above 0", lambda v: _is_number(v) and v > 0),
+    "seq_len": ("an integer of at least 1", _is_geometry),
+    "ph_steps": ("an integer of at least 1", _is_geometry),
+    "period_minutes": ("an integer of at least 1", _is_geometry),
+    "patient_id": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def read_scaling_json(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != SCALING_FORMAT:
-        raise IngestionError(f"{path}: unknown scaling format {doc.get('format')!r}")
+    """The scaling and the window geometry of a sidecar. IngestionError
+    names the file and the key when the file is not JSON, or a key is
+    missing or fails its test."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IngestionError(f"{path}: not a JSON scaling sidecar ({exc})") from None
+    if not isinstance(doc, dict):
+        raise IngestionError(f"{path}: not a JSON object")
+    for key, (expected, valid) in _SIDECAR_KEYS.items():
+        if key not in doc:
+            raise IngestionError(f"{path}: key {key!r} is missing")
+        if not valid(doc[key]):
+            raise IngestionError(f"{path}: key {key!r} is {doc[key]!r}, not {expected}")
+    if len(doc["input_mean"]) != len(doc["input_std"]):
+        raise IngestionError(f"{path}: key 'input_std' has {len(doc['input_std'])} "
+                             f"entries, 'input_mean' {len(doc['input_mean'])}")
     scaling = Scaling(input_mean=np.asarray(doc["input_mean"], dtype=np.float64),
                       input_std=np.asarray(doc["input_std"], dtype=np.float64),
                       target_mean=float(doc["target_mean"]),

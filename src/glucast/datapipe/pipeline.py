@@ -1,7 +1,8 @@
 """Preprocessing chain: clean, resample, window, recover, split, standardize.
 
 The chain turns a raw per-patient series into standardized supervised
-samples. Guarantees: targets are always real sensor readings (recovery only
+samples, one array operation per stage: windows live in a SampleSet from
+the moment they are cut. Guarantees: targets are always real sensor readings (recovery only
 fills input windows), scaling statistics come from the training portion
 alone, and re-running any stage on its own output is a no-op.
 """
@@ -12,6 +13,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError
 from .series import GlucoseSeries
@@ -33,16 +35,6 @@ class SplitSpec:
             raise ConfigError("test_days must be at least 1")
         if not 0.0 < self.valid_fraction < 1.0:
             raise ConfigError("valid_fraction must lie strictly between 0 and 1")
-
-
-@dataclass
-class Sample:
-    """One supervised example: input window plus its future glucose target."""
-
-    inputs: np.ndarray      # (L, 3): glucose, CHO, insulin; NaN before recovery
-    target: float           # glucose at the prediction horizon (NaN = unknown)
-    t: np.datetime64        # window end, when the prediction is made
-    target_t: np.datetime64  # timestamp of the target reading
 
 
 @dataclass
@@ -69,17 +61,24 @@ class Scaling:
 
 @dataclass
 class SampleSet:
-    """Stacked samples of one split, standardized once scaling is attached."""
+    """Windows with their targets, standardized once scaling is attached."""
 
-    x: np.ndarray           # (N, L, 3)
-    y: np.ndarray           # (N,)
+    x: np.ndarray           # (N, L, 3), C-contiguous; NaN glucose before recovery
+    y: np.ndarray           # (N,) glucose at the horizon (NaN = unknown)
     t: np.ndarray           # (N,) datetime64[m] window ends
     target_t: np.ndarray    # (N,) datetime64[m] target timestamps
-    provenance: str         # train | valid | test
+    provenance: str         # unsplit | train | valid | test
     scaling: Scaling | None = None
 
     def __len__(self):
         return self.y.shape[0]
+
+
+def _select(samples: SampleSet, index, provenance=None) -> SampleSet:
+    """The windows a mask or an index array picks, copied into a new set."""
+    return replace(samples, x=samples.x[index], y=samples.y[index],
+                   t=samples.t[index], target_t=samples.target_t[index],
+                   provenance=provenance or samples.provenance)
 
 
 def clean_spikes(series: GlucoseSeries, threshold=SPIKE_THRESHOLD) -> GlucoseSeries:
@@ -87,16 +86,22 @@ def clean_spikes(series: GlucoseSeries, threshold=SPIKE_THRESHOLD) -> GlucoseSer
 
     A reading goes missing when both jumps to its present neighbors exceed
     the threshold with opposite signs. Endpoints are never removed; a
-    gradual rise or fall never matches the rule.
+    gradual rise or fall never matches the rule. The rule reads the readings
+    in time order as it removes them: a reading whose previous present
+    neighbor has just gone sees no jump before it and stays, so in a run of
+    consecutive candidates the first, third, fifth... go.
     """
     glucose = series.glucose.copy()
     present = np.flatnonzero(np.isfinite(glucose))
-    for j in range(1, len(present) - 1):
-        k_prev, k, k_next = present[j - 1], present[j], present[j + 1]
-        before = glucose[k] - glucose[k_prev]
-        after = glucose[k_next] - glucose[k]
-        if abs(before) > threshold and abs(after) > threshold and before * after < 0:
-            glucose[k] = np.nan
+    jump = np.diff(glucose[present])
+    before, after = jump[:-1], jump[1:]
+    candidate = ((np.abs(before) > threshold) & (np.abs(after) > threshold)
+                 & (before * after < 0))
+    run_start = candidate.copy()
+    run_start[1:] &= ~candidate[:-1]
+    pos = np.arange(candidate.size)
+    offset = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
+    glucose[present[1:-1][candidate & (offset % 2 == 0)]] = np.nan
     return replace(series, glucose=glucose)
 
 
@@ -106,7 +111,7 @@ def resample(series: GlucoseSeries, period_minutes=PERIOD_MINUTES) -> GlucoseSer
     Glucose goes to its nearest slot (ties to the earlier slot; on a slot
     collision the reading closest to the slot time wins, earliest on a
     distance tie). CHO and insulin are event masses and are summed into
-    their slots. Unfilled glucose slots are missing.
+    their slots in reading order. Unfilled glucose slots are missing.
     """
     if len(series) == 0:
         return series
@@ -117,17 +122,18 @@ def resample(series: GlucoseSeries, period_minutes=PERIOD_MINUTES) -> GlucoseSer
     slots = np.minimum(slots, n_slots - 1)    # grid spans first..last reading
     distance = np.abs(offsets - slots * p)
 
+    present = np.flatnonzero(np.isfinite(series.glucose))
+    # by slot, then by distance; lexsort is stable, so the earliest reading
+    # wins a distance tie
+    ranked = present[np.lexsort((distance[present], slots[present]))]
+    best = np.ones(ranked.size, dtype=bool)
+    best[1:] = slots[ranked[1:]] != slots[ranked[:-1]]
     glucose = np.full(n_slots, np.nan)
-    best = np.full(n_slots, np.iinfo(np.int64).max)
+    glucose[slots[ranked[best]]] = series.glucose[ranked[best]]
     cho = np.zeros(n_slots)
     insulin = np.zeros(n_slots)
-    for i in range(len(series)):
-        k = int(slots[i])
-        if np.isfinite(series.glucose[i]) and distance[i] < best[k]:
-            glucose[k] = series.glucose[i]
-            best[k] = distance[i]
-        cho[k] += series.cho[i]
-        insulin[k] += series.insulin[i]
+    np.add.at(cho, slots, series.cho)
+    np.add.at(insulin, slots, series.insulin)
 
     grid = series.t[0] + np.arange(n_slots, dtype=np.int64) * np.timedelta64(p, "m")
     return GlucoseSeries(patient_id=series.patient_id, t=grid,
@@ -135,104 +141,106 @@ def resample(series: GlucoseSeries, period_minutes=PERIOD_MINUTES) -> GlucoseSer
 
 
 def build_samples(series: GlucoseSeries, seq_len=SEQ_LEN, ph_steps=PH_STEPS,
-                  period_minutes=PERIOD_MINUTES) -> list:
+                  period_minutes=PERIOD_MINUTES) -> SampleSet:
     """Slide a full-coverage window over a gridded series.
 
     Emits one candidate per grid index with complete history and horizon:
     N - seq_len - ph_steps + 1 samples for N grid points, none when the
     series is too short. Targets may still be missing at this stage.
     """
-    n = len(series)
-    out = []
     stacked = np.stack([series.glucose, series.cho, series.insulin], axis=1)
-    horizon = np.timedelta64(ph_steps * period_minutes, "m")
-    for end in range(seq_len - 1, n - ph_steps):
-        window = stacked[end - seq_len + 1:end + 1].copy()
-        out.append(Sample(inputs=window, target=float(series.glucose[end + ph_steps]),
-                          t=series.t[end], target_t=series.t[end] + horizon))
-    return out
+    n_windows = max(len(series) - seq_len - ph_steps + 1, 0)
+    x = np.empty((n_windows, seq_len, stacked.shape[1]))
+    if n_windows:
+        x[...] = sliding_window_view(stacked, x.shape[1:])[:n_windows, 0]
+    ends = np.arange(seq_len - 1, seq_len - 1 + n_windows)
+    t = series.t[ends]
+    return SampleSet(x=x, y=series.glucose[ends + ph_steps], t=t,
+                     target_t=t + np.timedelta64(ph_steps * period_minutes, "m"),
+                     provenance="unsplit")
 
 
-def recover_missing(samples) -> list:
+def _fill_gaps(g):
+    """Glucose windows ``(M, L)`` with gaps and at least two known readings
+    each, filled as recover_missing describes."""
+    m, length = g.shape
+    rows, cols = np.nonzero(np.isfinite(g))
+    # One np.interp over the windows laid end to end. Positions are exact
+    # integers, so between two known readings of a window every difference,
+    # and so every value, equals that of a per-window call; the positions
+    # outside them are extrapolated below.
+    filled = np.interp(np.arange(m * length, dtype=np.float64),
+                       (rows * length + cols).astype(np.float64),
+                       g[rows, cols]).reshape(m, length)
+    counts = np.bincount(rows, minlength=m)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    first, second = cols[starts], cols[starts + 1]
+    last, prev = cols[ends - 1], cols[ends - 2]
+    r = np.arange(m)
+    idx = np.arange(length, dtype=np.float64)
+    lead_slope = (g[r, second] - g[r, first]) / (second - first)
+    lead = g[r, first][:, None] - lead_slope[:, None] * (first[:, None] - idx)
+    filled = np.where(idx < first[:, None], lead, filled)
+    trail_slope = (g[r, last] - g[r, prev]) / (last - prev)
+    trail = g[r, last][:, None] + trail_slope[:, None] * (idx - last[:, None])
+    return np.where(idx > last[:, None], trail, filled)
+
+
+def recover_missing(samples: SampleSet) -> SampleSet:
     """Fill glucose gaps inside windows; drop unusable samples.
 
     Interior gaps are linearly interpolated between the nearest known
     readings; leading/trailing gaps are linearly extrapolated from the two
     nearest known readings. Samples lose out when the target is missing
     (targets are never imputed) or when fewer than two glucose readings
-    remain in the window.
+    remain in the window. Returns a new set; the input is not modified.
     """
-    kept = []
-    for s in samples:
-        if not np.isfinite(s.target):
-            continue
-        g = s.inputs[:, 0]
-        known = np.flatnonzero(np.isfinite(g))
-        if known.size < 2:
-            continue
-        if known.size == g.shape[0]:
-            kept.append(s)
-            continue
-        idx = np.arange(g.shape[0], dtype=np.float64)
-        filled = np.interp(idx, known.astype(np.float64), g[known])
-        first, second = known[0], known[1]
-        lead_slope = (g[second] - g[first]) / (second - first)
-        filled[:first] = g[first] - lead_slope * (first - idx[:first])
-        last, prev = known[-1], known[-2]
-        trail_slope = (g[last] - g[prev]) / (last - prev)
-        filled[last + 1:] = g[last] + trail_slope * (idx[last + 1:] - last)
-        inputs = s.inputs.copy()
-        inputs[:, 0] = filled
-        kept.append(replace(s, inputs=inputs))
+    n_known = np.isfinite(samples.x[:, :, 0]).sum(axis=1)
+    keep = np.isfinite(samples.y) & (n_known >= 2)
+    kept = _select(samples, keep)
+    gaps = np.flatnonzero(n_known[keep] < samples.x.shape[1])
+    if gaps.size:
+        kept.x[gaps, :, 0] = _fill_gaps(kept.x[gaps, :, 0])
     return kept
 
 
-def split(samples, spec: SplitSpec):
+def split(samples: SampleSet, spec: SplitSpec):
     """Chronological split: last test_days by target time, then 80/20.
 
     Test holds every sample whose target falls within test_days of the last
     target; the rest splits chronologically with the most recent
     valid_fraction as validation.
     """
-    if not samples:
-        raise ConfigError("cannot split an empty sample list")
-    cutoff = samples[-1].target_t - np.timedelta64(spec.test_days * 24 * 60, "m")
-    rest = [s for s in samples if s.target_t <= cutoff]
-    test = [s for s in samples if s.target_t > cutoff]
-    n_valid = int(round(len(rest) * spec.valid_fraction))
-    train, valid = rest[:len(rest) - n_valid], rest[len(rest) - n_valid:]
+    if not len(samples):
+        raise ConfigError("cannot split an empty sample set")
+    cutoff = samples.target_t[-1] - np.timedelta64(spec.test_days * 24 * 60, "m")
+    late = samples.target_t > cutoff
+    rest = np.flatnonzero(~late)
+    n_train = len(rest) - int(round(len(rest) * spec.valid_fraction))
+    train = _select(samples, rest[:n_train], "train")
+    valid = _select(samples, rest[n_train:], "valid")
+    test = _select(samples, late, "test")
     if min(len(train), len(valid), len(test)) < 3:
         raise ConfigError(
             f"splits too small: train={len(train)} valid={len(valid)} test={len(test)}")
     return train, valid, test
 
 
-def _stack(samples, provenance) -> SampleSet:
-    return SampleSet(
-        x=np.stack([s.inputs for s in samples]),
-        y=np.array([s.target for s in samples]),
-        t=np.array([s.t for s in samples], dtype="datetime64[m]"),
-        target_t=np.array([s.target_t for s in samples], dtype="datetime64[m]"),
-        provenance=provenance,
-    )
-
-
-def standardize(train, valid, test):
+def standardize(train: SampleSet, valid: SampleSet, test: SampleSet):
     """Zero-mean unit-variance scaling fitted on the training samples only.
 
     A variable whose training spread collapses below 1e-8 keeps its values
-    (std falls back to 1) and triggers a warning. Returns the three stacked
-    SampleSets plus the fitted scaling.
+    (std falls back to 1) and triggers a warning. Returns three new
+    standardized SampleSets (train, valid, test) plus the fitted scaling.
     """
-    if not train:
+    if not len(train):
         raise ConfigError("cannot fit scaling on an empty training split")
-    sets = [_stack(s, name) for s, name in
-            ((train, "train"), (valid, "valid"), (test, "test"))]
-    flat = sets[0].x.reshape(-1, sets[0].x.shape[2])
+    flat = train.x.reshape(-1, train.x.shape[2])
     input_mean = flat.mean(axis=0)
     input_std = flat.std(axis=0)
-    target_mean = float(sets[0].y.mean())
-    target_std = float(sets[0].y.std())
+    target_mean = float(train.y.mean())
+    target_std = float(train.y.std())
 
     degenerate = input_std < STD_FLOOR
     if np.any(degenerate) or target_std < STD_FLOOR:
@@ -244,11 +252,10 @@ def standardize(train, valid, test):
 
     scaling = Scaling(input_mean=input_mean, input_std=input_std,
                       target_mean=target_mean, target_std=target_std)
-    for s in sets:
-        s.x = scaling.apply_inputs(s.x)
-        s.y = scaling.apply_target(s.y)
-        s.scaling = scaling
-    return sets[0], sets[1], sets[2], scaling
+    sets = tuple(replace(s, x=scaling.apply_inputs(s.x), y=scaling.apply_target(s.y),
+                         provenance=name, scaling=scaling)
+                 for s, name in ((train, "train"), (valid, "valid"), (test, "test")))
+    return (*sets, scaling)
 
 
 def preprocess_series(series: GlucoseSeries, spec: SplitSpec, seq_len=SEQ_LEN,

@@ -16,7 +16,6 @@ from .tape import (
     clip_min,
     gather_rows,
     grad_reverse,
-    lift,
     log,
     matmul,
     mean_all,
@@ -24,7 +23,6 @@ from .tape import (
     neg,
     reshape,
     scale,
-    sigmoid,
     softmax,
     sub,
     sum_all,
@@ -34,9 +32,9 @@ from .tape import (
 )
 
 __all__ = [
-    "Node", "Tape", "lift", "check_finite",
+    "Node", "Tape", "check_finite",
     "add", "sub", "mul", "neg", "scale", "matmul", "transpose", "reshape",
-    "tanh", "sigmoid", "log", "clip_min", "softmax", "sum_all", "sum_axis",
+    "tanh", "log", "clip_min", "softmax", "sum_all", "sum_axis",
     "mean_all", "gather_rows", "grad_reverse",
     "LstmParams", "glorot", "init_lstm_params", "lstm_scan", "param_arrays",
     "check_dimensions",

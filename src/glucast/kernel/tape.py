@@ -25,7 +25,6 @@ from ..errors import DimensionError
 __all__ = [
     "Node",
     "Tape",
-    "lift",
     "check_finite",
     "add",
     "sub",
@@ -36,7 +35,6 @@ __all__ = [
     "transpose",
     "reshape",
     "tanh",
-    "sigmoid",
     "log",
     "clip_min",
     "softmax",
@@ -90,13 +88,6 @@ class Tape:
             for parent, vjp in pulls:
                 contrib = vjp(g)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
-
-
-def lift(x) -> Node:
-    """Wrap an array-like as a differentiable graph node."""
-    if isinstance(x, Node):
-        return x
-    return Node(np.asarray(x, dtype=np.float64))
 
 
 def check_finite(x, name):
@@ -228,12 +219,6 @@ def reshape(a, shape, tape=None):
 def tanh(a, tape=None):
     y = np.tanh(_val(a))
     return _emit(tape, y, _pulls((a, lambda g: g * (1.0 - y * y))))
-
-
-def sigmoid(a, tape=None):
-    # the tanh form is overflow-free and a single vector pass
-    y = 0.5 * (np.tanh(0.5 * _val(a)) + 1.0)
-    return _emit(tape, y, _pulls((a, lambda g: g * y * (1.0 - y))))
 
 
 def log(a, tape=None):

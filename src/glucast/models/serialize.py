@@ -33,8 +33,8 @@ def save_model(model, path) -> None:
 def load_model(path):
     """Read a saved model, checking that its config block has exactly the
     fields of its format's config, with valid values, and that every
-    parameter array is present and has the shape the config implies;
-    ConfigError names the file and the field otherwise."""
+    parameter array is present, holds only finite numbers and has the shape
+    the config implies; ConfigError names the file and the field otherwise."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -64,10 +64,17 @@ def load_model(path):
         if name not in params:
             raise ConfigError(f"model {path} lacks parameter {name!r}")
         try:
-            value = np.asarray(params[name], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            value = np.asarray(params[name])
+        except ValueError as exc:  # a ragged nesting of lists
             raise ConfigError(
                 f"model {path}: parameter {name!r} is not a numeric array") from exc
+        if value.dtype.kind not in "iuf":
+            raise ConfigError(f"model {path}: parameter {name!r} holds entries that "
+                              f"are not numbers (such as strings or null)")
+        value = value.astype(np.float64)
+        if not np.isfinite(value).all():
+            raise ConfigError(
+                f"model {path}: parameter {name!r} holds non-finite entries")
         if value.shape != arr.shape:
             raise ConfigError(
                 f"model {path}: parameter {name!r} has shape {value.shape}, "

@@ -1,4 +1,5 @@
-"""Shared helpers for gradient comparisons against central differences."""
+"""Shared test helpers: central-difference gradients, and plain-loop
+reference implementations that vectorized code must match bit for bit."""
 
 import numpy as np
 
@@ -58,3 +59,63 @@ def oracle_lstm(x, w_in, w_rec, bias, reverse_time=False):
         h, c = oracle_lstm_cell(x[:, t], h, c, w_in, w_rec, bias)
         out[:, t] = h
     return out
+
+
+def oracle_clean_spikes(glucose, threshold):
+    """Spike removal one present reading at a time, in time order, on the
+    glucose already cleaned; returns the cleaned copy."""
+    glucose = glucose.copy()
+    present = np.flatnonzero(np.isfinite(glucose))
+    for j in range(1, len(present) - 1):
+        k_prev, k, k_next = present[j - 1], present[j], present[j + 1]
+        before = glucose[k] - glucose[k_prev]
+        after = glucose[k_next] - glucose[k]
+        if abs(before) > threshold and abs(after) > threshold and before * after < 0:
+            glucose[k] = np.nan
+    return glucose
+
+
+def oracle_resample(t, glucose, cho, insulin, p):
+    """Gridding one reading at a time: (grid, glucose, cho, insulin)."""
+    offsets = (t - t[0]).astype(np.int64)
+    n_slots = int(offsets[-1] // p) + 1
+    slots = np.minimum((2 * offsets + p - 1) // (2 * p), n_slots - 1)
+    distance = np.abs(offsets - slots * p)
+    out_glucose = np.full(n_slots, np.nan)
+    best = np.full(n_slots, np.iinfo(np.int64).max)
+    out_cho = np.zeros(n_slots)
+    out_insulin = np.zeros(n_slots)
+    for i in range(len(t)):
+        k = int(slots[i])
+        if np.isfinite(glucose[i]) and distance[i] < best[k]:
+            out_glucose[k] = glucose[i]
+            best[k] = distance[i]
+        out_cho[k] += cho[i]
+        out_insulin[k] += insulin[i]
+    grid = t[0] + np.arange(n_slots, dtype=np.int64) * np.timedelta64(p, "m")
+    return grid, out_glucose, out_cho, out_insulin
+
+
+def oracle_recover_missing(x, y):
+    """Gap recovery one window at a time: the indices of the kept windows
+    and their recovered inputs."""
+    kept, windows = [], []
+    for i in range(len(y)):
+        g = x[i, :, 0]
+        known = np.flatnonzero(np.isfinite(g))
+        if not np.isfinite(y[i]) or known.size < 2:
+            continue
+        inputs = x[i].copy()
+        if known.size < g.shape[0]:
+            idx = np.arange(g.shape[0], dtype=np.float64)
+            filled = np.interp(idx, known.astype(np.float64), g[known])
+            first, second = known[0], known[1]
+            lead_slope = (g[second] - g[first]) / (second - first)
+            filled[:first] = g[first] - lead_slope * (first - idx[:first])
+            last, prev = known[-1], known[-2]
+            trail_slope = (g[last] - g[prev]) / (last - prev)
+            filled[last + 1:] = g[last] + trail_slope * (idx[last + 1:] - last)
+            inputs[:, 0] = filled
+        kept.append(i)
+        windows.append(inputs)
+    return np.array(kept, dtype=np.int64), np.array(windows).reshape(-1, *x.shape[1:])

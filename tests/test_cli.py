@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from glucast.cli import load_config, main
+from glucast.datapipe import GlucoseSeries, write_series_csv
 from glucast.errors import ConfigError
 from glucast.models import LstmRegModel, StdAttnModel, save_model
+from glucast.synthdata import default_cohort, generate_patient
 
 
 def run(*argv):
@@ -97,6 +100,71 @@ def test_synth_rejects_zero_patients(tmp_path):
 def test_preprocess_missing_dir_exit_3(tmp_path):
     assert run("preprocess", "--data", str(tmp_path / "nope"),
                "--out", str(tmp_path / "o")) == 3
+
+
+def _spiked_cohort(raw):
+    """3 patients x 8 days with 10% of glucose missing, injected spikes (an
+    alternating run among them) and timestamps jittered off the grid."""
+    raw.mkdir()
+    for profile in default_cohort(3, seed=11, missing_rate=0.1):
+        s = generate_patient(profile, 8)
+        rng = np.random.default_rng(profile.seed)
+        g = s.glucose.copy()
+        spikes = rng.choice(len(g), size=40, replace=False)
+        g[spikes] = np.where(g[spikes] > 250, g[spikes] - 120, g[spikes] + 150)
+        g[300:311] = np.where(np.arange(11) % 2 == 0, 100.0, 240.0)
+        t = s.t + rng.integers(-2, 3, size=len(g)) * np.timedelta64(1, "m")
+        write_series_csv(GlucoseSeries(profile.patient_id, t, np.clip(g, 1, 599),
+                                       s.cho, s.insulin),
+                         raw / f"{profile.patient_id}.csv")
+
+
+# sha256 of the raw CSVs and the archives below, as first written by the
+# per-reading and per-window implementation of the chain
+PINNED_PREPROCESS_SHA256 = "5381d457fca97725b8d02b379cafdb9000b3ad94c7d706e0187cd4059b269605"
+
+
+def test_preprocess_archive_bytes_are_pinned(tmp_path):
+    _spiked_cohort(tmp_path / "raw")
+    assert run("preprocess", "--data", str(tmp_path / "raw"),
+               "--out", str(tmp_path / "prep")) == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_PREPROCESS_SHA256
+
+
+PATIENT_CSV = ["datetime,glucose,CHO,insulin", "2026-01-05T00:00,100.0,0,0",
+               "2026-01-05T00:05,,12.5,0", "2026-01-05T00:10,104.5,0,1.5",
+               "2026-01-05T00:15,107.0,0,0"]
+
+
+@pytest.mark.parametrize("row, column", [
+    pytest.param("2026-01-05T00:10,104.5,0", "insulin", id="short-row"),
+    pytest.param("2026-01-05T00:10,104.5,0,1.5,3", "insulin", id="long-row"),
+    pytest.param("2026-13-05T00:10,104.5,0,1.5", "datetime", id="bad-timestamp"),
+    pytest.param("2026-01-05T00:05,104.5,0,1.5", "datetime", id="repeated-timestamp"),
+    pytest.param("2026-01-05T00:01,104.5,0,1.5", "datetime", id="earlier-timestamp"),
+    pytest.param("2026-01-05T00:10,abc,0,1.5", "glucose", id="glucose-abc"),
+    pytest.param("2026-01-05T00:10,inf,0,1.5", "glucose", id="glucose-inf"),
+    pytest.param("2026-01-05T00:10,nan,0,1.5", "glucose", id="glucose-nan"),
+    pytest.param("2026-01-05T00:10,600.0,0,1.5", "glucose", id="glucose-too-high"),
+    pytest.param("2026-01-05T00:10,0,0,1.5", "glucose", id="glucose-zero"),
+    pytest.param("2026-01-05T00:10,104.5,1e999,1.5", "CHO", id="cho-inf"),
+    pytest.param("2026-01-05T00:10,104.5,0,x", "insulin", id="insulin-abc"),
+])
+def test_preprocess_names_file_line_and_column_of_a_bad_patient_row(tmp_path, capsys,
+                                                                    row, column):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    path = raw / "p00.csv"
+    path.write_text("\n".join(PATIENT_CSV[:3] + [row] + PATIENT_CSV[4:]) + "\n")
+    assert run("preprocess", "--data", str(raw), "--out", str(tmp_path / "prep")) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: line 4, column {column!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "prep" / "p00").exists()
 
 
 # --- train / evaluate / explain -----------------------------------------------------
@@ -190,6 +258,61 @@ def test_evaluate_rejects_corrupted_test_csv_exit_3(mini_run, tmp_path, capsys,
                "--out", str(tmp_path / "ev")) == 3
     err = capsys.readouterr().err
     assert f"{path}: {where}" in err and "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
+
+
+SIDECAR_KEYS = ["format", "input_mean", "input_std", "target_mean", "target_std",
+                "seq_len", "ph_steps", "period_minutes", "patient_id"]
+
+
+def _set_key(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, key", [
+    *[pytest.param(lambda doc, k=k: doc.pop(k), k, id=f"no-{k}") for k in SIDECAR_KEYS],
+    pytest.param(_set_key("format", "glucast-scaling-v0"), "format", id="format"),
+    pytest.param(_set_key("input_mean", [120.0, "a", 1.0]), "input_mean", id="mean-string"),
+    pytest.param(_set_key("input_mean", []), "input_mean", id="mean-empty"),
+    pytest.param(_set_key("input_std", [25.0, 0.0, 1.0]), "input_std", id="std-zero"),
+    pytest.param(_set_key("input_std", [25.0, 1.0]), "input_std", id="std-length"),
+    pytest.param(_set_key("target_mean", float("nan")), "target_mean", id="mean-nan"),
+    pytest.param(_set_key("target_std", -1.0), "target_std", id="std-negative"),
+    pytest.param(_set_key("target_std", float("inf")), "target_std", id="std-inf"),
+    pytest.param(_set_key("seq_len", "37"), "seq_len", id="seq-len-string"),
+    pytest.param(_set_key("seq_len", True), "seq_len", id="seq-len-bool"),
+    pytest.param(_set_key("ph_steps", 0), "ph_steps", id="ph-steps-zero"),
+    pytest.param(_set_key("period_minutes", 2.5), "period_minutes", id="period-float"),
+    pytest.param(_set_key("patient_id", 2), "patient_id", id="patient-id-int"),
+])
+def test_evaluate_rejects_bad_scaling_sidecar_exit_3(mini_run, tmp_path, capsys,
+                                                     edit, key):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep" / "p02", prep / "p02")
+    path = prep / "p02" / "scaling.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert run("evaluate", "--model", str(mini_run / "run" / "model.json"),
+               "--data", str(prep), "--target", "p02",
+               "--out", str(tmp_path / "ev")) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: key {key!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_rejects_non_finite_metrics_exit_4(mini_run, tmp_path, capsys):
+    doc = json.loads((mini_run / "run" / "model.json").read_text())
+    doc["params"]["out_b"] = 1e308  # finite, but no prediction in mg/dL is
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("evaluate", "--model", str(model), "--data", str(mini_run / "prep"),
+                   "--target", "p02", "--out", str(tmp_path / "ev")) == 4
+    err = capsys.readouterr().err
+    assert str(model) in err and "non-finite" in err
     assert not (tmp_path / "ev").exists()
 
 
@@ -305,10 +428,24 @@ def _truncate_param(params, name):
     params[name] = params[name][:-1]
 
 
+def _set_first_entry(value):
+    def edit(params, name):
+        row = params[name]
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, field", [
     (_delete_param, "beta_b"),
     (_truncate_param, "out_w"),
     (_truncate_param, "alpha_rnn.w_in"),
+    (lambda params, name: params.__setitem__(name, "nan"), "out_b"),
+    (_set_first_entry(None), "beta_w"),
+    (_set_first_entry(float("nan")), "alpha_rnn.w_rec"),
+    (_set_first_entry(float("-inf")), "embed_w"),
+    (_set_first_entry("0.5"), "out_w"),
 ])
 def test_evaluate_rejects_model_with_bad_parameter(mini_run, tmp_path, capsys,
                                                    edit, field):

@@ -2,6 +2,7 @@ import csv
 import io
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ from glucast.datapipe import (
 )
 from glucast.datapipe.archive import BLOCK_ROWS
 from glucast.errors import ConfigError, IngestionError
+
+from _utils import oracle_clean_spikes, oracle_recover_missing, oracle_resample
 
 
 def minutes(*offsets):
@@ -84,6 +87,63 @@ def test_series_csv_rejects_bad_header(tmp_path):
     path.write_text("time,glucose\n2026-01-05T00:00,100\n")
     with pytest.raises(IngestionError):
         read_series_csv(path)
+
+
+def test_series_csv_empty_fields_keep_their_meaning(tmp_path):
+    path = tmp_path / "p.csv"
+    for rows in (["2026-01-05T00:00,,,", "2026-01-05T00:05,101.5,,2"],
+                 ["2026-01-05T00:00, ,,", '"2026-01-05T00:05",101.5,,2']):
+        path.write_text("datetime,glucose,CHO,insulin\n" + "\n".join(rows) + "\n")
+        back = read_series_csv(path)
+        assert np.isnan(back.glucose[0]) and back.glucose[1] == 101.5
+        assert np.array_equal(back.cho, [0.0, 0.0])
+        assert np.array_equal(back.insulin, [0.0, 2.0])
+
+
+def plain_series_text():
+    s = series([0, 5, 12, 20, 25], [100.0, np.nan, 140.5, 1 / 3 + 100, 99.0],
+               cho=[0, 25.5, 0, 0, 0.1], insulin=[1.5, 0, 0, 1e-17, 0])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["datetime", "glucose", "CHO", "insulin"])
+    for i in range(len(s)):
+        writer.writerow([str(s.t[i]),
+                         repr(float(s.glucose[i])) if np.isfinite(s.glucose[i]) else "",
+                         repr(float(s.cho[i])) if s.cho[i] else "0",
+                         repr(float(s.insulin[i])) if s.insulin[i] else "0"])
+    return s, buf.getvalue()
+
+
+def test_series_csv_golden_bytes(tmp_path):
+    s, text = plain_series_text()
+    path = tmp_path / "p.csv"
+    write_series_csv(s, path)
+    assert path.read_bytes() == text.encode()
+
+
+def each_row(edit):
+    return lambda text: "\r\n".join(
+        [line if i == 0 else edit(line) for i, line in enumerate(text.split("\r\n")[:-1])]
+    ) + "\r\n"
+
+
+@pytest.mark.parametrize("transform", [
+    pytest.param(lambda text: text.replace("\r\n", "\n"), id="lf"),
+    pytest.param(lambda text: text.rstrip("\r\n"), id="no-final-newline"),
+    pytest.param(each_row(lambda line: '"' + line.replace(",", '","') + '"'), id="quoted"),
+    pytest.param(each_row(lambda line: line.replace(",", " , ")), id="spaces"),
+    pytest.param(lambda text: text.replace("\r\n", "\r\n\r\n,,,\r\n"), id="blank-rows"),
+    pytest.param(each_row(lambda line: line.replace("T", " ", 1)), id="space-separator"),
+    pytest.param(each_row(lambda line: line.replace(",", ":00,", 1)), id="seconds"),
+    pytest.param(lambda text: text.replace("datetime,", " datetime ,"), id="header-spaces"),
+])
+def test_series_csv_other_forms_read_as_the_plain_file(tmp_path, transform):
+    s, text = plain_series_text()
+    path = tmp_path / "p.csv"
+    path.write_text(transform(text), newline="")
+    back = read_series_csv(path)
+    for name in ("t", "glucose", "cho", "insulin"):
+        assert getattr(back, name).tobytes() == getattr(s, name).tobytes(), name
 
 
 # --- clean_spikes -------------------------------------------------------------
@@ -173,73 +233,79 @@ def test_build_samples_window_layout():
     glucose = list(np.linspace(100, 149, n))
     s = gridded(n, glucose=glucose)
     samples = build_samples(s, seq_len=37, ph_steps=6)
-    first = samples[0]
-    assert np.array_equal(first.inputs[:, 0], glucose[:37])
-    assert first.target == glucose[37 - 1 + 6]
-    assert first.t == s.t[36]
-    assert first.target_t == s.t[42]
+    assert np.array_equal(samples.x[0, :, 0], glucose[:37])
+    assert samples.y[0] == glucose[37 - 1 + 6]
+    assert samples.t[0] == s.t[36]
+    assert samples.target_t[0] == s.t[42]
+    assert samples.x.shape == (50 - 37 - 6 + 1, 37, 3) and samples.x.flags.c_contiguous
 
 
 # --- recover_missing ----------------------------------------------------------------
 
 def window(gvalues, target=130.0):
-    inputs = np.zeros((len(gvalues), 3))
-    inputs[:, 0] = gvalues
-    from glucast.datapipe.pipeline import Sample
-    return Sample(inputs=inputs, target=target,
-                  t=np.datetime64("2026-01-05T03:00", "m"),
-                  target_t=np.datetime64("2026-01-05T03:30", "m"))
+    """A set of one window with the given glucose and zero CHO and insulin."""
+    inputs = np.zeros((1, len(gvalues), 3))
+    inputs[0, :, 0] = gvalues
+    return SampleSet(x=inputs, y=np.array([target]),
+                     t=np.array(["2026-01-05T03:00"], dtype="datetime64[m]"),
+                     target_t=np.array(["2026-01-05T03:30"], dtype="datetime64[m]"),
+                     provenance="unsplit")
 
 
 def test_recover_interior_midpoint():
-    out = recover_missing([window([100.0, np.nan, 120.0])])
-    assert np.array_equal(out[0].inputs[:, 0], [100.0, 110.0, 120.0])
+    out = recover_missing(window([100.0, np.nan, 120.0]))
+    assert np.array_equal(out.x[0, :, 0], [100.0, 110.0, 120.0])
 
 
 def test_recover_trailing_extrapolation():
-    out = recover_missing([window([100.0, 110.0, np.nan])])
-    assert np.array_equal(out[0].inputs[:, 0], [100.0, 110.0, 120.0])
+    out = recover_missing(window([100.0, 110.0, np.nan]))
+    assert np.array_equal(out.x[0, :, 0], [100.0, 110.0, 120.0])
 
 
 def test_recover_leading_extrapolation():
-    out = recover_missing([window([np.nan, 110.0, 120.0])])
-    assert np.array_equal(out[0].inputs[:, 0], [100.0, 110.0, 120.0])
+    out = recover_missing(window([np.nan, 110.0, 120.0]))
+    assert np.array_equal(out.x[0, :, 0], [100.0, 110.0, 120.0])
 
 
 def test_recover_discards_missing_target_and_sparse_windows():
-    assert recover_missing([window([100.0, np.nan, 120.0], target=np.nan)]) == []
-    assert recover_missing([window([np.nan, 110.0, np.nan])]) == []
+    assert len(recover_missing(window([100.0, np.nan, 120.0], target=np.nan))) == 0
+    assert len(recover_missing(window([np.nan, 110.0, np.nan]))) == 0
 
 
 def test_recover_full_window_untouched():
     w = window([100.0, 105.0, 110.0])
-    out = recover_missing([w])
-    assert out[0] is w
+    out = recover_missing(w)
+    for name in ("x", "y", "t", "target_t"):
+        assert getattr(out, name).tobytes() == getattr(w, name).tobytes()
 
 
 # --- split / standardize ---------------------------------------------------------------
 
 def make_samples(n, start_minute=0):
-    out = []
+    """n random windows of 4 steps, 5 minutes apart."""
     rng = np.random.default_rng(1)
-    from glucast.datapipe.pipeline import Sample
-    base = np.datetime64("2026-01-05T00:00", "m")
+    x, y = np.empty((n, 4, 3)), np.empty(n)
     for i in range(n):
-        t = base + np.timedelta64(start_minute + 5 * i, "m")
-        inputs = rng.normal(loc=[120, 10, 1], scale=[25, 5, 0.5], size=(4, 3))
-        out.append(Sample(inputs=inputs, target=float(rng.normal(120, 25)),
-                          t=t, target_t=t + np.timedelta64(30, "m")))
-    return out
+        x[i] = rng.normal(loc=[120, 10, 1], scale=[25, 5, 0.5], size=(4, 3))
+        y[i] = rng.normal(120, 25)
+    t = minutes(*range(start_minute, start_minute + 5 * n, 5))
+    return SampleSet(x=x, y=y, t=t, target_t=t + np.timedelta64(30, "m"),
+                     provenance="unsplit")
+
+
+def subset(samples, mask):
+    return replace(samples, x=samples.x[mask], y=samples.y[mask], t=samples.t[mask],
+                   target_t=samples.target_t[mask])
 
 
 def test_split_boundaries_and_counts():
     samples = make_samples(15 * 288)  # 15 days of 5-minute samples
     spec = SplitSpec(test_days=5, valid_fraction=0.2)
     train, valid, test = split(samples, spec)
-    cutoff = samples[-1].target_t - np.timedelta64(5 * 24 * 60, "m")
-    assert all(s.target_t > cutoff for s in test)
-    assert all(s.target_t <= cutoff for s in train + valid)
-    assert max(s.t for s in train) < min(s.t for s in valid)
+    cutoff = samples.target_t[-1] - np.timedelta64(5 * 24 * 60, "m")
+    assert np.all(test.target_t > cutoff)
+    assert np.all(np.concatenate([train.target_t, valid.target_t]) <= cutoff)
+    assert train.t.max() < valid.t.min()
     rest = len(train) + len(valid)
     assert len(valid) == int(round(rest * 0.2))
 
@@ -271,16 +337,15 @@ def test_standardize_moments_and_round_trip():
     assert abs(tr.y.mean()) < 1e-9
 
     y_back = scaling.invert_target(tr.y)
-    expect = np.array([s.target for s in train])
+    expect = train.y
     assert np.allclose(y_back, expect, atol=1e-10)
     x_back = scaling.invert_inputs(tr.x)
-    assert np.allclose(x_back, np.stack([s.inputs for s in train]), atol=1e-10)
+    assert np.allclose(x_back, train.x, atol=1e-10)
 
 
 def test_standardize_constant_column_fallback():
     samples = make_samples(1000)
-    for s in samples:
-        s.inputs[:, 2] = 0.0
+    samples.x[:, :, 2] = 0.0
     train, valid, test = split(samples, SplitSpec(test_days=1, valid_fraction=0.2))
     with pytest.warns(UserWarning):
         tr, va, te, scaling = standardize(train, valid, test)
@@ -300,7 +365,7 @@ def test_no_test_leakage_into_scaling_or_training_sets():
         tr1, va1, _, sc1 = standardize(train1, valid1, test1)
 
     # permute the test-period readings only
-    cutoff = samples[-1].target_t - np.timedelta64(3 * 24 * 60, "m")
+    cutoff = samples.target_t[-1] - np.timedelta64(3 * 24 * 60, "m")
     glucose2 = np.asarray(glucose).copy()
     boundary = np.flatnonzero(s.t > (cutoff - np.timedelta64(37 * 5, "m")))[0]
     glucose2[boundary:] = glucose2[boundary:][::-1]
@@ -310,14 +375,14 @@ def test_no_test_leakage_into_scaling_or_training_sets():
     train2, valid2, test2 = split(samples2, spec)
 
     keep = min(len(train1), len(train2))
-    tr_raw1 = np.stack([x.inputs for x in train1[:keep]])
-    tr_raw2 = np.stack([x.inputs for x in train2[:keep]])
+    tr_raw1 = train1.x[:keep]
+    tr_raw2 = train2.x[:keep]
     # training windows that end before the modified region are untouched
-    untouched = np.array([train1[i].t for i in range(keep)]) < s.t[boundary]
+    untouched = train1.t[:keep] < s.t[boundary]
     assert np.array_equal(tr_raw1[untouched], tr_raw2[untouched])
 
-    tr2_sub = [x for x in train2 if x.t < s.t[boundary]]
-    tr1_sub = [x for x in train1 if x.t < s.t[boundary]]
+    tr2_sub = subset(train2, train2.t < s.t[boundary])
+    tr1_sub = subset(train1, train1.t < s.t[boundary])
     with pytest.warns(UserWarning):
         _, _, _, sc2 = standardize(tr2_sub, valid2, test2)
     with pytest.warns(UserWarning):
@@ -339,6 +404,62 @@ def test_pipeline_idempotent_on_own_output():
     assert np.array_equal(once.glucose, twice.glucose, equal_nan=True)
     assert np.array_equal(once.cho, twice.cho)
     assert np.array_equal(once.insulin, twice.insulin)
+
+
+# --- the array chain against the plain loops ---------------------------------------
+
+GLUCOSE_VALUES = st.one_of(st.just(np.nan), st.sampled_from([100.0, 150.0, 200.0, 300.0]),
+                           st.floats(40.0, 560.0))
+EVENT_VALUES = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1 / 3, 25.5, 1e-17])
+
+
+@st.composite
+def raw_series(draw):
+    """Readings with NaN gaps, runs of alternating spikes and jittered
+    timestamps, several of which can share a grid slot."""
+    n = draw(st.integers(1, 80))
+    steps = draw(st.lists(st.integers(1, 13), min_size=n - 1, max_size=n - 1))
+    column = lambda values: np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return series(np.concatenate([[0], np.cumsum(steps, dtype=np.int64)]),
+                  column(GLUCOSE_VALUES), column(EVENT_VALUES), column(EVENT_VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=raw_series(), threshold=st.sampled_from([20.0, 50.0]),
+       period=st.sampled_from([1, 5, 7, 10]))
+def test_clean_spikes_and_resample_match_the_loops_bit_for_bit(s, threshold, period):
+    cleaned = clean_spikes(s, threshold)
+    assert cleaned.glucose.tobytes() == oracle_clean_spikes(s.glucose, threshold).tobytes()
+    gridded = resample(cleaned, period)
+    want = oracle_resample(cleaned.t, cleaned.glucose, cleaned.cho, cleaned.insulin, period)
+    for have, expected in zip((gridded.t, gridded.glucose, gridded.cho, gridded.insulin),
+                              want):
+        assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+
+
+def test_clean_spikes_removes_every_other_spike_of_a_run():
+    s = series(range(0, 40, 5), [100, 200, 100, 200, 100, 200, 100, 101])
+    out = clean_spikes(s, threshold=50)
+    assert np.array_equal(np.isnan(out.glucose), [0, 1, 0, 1, 0, 1, 0, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), length=st.integers(2, 9), n=st.integers(0, 30))
+def test_recover_missing_matches_the_per_window_loop_bit_for_bit(data, length, n):
+    values = st.lists(GLUCOSE_VALUES, min_size=n * length, max_size=n * length)
+    x = np.zeros((n, length, 3))
+    x[:, :, 0] = np.reshape(data.draw(values, label="glucose"), (n, length))
+    x[:, :, 1] = 7.0
+    y = np.array(data.draw(st.lists(GLUCOSE_VALUES, min_size=n, max_size=n), label="y"))
+    t = minutes(*range(0, 5 * n, 5))
+    samples = SampleSet(x=x.copy(), y=y, t=t, target_t=t + np.timedelta64(30, "m"),
+                        provenance="unsplit")
+    out = recover_missing(samples)
+    kept, windows = oracle_recover_missing(x, y)
+    assert out.x.shape == windows.shape and out.x.tobytes() == windows.tobytes()
+    for name in ("y", "t", "target_t"):
+        assert getattr(out, name).tobytes() == getattr(samples, name)[kept].tobytes()
+    assert samples.x.tobytes() == x.tobytes()  # the input is untouched
 
 
 # --- archives -------------------------------------------------------------------

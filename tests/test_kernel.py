@@ -112,7 +112,6 @@ def test_grad_matmul_all_arities():
 def test_grad_tanh_sigmoid_log_clip():
     a = RNG.normal(size=(5,))
     check_op(lambda tp, ns: T.sum_all(T.tanh(ns[0], tp), tp), [a])
-    check_op(lambda tp, ns: T.sum_all(T.sigmoid(ns[0], tp), tp), [a])
     pos = np.abs(RNG.normal(size=(5,))) + 0.5
     check_op(lambda tp, ns: T.sum_all(T.log(ns[0], tp), tp), [pos])
     away = np.array([0.3, 0.8, 1.5, 2.0])  # keep clear of the clip knee
@@ -180,12 +179,10 @@ def test_tape_replay_bit_identical():
 
 
 def test_tanh_sigmoid_open_bounds():
-    # strict bounds hold up to float64 saturation (~19 for tanh, ~36 for sigmoid)
+    # strict bounds hold up to float64 saturation (~19 for tanh)
     x = np.linspace(-18, 18, 101)
     t = T.tanh(x).value
-    s = T.sigmoid(x).value
     assert np.all(t > -1.0) and np.all(t < 1.0)
-    assert np.all(s > 0.0) and np.all(s < 1.0)
 
 
 # --- lstm ------------------------------------------------------------------
