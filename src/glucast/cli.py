@@ -101,26 +101,34 @@ CONFIG_DEFAULTS = {
 }
 
 
-def _coerce(key, text):
+def _coerce(key, text, where=""):
     default = CONFIG_DEFAULTS[key]
     if isinstance(default, bool):
         if text.lower() in ("1", "true", "yes", "on"):
             return True
         if text.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
+        raise ConfigError(f"{where}config key {key!r}: expected a boolean, got {text!r}")
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(text)
+        except ValueError:
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise ConfigError(f"{where}config key {key!r}: expected {kind}, "
+                              f"got {text!r}") from None
     return text
 
 
 def load_config(path=None, overrides=None) -> dict:
-    """Defaults, overlaid by a flat key=value file, overlaid by CLI flags."""
+    """Defaults, overlaid by a flat key=value file, overlaid by CLI flags.
+    ConfigError names the file and the line of a bad line in the file."""
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
-        for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -129,7 +137,7 @@ def load_config(path=None, overrides=None) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in cfg:
                 raise ConfigError(f"{path} line {line_no}: unknown config key {key!r}")
-            cfg[key] = _coerce(key, value)
+            cfg[key] = _coerce(key, value, f"{path} line {line_no}: ")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -232,10 +240,13 @@ def cmd_preprocess(args) -> int:
     spec = SplitSpec(test_days=cfg["test_days"], valid_fraction=cfg["valid_fraction"])
     for path in csvs:
         series = read_series_csv(path)
-        train, valid, test, scaling = preprocess_series(
-            series, spec, seq_len=cfg["seq_len"], ph_steps=cfg["ph_steps"],
-            period_minutes=cfg["period_minutes"],
-            spike_threshold=cfg["spike_threshold"])
+        try:
+            train, valid, test, scaling = preprocess_series(
+                series, spec, seq_len=cfg["seq_len"], ph_steps=cfg["ph_steps"],
+                period_minutes=cfg["period_minutes"],
+                spike_threshold=cfg["spike_threshold"])
+        except ConfigError as exc:  # a series too short to split, say
+            raise ConfigError(f"{path}: {exc}") from None
         write_patient_archive(out, series.patient_id, train, valid, test, scaling,
                               seq_len=cfg["seq_len"], ph_steps=cfg["ph_steps"],
                               period_minutes=cfg["period_minutes"])
@@ -318,7 +329,7 @@ def cmd_evaluate(args) -> int:
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=1)
     write_report_json(report, out / "cgega.json")
-    write_points_csv(series, out / "points.csv")
+    write_points_csv(series, report, out / "points.csv")
     echo_config(cfg, out, "evaluate")
     print(f"RMSE {metrics['rmse_mgdl']:.2f} mg/dL, MAPE {metrics['mape_pct']:.2f}%, "
           f"AP {report.overall['AP']:.3f}")

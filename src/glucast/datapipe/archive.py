@@ -101,8 +101,7 @@ def _parse_block(path, header, first_line, lines, seq_len, n_vars):
         t = np.array(stamps, dtype="datetime64[m]")
     except ValueError:
         raise _first_fault(path, header, first_line, lines) from None
-    if (not np.isfinite(values).all() or np.isnat(t).any()
-            or t.astype(str).tolist() != stamps):
+    if np.isnat(t).any() or t.astype(str).tolist() != stamps:
         raise _first_fault(path, header, first_line, lines)
     values = values.reshape(len(rows), -1)
     return values[:, :-1].reshape(len(rows), n_vars, seq_len), values[:, -1], t

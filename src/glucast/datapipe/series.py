@@ -6,11 +6,14 @@ mg/dL, CHO grams, insulin units. CHO and insulin are event masses: absent
 means zero.
 
 The writer emits CRLF rows, ``YYYY-MM-DDThh:mm`` timestamps and the shortest
-decimal that round-trips for every value. The reader parses whole columns at
-once when every line has that plain form, and otherwise (quoted fields,
-blank rows, other ISO-8601 forms, or a bad line) reads the file line by line
-with the ``csv`` module; both give the same arrays, and a bad line fails
-with the file, the line and the column.
+decimal that round-trips for every value. The reader takes every file the
+same way: the ``csv`` module splits it into rows (any line ending, quoted
+fields, blank rows skipped), then each column is parsed at once, the
+timestamps in one numpy call when all of them have the writer's form, and
+the columns become a ``GlucoseSeries``, whose checks are the only ones on
+order and range. When anything fails, one more pass over the rows finds
+the first bad line and raises an error naming the file, the line and the
+column.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +34,11 @@ from ..errors import IngestionError
 CSV_HEADER = ["datetime", "glucose", "CHO", "insulin"]
 GLUCOSE_MIN = 0.0
 GLUCOSE_MAX = 600.0
-# the writer's timestamps, one a line. numpy rejects an impossible date or
-# time in this form, and datetime.fromisoformat reads the rest from year 1 on.
-_PLAIN_STAMPS = re.compile(r"(?:\d{4}-\d\d-\d\dT\d\d:\d\d\n)*", re.ASCII)
-_FIRST_STAMP = np.datetime64("0001-01-01T00:00", "m")
+# the writer's timestamps, one a line, which numpy parses at once. numpy rejects
+# an impossible date or time as datetime.fromisoformat does, but reads year 0,
+# which fromisoformat rejects, so year 0 is kept out of this form.
+_PLAIN_STAMPS = re.compile(r"(?:(?!0000)\d{4}-\d\d-\d\dT\d\d:\d\d\n)*", re.ASCII)
+_MISSING = (np.nan, 0.0, 0.0)  # the value of an empty glucose, CHO, insulin field
 
 
 @dataclass
@@ -79,78 +84,38 @@ def _shortest_reprs(values):
 
 
 class _FloatMemo(dict):
-    """token -> float(token), parsing each distinct token once. Use a fresh
-    one per block of tokens, so it stays small whatever the file holds."""
+    """token -> float(token), parsing each distinct token once; a token that
+    is not a finite number raises ValueError, and so does a blank or
+    whitespace-only one unless ``missing`` gives its value. Use a fresh one
+    per block of tokens, so it stays small whatever the file holds."""
+
+    def __init__(self, missing=None):
+        super().__init__()
+        self.missing = missing
 
     def __missing__(self, token):
-        value = self[token] = float(token)
+        if self.missing is not None and not token.strip():
+            value = self.missing
+        elif not math.isfinite(value := float(token)):
+            raise ValueError(f"{token!r} is not a finite number")
+        self[token] = value
         return value
 
 
 def _parse_timestamp(token):
     """The minute of an ISO-8601 field as ``datetime.fromisoformat`` reads
-    it, or None."""
-    try:
-        dt = datetime.fromisoformat(token.strip())
-    except ValueError:
-        return None
-    return np.datetime64(dt).astype("datetime64[m]")
+    it; ValueError when it reads none."""
+    return np.datetime64(datetime.fromisoformat(token.strip())).astype("datetime64[m]")
 
 
-def _field_value(token, missing):
-    """A number field's value: ``missing`` when blank, else a finite float;
-    None when it is neither."""
-    if not token.strip():
-        return missing
-    try:
-        value = float(token)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _read_columns(text):
-    """The columns of a file in the writer's plain form, parsed a column at
-    a time; None when a line has another form or fails a check."""
-    if '"' in text or text.count("\r") != text.count("\r\n"):
-        return None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != ",".join(CSV_HEADER):
-        return None
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(row) != len(CSV_HEADER) for row in rows):
-        return None
-    stamps, *fields = list(zip(*rows)) or [()] * len(CSV_HEADER)
-    if not _PLAIN_STAMPS.fullmatch("".join(stamp + "\n" for stamp in stamps)):
-        return None
-    try:
-        t = np.array(stamps, dtype="datetime64[m]")
-        glucose, cho, insulin = (
-            np.fromiter(map(_FloatMemo({"": missing}).__getitem__, column),
-                        dtype=np.float64, count=len(column))
-            for column, missing in zip(fields, (np.nan, 0.0, 0.0)))
-    except ValueError:
-        return None
-    if (np.any(t < _FIRST_STAMP)
-            or np.any(np.diff(t) <= np.timedelta64(0, "m"))
-            or np.count_nonzero(np.isnan(glucose)) != fields[0].count("")
-            or np.any((glucose <= GLUCOSE_MIN) | (glucose >= GLUCOSE_MAX))
-            or not np.isfinite(cho).all() or not np.isfinite(insulin).all()):
-        return None
-    return t, glucose, cho, insulin
-
-
-def _read_rows(path, text):
-    """The columns of any file the ``csv`` module reads, line by line, or an
-    IngestionError naming the file, the line and the column of the first
-    bad field. Blank rows are skipped."""
+def _raise_row_error(path, text):
+    """Raise the IngestionError naming the file, the line and the column of
+    the first bad field, reading the file line by line with the ``csv``
+    module; return when no line is bad."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    stamps, glucose, cho, insulin = [], [], [], []
+    previous = None
     try:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CSV_HEADER:
+        if [h.strip() for h in next(reader, [])] != CSV_HEADER:
             raise IngestionError(f"{path}: line 1 is not the header "
                                  f"{','.join(CSV_HEADER)}")
         for row in reader:
@@ -165,29 +130,27 @@ def _read_rows(path, text):
                 raise IngestionError(
                     f"{where} {CSV_HEADER[-1]!r}: the row has "
                     f"{len(row) - len(CSV_HEADER)} fields past the last column")
-            stamp = _parse_timestamp(row[0])
-            if stamp is None:
+            try:
+                stamp = _parse_timestamp(row[0])
+            except ValueError:
                 raise IngestionError(f"{where} 'datetime': {row[0]!r} is not an "
-                                     f"ISO-8601 timestamp")
-            if stamps and stamp <= stamps[-1]:
+                                     f"ISO-8601 timestamp") from None
+            if previous is not None and stamp <= previous:
                 raise IngestionError(f"{where} 'datetime': {row[0]!r} does not come "
-                                     f"after the previous reading ({stamps[-1]})")
-            values = [_field_value(token, missing)
-                      for token, missing in zip(row[1:], (np.nan, 0.0, 0.0))]
-            for column, token, value in zip(CSV_HEADER[1:], row[1:], values):
-                if value is None:
+                                     f"after the previous reading ({previous})")
+            previous = stamp
+            values = []
+            for column, token, missing in zip(CSV_HEADER[1:], row[1:], _MISSING):
+                try:
+                    values.append(_FloatMemo(missing)[token])
+                except ValueError:
                     raise IngestionError(f"{where} {column!r}: {token!r} is neither "
-                                         f"empty nor a finite number")
+                                         f"empty nor a finite number") from None
             if not (GLUCOSE_MIN < values[0] < GLUCOSE_MAX or math.isnan(values[0])):
                 raise IngestionError(f"{where} 'glucose': {row[1]!r} lies outside "
                                      f"({GLUCOSE_MIN}, {GLUCOSE_MAX}) mg/dL")
-            stamps.append(stamp)
-            glucose.append(values[0])
-            cho.append(values[1])
-            insulin.append(values[2])
     except csv.Error as exc:
         raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
-    return np.array(stamps, dtype="datetime64[m]"), glucose, cho, insulin
 
 
 def read_series_csv(path, patient_id=None) -> GlucoseSeries:
@@ -204,9 +167,26 @@ def read_series_csv(path, patient_id=None) -> GlucoseSeries:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    t, glucose, cho, insulin = _read_columns(text) or _read_rows(path, text)
-    return GlucoseSeries(patient_id=path.stem if patient_id is None else patient_id,
-                         t=t, glucose=glucose, cho=cho, insulin=insulin)
+    try:
+        header, *rows = list(csv.reader(io.StringIO(text, newline=""))) or [[]]
+        # skip blank and whitespace-only rows
+        rows = list(compress(rows, map(str.strip, map("".join, rows))))
+        if ([h.strip() for h in header] != CSV_HEADER
+                or set(map(len, rows)) - {len(CSV_HEADER)}):
+            raise ValueError("a bad header or field count")
+        stamps, *fields = list(zip(*rows)) or [()] * len(CSV_HEADER)
+        plain = _PLAIN_STAMPS.fullmatch("\n".join(stamps) + "\n")
+        t = np.array(stamps if plain else list(map(_parse_timestamp, stamps)),
+                     dtype="datetime64[m]")
+        glucose, cho, insulin = (
+            np.fromiter(map(_FloatMemo(missing).__getitem__, column),
+                        dtype=np.float64, count=len(column))
+            for column, missing in zip(fields, _MISSING))
+        return GlucoseSeries(patient_id=path.stem if patient_id is None else patient_id,
+                             t=t, glucose=glucose, cho=cho, insulin=insulin)
+    except (ValueError, csv.Error) as exc:
+        _raise_row_error(path, text)
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def write_series_csv(series: GlucoseSeries, path) -> None:

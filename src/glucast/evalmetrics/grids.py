@@ -100,7 +100,8 @@ def cg_ega_classify(p_zone, r_zone, region):
 
 @dataclass
 class CgEgaReport:
-    """Per-region AP/BE/EP counts and rates plus zone histograms."""
+    """Per-region AP/BE/EP counts and rates plus zone histograms, and the
+    per-point results they count (one entry per classified point)."""
 
     counts: dict          # region -> {AP, BE, EP}
     rates: dict           # region -> {AP, BE, EP} or None when region empty
@@ -108,6 +109,12 @@ class CgEgaReport:
     p_zone_histogram: dict
     r_zone_histogram: dict
     n_classified: int
+    rate_true: np.ndarray  # mg/dL/min
+    rate_pred: np.ndarray
+    p_zones: np.ndarray
+    r_zones: np.ndarray
+    regions: np.ndarray
+    classes: list          # AP, BE or EP
 
 
 def cg_ega_report(series: PredictionSeries) -> CgEgaReport:
@@ -121,10 +128,12 @@ def cg_ega_report(series: PredictionSeries) -> CgEgaReport:
     p_zones = p_ega(y_true, y_pred, rate_true)
     r_zones = r_ega(rate_true, rate_pred)
     regions = glycemic_region(y_true)
+    classes = [cg_ega_classify(pz, rz, reg) for pz, rz, reg in
+               zip(p_zones.tolist(), r_zones.tolist(), regions.tolist())]
 
     counts = {reg: {c: 0 for c in CLASSES} for reg in REGIONS}
-    for pz, rz, reg in zip(p_zones, r_zones, regions):
-        counts[reg][cg_ega_classify(str(pz), str(rz), str(reg))] += 1
+    for reg, cls in zip(regions.tolist(), classes):
+        counts[reg][cls] += 1
 
     region_rates = {}
     for reg in REGIONS:
@@ -139,7 +148,9 @@ def cg_ega_report(series: PredictionSeries) -> CgEgaReport:
               for z in ("A", "B", "uC", "lC", "uD", "lD", "uE", "lE")}
     return CgEgaReport(counts=counts, rates=region_rates, overall=overall,
                        p_zone_histogram=p_hist, r_zone_histogram=r_hist,
-                       n_classified=n)
+                       n_classified=n, rate_true=rate_true, rate_pred=rate_pred,
+                       p_zones=p_zones, r_zones=r_zones, regions=regions,
+                       classes=classes)
 
 
 def report_to_dict(report: CgEgaReport) -> dict:
@@ -158,21 +169,15 @@ def write_report_json(report: CgEgaReport, path) -> None:
         json.dump(report_to_dict(report), fh, indent=1)
 
 
-def write_points_csv(series: PredictionSeries, path) -> None:
-    """Per-point dump for plotting: values, rates, zones, class, region."""
-    rate_true, rate_pred = rates(series)
-    p_zones = p_ega(series.y_true[1:], series.y_pred[1:], rate_true)
-    r_zones = r_ega(rate_true, rate_pred)
-    regions = glycemic_region(series.y_true[1:])
+def write_points_csv(series: PredictionSeries, report: CgEgaReport, path) -> None:
+    """Per-point dump for plotting: values, rates, zones, region and class,
+    as ``report`` (the series' ``cg_ega_report``) classified them."""
+    values = (series.y_true[1:], series.y_pred[1:], report.rate_true, report.rate_pred)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "y_true", "y_pred", "rate_true",
                          "rate_pred", "p_zone", "r_zone", "region", "class"])
-        for k in range(series.y_true.shape[0] - 1):
-            writer.writerow([
-                str(series.t[k + 1]),
-                repr(float(series.y_true[k + 1])), repr(float(series.y_pred[k + 1])),
-                repr(float(rate_true[k])), repr(float(rate_pred[k])),
-                str(p_zones[k]), str(r_zones[k]), str(regions[k]),
-                cg_ega_classify(str(p_zones[k]), str(r_zones[k]), str(regions[k])),
-            ])
+        writer.writerows(zip(series.t[1:].astype(str).tolist(),
+                             *(map(repr, v.tolist()) for v in values),
+                             report.p_zones.tolist(), report.r_zones.tolist(),
+                             report.regions.tolist(), report.classes))

@@ -35,8 +35,11 @@ def load_model(path):
     fields of its format's config, with valid values, and that every
     parameter array is present, holds only finite numbers and has the shape
     the config implies; ConfigError names the file and the field otherwise."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"model {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"model {path} is not a JSON object")
     cls = next((c for c in MODELS.values() if c.format_version == doc.get("format")),

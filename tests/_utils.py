@@ -1,7 +1,17 @@
 """Shared test helpers: central-difference gradients, and plain-loop
 reference implementations that vectorized code must match bit for bit."""
 
+import csv
+import io
+import math
+import re
+from datetime import datetime
+from pathlib import Path
+
 import numpy as np
+
+from glucast.datapipe import GlucoseSeries
+from glucast.errors import IngestionError
 
 
 def finite_diff_params(value_fn, arrays, eps=1e-5):
@@ -119,3 +129,124 @@ def oracle_recover_missing(x, y):
         kept.append(i)
         windows.append(inputs)
     return np.array(kept, dtype=np.int64), np.array(windows).reshape(-1, *x.shape[1:])
+
+
+# --- the patient CSV reader as it was with two paths: whole columns for the
+# writer's plain form, the csv module line by line for every other form
+
+_ORACLE_HEADER = ["datetime", "glucose", "CHO", "insulin"]
+_ORACLE_PLAIN_STAMPS = re.compile(r"(?:\d{4}-\d\d-\d\dT\d\d:\d\d\n)*", re.ASCII)
+
+
+class _OracleFloatMemo(dict):
+    def __missing__(self, token):
+        value = self[token] = float(token)
+        return value
+
+
+def _oracle_timestamp(token):
+    try:
+        dt = datetime.fromisoformat(token.strip())
+    except ValueError:
+        return None
+    return np.datetime64(dt).astype("datetime64[m]")
+
+
+def _oracle_field_value(token, missing):
+    if not token.strip():
+        return missing
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _oracle_read_columns(text):
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != ",".join(_ORACLE_HEADER):
+        return None
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(_ORACLE_HEADER) for row in rows):
+        return None
+    stamps, *fields = list(zip(*rows)) or [()] * len(_ORACLE_HEADER)
+    if not _ORACLE_PLAIN_STAMPS.fullmatch("".join(stamp + "\n" for stamp in stamps)):
+        return None
+    try:
+        t = np.array(stamps, dtype="datetime64[m]")
+        glucose, cho, insulin = (
+            np.fromiter(map(_OracleFloatMemo({"": missing}).__getitem__, column),
+                        dtype=np.float64, count=len(column))
+            for column, missing in zip(fields, (np.nan, 0.0, 0.0)))
+    except ValueError:
+        return None
+    if (np.any(t < np.datetime64("0001-01-01T00:00", "m"))
+            or np.any(np.diff(t) <= np.timedelta64(0, "m"))
+            or np.count_nonzero(np.isnan(glucose)) != fields[0].count("")
+            or np.any((glucose <= 0.0) | (glucose >= 600.0))
+            or not np.isfinite(cho).all() or not np.isfinite(insulin).all()):
+        return None
+    return t, glucose, cho, insulin
+
+
+def _oracle_read_rows(path, text):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    stamps, glucose, cho, insulin = [], [], [], []
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != _ORACLE_HEADER:
+            raise IngestionError(f"{path}: line 1 is not the header "
+                                 f"{','.join(_ORACLE_HEADER)}")
+        for row in reader:
+            if all(not field.strip() for field in row):
+                continue
+            where = f"{path}: line {reader.line_num}, column"
+            if len(row) < len(_ORACLE_HEADER):
+                raise IngestionError(
+                    f"{where} {_ORACLE_HEADER[len(row)]!r}: the row has {len(row)} "
+                    f"fields, the header {len(_ORACLE_HEADER)}")
+            if len(row) > len(_ORACLE_HEADER):
+                raise IngestionError(
+                    f"{where} {_ORACLE_HEADER[-1]!r}: the row has "
+                    f"{len(row) - len(_ORACLE_HEADER)} fields past the last column")
+            stamp = _oracle_timestamp(row[0])
+            if stamp is None:
+                raise IngestionError(f"{where} 'datetime': {row[0]!r} is not an "
+                                     f"ISO-8601 timestamp")
+            if stamps and stamp <= stamps[-1]:
+                raise IngestionError(f"{where} 'datetime': {row[0]!r} does not come "
+                                     f"after the previous reading ({stamps[-1]})")
+            values = [_oracle_field_value(token, missing)
+                      for token, missing in zip(row[1:], (np.nan, 0.0, 0.0))]
+            for column, token, value in zip(_ORACLE_HEADER[1:], row[1:], values):
+                if value is None:
+                    raise IngestionError(f"{where} {column!r}: {token!r} is neither "
+                                         f"empty nor a finite number")
+            if not (0.0 < values[0] < 600.0 or math.isnan(values[0])):
+                raise IngestionError(f"{where} 'glucose': {row[1]!r} lies outside "
+                                     f"(0.0, 600.0) mg/dL")
+            stamps.append(stamp)
+            glucose.append(values[0])
+            cho.append(values[1])
+            insulin.append(values[2])
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
+    return np.array(stamps, dtype="datetime64[m]"), glucose, cho, insulin
+
+
+def oracle_read_series_csv(path):
+    """A patient CSV as the two-path reader read it: the series, or the
+    IngestionError it raised."""
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    t, glucose, cho, insulin = _oracle_read_columns(text) or _oracle_read_rows(path, text)
+    return GlucoseSeries(patient_id=path.stem, t=t, glucose=glucose, cho=cho,
+                         insulin=insulin)

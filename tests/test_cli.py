@@ -1,13 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glucast.cli import load_config, main
+from glucast.cli import CONFIG_DEFAULTS, load_config, main
 from glucast.datapipe import GlucoseSeries, write_series_csv
 from glucast.errors import ConfigError
 from glucast.models import LstmRegModel, StdAttnModel, save_model
@@ -77,6 +83,29 @@ def test_config_boolean_coercion(tmp_path):
     cfg_file.write_text("reverse_time = banana\n")
     with pytest.raises(ConfigError):
         load_config(cfg_file)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("batch_size = abc", "batch_size"), ("seed = 1.5", "seed"), ("max_epochs =", "max_epochs"),
+    ("lambda = ten", "lambda"), ("valid_fraction = 0,2", "valid_fraction"),
+    ("reverse_time = maybe", "reverse_time"),
+])
+def test_config_names_file_line_and_key_of_a_bad_value(tmp_path, capsys, line, key):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"seed = 4\n# a comment\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg_file} line 3: config key {key!r}")):
+        load_config(cfg_file)
+    assert run("synth", "--config", str(cfg_file), "--out", str(tmp_path / "s")) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_file} line 3" in err and repr(key) in err and "Traceback" not in err
+
+
+def test_config_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed = 4\n\xff\xfe = 1\n")
+    assert run("synth", "--config", str(cfg_file), "--out", str(tmp_path / "s")) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_file}: not UTF-8 text" in err and "Traceback" not in err
 
 
 # --- synth ---------------------------------------------------------------------
@@ -165,6 +194,17 @@ def test_preprocess_names_file_line_and_column_of_a_bad_patient_row(tmp_path, ca
     err = capsys.readouterr().err
     assert f"{path}: line 4, column {column!r}" in err and "Traceback" not in err
     assert not (tmp_path / "prep" / "p00").exists()
+
+
+@pytest.mark.parametrize("n_lines", [1, 3, 40])
+def test_preprocess_names_a_patient_file_too_short_to_split(tmp_path, capsys, n_lines):
+    raw = tmp_path / "raw"
+    assert run("synth", "--patients", "1", "--days", "1", "--out", str(raw)) == 0
+    path = raw / "p00.csv"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:n_lines]))
+    assert run("preprocess", "--data", str(raw), "--out", str(tmp_path / "prep")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "Traceback" not in err
 
 
 # --- train / evaluate / explain -----------------------------------------------------
@@ -495,3 +535,165 @@ def test_explain_non_attributable_model_exit_5(mini_run, tmp_path):
     assert run("explain", "--model", str(out / "model.json"),
                "--data", str(mini_run / "prep"), "--target", "p00",
                "--out", str(tmp_path / "nope")) == 5
+
+
+# --- every input kind, corrupted ------------------------------------------------
+
+def _bad_byte(draw, data):
+    """``data`` with a byte that is never UTF-8 put in somewhere."""
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + b"\xff" + data[at:]
+
+
+def _replace_field(lines, i, k, token):
+    fields = lines[i].split(",")
+    fields[k] = token
+    lines[i] = ",".join(fields)
+
+
+def _corrupt_lines(draw, data, bad_tokens, too_short):
+    """A CSV with CRLF rows made invalid: a bad token in one field, a field
+    too few or too many, a bad header, too few rows, or a byte that is not
+    UTF-8. bad_tokens maps a column index to tokens that are never valid
+    there; too_short is how many lines (header included) are too few."""
+    lines = data.decode().split("\r\n")[:-1]
+    how = draw(st.sampled_from(["field", "fewer", "more", "header", "short", "bytes"]))
+    i = draw(st.integers(1, len(lines) - 1))
+    if how == "field":
+        k = draw(st.sampled_from(sorted(bad_tokens)))
+        _replace_field(lines, i, k, draw(st.sampled_from(bad_tokens[k])))
+    elif how == "fewer":
+        lines[i] = lines[i].rsplit(",", 1)[0]
+    elif how == "more":
+        lines[i] += ",7"
+    elif how == "header":
+        lines[0] = draw(st.sampled_from(["", "datetime", lines[0] + ",x",
+                                         lines[0].replace(",", ";")]))
+    elif how == "short":
+        del lines[draw(st.integers(1, too_short)):]
+    data = "".join(line + "\r\n" for line in lines).encode()
+    return _bad_byte(draw, data) if how == "bytes" else data
+
+
+def _corrupt_patient_csv(draw, data):
+    lines = data.decode().split("\r\n")
+    if draw(st.booleans()):  # a timestamp that does not follow the previous one
+        i = draw(st.integers(2, len(lines) - 2))
+        _replace_field(lines, i, 0, lines[i - draw(st.integers(1, 2))].split(",")[0])
+        return "\r\n".join(lines).encode()
+    return _corrupt_lines(draw, data, {
+        0: ["yesterday", "2026-13-05T00:10", "20260105", "2026-01-05T25:00"],
+        1: ["abc", "nan", "inf", "0", "600", "-4", "1e999"],
+        2: ["abc", "nan", "-inf", "1e999"], 3: ["x", "inf", "NaN", "--1"]},
+        too_short=30)  # under one window
+
+
+def _corrupt_archive_csv(draw, data):
+    bad = ["abc", "nan", "inf", "", "1e999", "0x1"]
+    return _corrupt_lines(draw, data, {0: ["2026-13-05T00:10", "x", "2026-01-05 00:10"],
+                                       1: bad, 40: bad, 112: bad}, too_short=1)
+
+
+def _corrupt_json(draw, data, edits):
+    """A JSON document truncated, given a byte that is not UTF-8, or edited
+    by one of ``edits`` (functions of the parsed document and ``draw``)."""
+    how = draw(st.sampled_from(["truncate", "bytes", "edit"]))
+    if how == "truncate":
+        return data.rstrip()[:draw(st.integers(0, len(data.rstrip()) - 1))]
+    if how == "bytes":
+        return _bad_byte(draw, data)
+    doc = json.loads(data)
+    draw(st.sampled_from(edits))(doc, draw)
+    return json.dumps(doc).encode()
+
+
+
+
+def _edit_sidecar(doc, draw):
+    key = draw(st.sampled_from(SIDECAR_KEYS))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(st.sampled_from([None, [], {}, True]))  # valid for no key
+
+
+def _edit_model_config(doc, draw):
+    key = draw(st.sampled_from(sorted(doc["config"])))
+    if draw(st.booleans()):
+        del doc["config"][key]
+    else:
+        doc["config"][key] = draw(st.sampled_from([None, [], {}, "x", 0, -1]))
+
+
+def _edit_model_param(doc, draw):
+    params = doc["params"]
+    name = draw(st.sampled_from(sorted(params)))
+    if draw(st.booleans()):
+        del params[name]
+    elif isinstance(params[name], list):
+        draw(st.sampled_from([_truncate_param, _set_first_entry(None),
+                              _set_first_entry("0.5"), _set_first_entry([])]))(params, name)
+    else:
+        params[name] = draw(st.sampled_from([None, "0.5", []]))
+
+
+def _edit_model_format(doc, draw):
+    doc[draw(st.sampled_from(["format", "config", "params"]))] = \
+        draw(st.sampled_from(["retain-v0", None, [], 3]))
+
+
+CONFIG_TYPED_KEYS = [key for key, value in CONFIG_DEFAULTS.items()
+                     if not isinstance(value, str)]
+
+
+def _corrupt_config(draw, data):
+    how = draw(st.sampled_from(["value", "unknown", "no-equals", "bytes"]))
+    if how == "bytes":
+        return _bad_byte(draw, data)
+    key = draw(st.sampled_from(CONFIG_TYPED_KEYS))
+    default = CONFIG_DEFAULTS[key]
+    bad = ("maybe" if isinstance(default, bool) else
+           draw(st.sampled_from(["abc", "", "1.5" if isinstance(default, int) else "1,5"])))
+    line = {"value": f"{key} = {bad}", "unknown": "no_such_key = 1",
+            "no-equals": f"{key} {default}"}[how]
+    lines = data.decode().splitlines()
+    lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines).encode()
+
+
+# input kind -> (the file, relative to a copy of the mini run, and a corruption)
+INPUT_KINDS = {
+    "patient-csv": ("raw/p02.csv", _corrupt_patient_csv),
+    "archive-csv": ("prep/p02/test.csv", _corrupt_archive_csv),
+    "scaling-json": ("prep/p02/scaling.json",
+                     lambda draw, data: _corrupt_json(draw, data, [_edit_sidecar])),
+    "model-json": ("run/model.json", lambda draw, data: _corrupt_json(
+        draw, data, [_edit_model_config, _edit_model_param, _edit_model_format])),
+    "config": ("mini.cfg", _corrupt_config),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(INPUT_KINDS)), data=st.data())
+def test_corrupted_input_of_every_kind_is_named_with_a_documented_exit(mini_run, kind,
+                                                                      data):
+    relative, corrupt = INPUT_KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, _ in INPUT_KINDS.values():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(mini_run / name, root / name)
+        path = root / relative
+        path.write_bytes(corrupt(data.draw, path.read_bytes()))
+        if kind in ("patient-csv", "config"):
+            argv = ["preprocess", "--data", str(root / "raw")]
+        else:
+            argv = ["evaluate", "--model", str(root / "run" / "model.json"),
+                    "--data", str(root / "prep"), "--target", "p02"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv, "--config", str(root / "mini.cfg"),
+                       "--out", str(root / "out"))
+    assert code in (2, 3, 4), (kind, err.getvalue())
+    assert str(path) in err.getvalue() and "Traceback" not in err.getvalue(), \
+        (kind, err.getvalue())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glucast import synthdata
@@ -34,7 +34,12 @@ from glucast.datapipe import (
 from glucast.datapipe.archive import BLOCK_ROWS
 from glucast.errors import ConfigError, IngestionError
 
-from _utils import oracle_clean_spikes, oracle_recover_missing, oracle_resample
+from _utils import (
+    oracle_clean_spikes,
+    oracle_read_series_csv,
+    oracle_recover_missing,
+    oracle_resample,
+)
 
 
 def minutes(*offsets):
@@ -144,6 +149,101 @@ def test_series_csv_other_forms_read_as_the_plain_file(tmp_path, transform):
     back = read_series_csv(path)
     for name in ("t", "glucose", "cho", "insulin"):
         assert getattr(back, name).tobytes() == getattr(s, name).tobytes(), name
+
+
+# (the writer's forms, other forms a reader accepts) of each field
+GOOD_FIELDS = {
+    "datetime": ([lambda s: s], [lambda s: s.replace("T", " "), lambda s: s + ":00",
+                                 lambda s: s + ":59", lambda s: f"  {s} ",
+                                 lambda s: s.replace("-", "").replace(":", "")]),
+    "glucose": (["100.0", "140.25", "", "599.999"], [" 87 ", "1e2", " ", "0.5"]),
+    "CHO": (["0", "25.5", "1e-05"], ["", " 3 ", "2e1", "-0.0"]),
+    "insulin": (["0", "1.5", "1e-17"], ["", "  ", "-0"]),
+}
+BAD_FIELDS = {
+    "datetime": [lambda s: "", lambda s: "yesterday", lambda s: s[:10],
+                 lambda s: s.replace("-01-", "-13-"), lambda s: "0000" + s[4:],
+                 lambda s: s.replace("T", "t", 1) + "Z"],
+    "glucose": ["abc", "nan", "NaN", "inf", "-inf", "1e999", "0", "-0.0", "600",
+                "600.0", "-3"],
+    "CHO": ["abc", "nan", "-inf", "1e999", "x"],
+    "insulin": ["x", "inf", "nan", "--1"],
+}
+BAD_HEADERS = [" datetime , glucose,CHO,insulin", "datetime,glucose,CHO", "",
+               "time,glucose,CHO,insulin", "datetime,glucose,CHO,insulin,x",
+               '"datetime","glucose","CHO","insulin"']
+FIELD_FORMS = [lambda f: f, lambda f: f'"{f}"', lambda f: f" {f} "]
+BLANK_ROWS = ["", "\n", "\r\n", " \n", ",,,\r\n", " , ,\t, \n", '""\n']
+FAULTS = ["header", "order", "field", "short-row", "long-row", "open-quote"]
+
+
+@st.composite
+def patient_csv_texts(draw):
+    """Patient CSVs of up to 12 rows in the writer's form or varied (line
+    endings, quoted and padded fields, blank and whitespace-only rows,
+    other timestamp forms), with up to two faults: a bad header, timestamps
+    out of order, a bad, NaN, infinite or out-of-range field, a field too
+    few or too many, or an unclosed quote."""
+    varied = draw(st.booleans())
+
+    def pick(plain, other=()):
+        return draw(st.sampled_from(list(plain) + (list(other) if varied else [])))
+
+    n = draw(st.integers(0, 12))
+    steps = [draw(st.sampled_from([5, 1, 7])) for _ in range(n)]
+    faults = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                     st.sampled_from(FAULTS)), max_size=2))
+    for i, fault in faults:
+        if fault == "order" and i > 0:
+            steps[i] = draw(st.sampled_from([0, -2]))
+    base = np.datetime64("2026-01-05T00:00", "m")
+    rows = [[pick(*GOOD_FIELDS["datetime"])(str(t))]
+            + [pick(*GOOD_FIELDS[name]) for name in ("glucose", "CHO", "insulin")]
+            for t in base + np.cumsum(steps, dtype=np.int64) * np.timedelta64(1, "m")]
+    header = "datetime,glucose,CHO,insulin"
+    for i, fault in sorted(faults, key=lambda f: FAULTS.index(f[1])):
+        if fault == "header":
+            header = draw(st.sampled_from(BAD_HEADERS))
+        elif not rows:
+            continue
+        elif fault == "field":
+            column = draw(st.sampled_from(list(BAD_FIELDS)))
+            bad = draw(st.sampled_from(BAD_FIELDS[column]))
+            k = list(BAD_FIELDS).index(column)
+            rows[i][k] = bad(rows[i][k]) if k == 0 else bad
+        elif fault == "short-row":
+            del rows[i][draw(st.integers(1, 3)):]
+        elif fault == "long-row":
+            rows[i].append("7")
+        elif fault == "open-quote":
+            rows[i][-1] = '"' + rows[i][-1]
+    lines = [header] + [pick([""], BLANK_ROWS) + ",".join(pick([str], FIELD_FORMS)(f)
+                                                         for f in row) for row in rows]
+    eol = pick(["\r\n"], ["\n", "\r"])
+    text = "".join(line + pick([eol], ["\r\n", "\n", "\r"]) for line in lines)
+    return text.rstrip("\r\n") if varied and draw(st.booleans()) else text
+
+
+def read_outcome(read, path):
+    """The arrays a reader gives, bit for bit, or its IngestionError text."""
+    try:
+        s = read(path)
+    except IngestionError as exc:
+        return str(exc)
+    return s.patient_id, *(getattr(s, name).tobytes()
+                           for name in ("t", "glucose", "cho", "insulin"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=patient_csv_texts())
+@example(text="datetime,glucose,CHO,insulin\r\n0000-12-31T23:55,100.0,0,0\r\n"
+              "0001-01-01T00:00,101.0,0,0\r\n")  # numpy reads year 0, fromisoformat not
+def test_series_csv_reads_as_the_two_path_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p07.csv"
+        path.write_text(text, newline="", encoding="utf-8")
+        assert read_outcome(read_series_csv, path) == \
+            read_outcome(oracle_read_series_csv, path)
 
 
 # --- clean_spikes -------------------------------------------------------------

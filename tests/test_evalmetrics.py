@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from glucast.evalmetrics import (
     rates,
     reconstruct,
     rmse,
+    write_points_csv,
 )
+from glucast.evalmetrics import grids
 from glucast.evalmetrics.grid_oracle import (
     classify_oracle,
     point_zones_oracle,
@@ -292,3 +296,30 @@ def test_report_region_rates_sum_to_one_when_present():
     for reg in ("hypo", "eu", "hyper"):
         assert report.rates[reg] is not None
         assert sum(report.rates[reg].values()) == pytest.approx(1.0)
+
+
+def test_points_csv_writes_the_report_per_point_results(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    y = np.clip(rng.normal(140, 60, size=60), 40, 400)
+    p = np.clip(y + rng.normal(0, 30, size=60), 40, 400)
+    series = make_series(list(y), list(p))
+    rate_true, rate_pred = rates(series)
+    expected = [[str(series.t[k + 1]), repr(float(y[k + 1])), repr(float(p[k + 1])),
+                 repr(float(rate_true[k])), repr(float(rate_pred[k])),
+                 p_ega(y[k + 1], p[k + 1], rate_true[k]),
+                 r_ega(rate_true[k], rate_pred[k]), glycemic_region(y[k + 1])]
+                for k in range(len(y) - 1)]
+    for row in expected:
+        row.append(cg_ega_classify(*row[5:8]))
+    report = cg_ega_report(series)
+
+    def classified_again(*args):
+        raise AssertionError("write_points_csv classified a point again")
+    for name in ("rates", "p_ega", "r_ega", "glycemic_region", "cg_ega_classify"):
+        monkeypatch.setattr(grids, name, classified_again)
+    write_points_csv(series, report, tmp_path / "points.csv")
+    with open(tmp_path / "points.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["timestamp", "y_true", "y_pred", "rate_true", "rate_pred",
+                       "p_zone", "r_zone", "region", "class"]
+    assert rows[1:] == expected

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -43,6 +44,14 @@ def test_saved_format_tag_and_unknown_format(tmp_path):
     doc["format"] = "bogus-v9"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("data", [b"garbage{", b"\xff\xfe", b"", b'{"format": "retain-v1",'])
+def test_load_model_names_a_file_that_is_not_utf8_json(tmp_path, data):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=re.escape(f"model {path} is not UTF-8 JSON")):
         load_model(path)
 
 
