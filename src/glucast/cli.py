@@ -100,6 +100,9 @@ CONFIG_DEFAULTS = {
     "missing_rate": 0.0,
 }
 
+# the window and split geometry: each an integer of at least 1
+_AT_LEAST_ONE = ("seq_len", "ph_steps", "period_minutes", "test_days")
+
 
 def _coerce(key, text, where=""):
     default = CONFIG_DEFAULTS[key]
@@ -111,11 +114,15 @@ def _coerce(key, text, where=""):
         raise ConfigError(f"{where}config key {key!r}: expected a boolean, got {text!r}")
     if isinstance(default, (int, float)):
         try:
-            return type(default)(text)
+            value = type(default)(text)
         except ValueError:
             kind = "an integer" if isinstance(default, int) else "a number"
             raise ConfigError(f"{where}config key {key!r}: expected {kind}, "
                               f"got {text!r}") from None
+        if key in _AT_LEAST_ONE and value < 1:
+            raise ConfigError(f"{where}config key {key!r}: must be at least 1, "
+                              f"got {text!r}")
+        return value
     return text
 
 

@@ -47,7 +47,14 @@ class Scaling:
     target_std: float
 
     def apply_inputs(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.input_mean) / self.input_std
+        """(x - mean) / std of (N, L, r) windows. The (r,) statistics are
+        tiled over each window's flattened L*r row, so each ufunc runs one
+        long inner loop; the values are those of broadcasting over r."""
+        x = np.asarray(x, dtype=np.float64)
+        n, length, r = x.shape
+        out = x.reshape(n, length * r) - np.tile(self.input_mean, length)
+        out /= np.tile(self.input_std, length)
+        return out.reshape(x.shape)
 
     def invert_inputs(self, x):
         return np.asarray(x, dtype=np.float64) * self.input_std + self.input_mean
@@ -236,9 +243,15 @@ def standardize(train: SampleSet, valid: SampleSet, test: SampleSet):
     """
     if not len(train):
         raise ConfigError("cannot fit scaling on an empty training split")
-    flat = train.x.reshape(-1, train.x.shape[2])
-    input_mean = flat.mean(axis=0)
-    input_std = flat.std(axis=0)
+    n, length, r = train.x.shape
+    flat = train.x.reshape(n * length, r)
+    # numpy's mean and std over axis 0 add the rows in order; accumulating
+    # along axis 0 takes the same sums, bit for bit, in one long inner loop
+    # per column
+    input_mean = np.add.accumulate(flat, axis=0)[-1] / len(flat)
+    dev = train.x.reshape(n, length * r) - np.tile(input_mean, length)
+    dev *= dev
+    input_std = np.sqrt(np.add.accumulate(dev.reshape(flat.shape), axis=0)[-1] / len(flat))
     target_mean = float(train.y.mean())
     target_std = float(train.y.std())
 

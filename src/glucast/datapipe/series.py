@@ -1,9 +1,9 @@
 """Timestamped multivariate glucose series and their CSV form.
 
 CSV contract (one file per patient): header ``datetime,glucose,CHO,insulin``,
-ISO-8601 timestamps at minute resolution, empty field = missing. Glucose is
-mg/dL, CHO grams, insulin units. CHO and insulin are event masses: absent
-means zero.
+ISO-8601 timestamps at minute resolution without a UTC offset, empty field =
+missing. Glucose is mg/dL, CHO grams, insulin units. CHO and insulin are
+event masses: absent means zero.
 
 The writer emits CRLF rows, ``YYYY-MM-DDThh:mm`` timestamps and the shortest
 decimal that round-trips for every value. The reader takes every file the
@@ -104,8 +104,11 @@ class _FloatMemo(dict):
 
 def _parse_timestamp(token):
     """The minute of an ISO-8601 field as ``datetime.fromisoformat`` reads
-    it; ValueError when it reads none."""
-    return np.datetime64(datetime.fromisoformat(token.strip())).astype("datetime64[m]")
+    it; ValueError when it reads none or the field carries a UTC offset."""
+    stamp = datetime.fromisoformat(token.strip())
+    if stamp.tzinfo is not None:
+        raise ValueError(f"{token!r} carries a UTC offset")
+    return np.datetime64(stamp).astype("datetime64[m]")
 
 
 def _raise_row_error(path, text):
@@ -134,7 +137,7 @@ def _raise_row_error(path, text):
                 stamp = _parse_timestamp(row[0])
             except ValueError:
                 raise IngestionError(f"{where} 'datetime': {row[0]!r} is not an "
-                                     f"ISO-8601 timestamp") from None
+                                     f"ISO-8601 timestamp without a UTC offset") from None
             if previous is not None and stamp <= previous:
                 raise IngestionError(f"{where} 'datetime': {row[0]!r} does not come "
                                      f"after the previous reading ({previous})")
@@ -157,9 +160,9 @@ def read_series_csv(path, patient_id=None) -> GlucoseSeries:
     """One patient's series; the patient id defaults to the file's stem.
 
     A malformed line raises IngestionError naming the file, the 1-based line
-    and the column: a wrong field count, a bad timestamp or one not after
-    the previous reading's, a number field neither empty nor finite, or
-    glucose outside (0, 600) mg/dL.
+    and the column: a wrong field count, a bad timestamp (one with a UTC
+    offset included) or one not after the previous reading's, a number
+    field neither empty nor finite, or glucose outside (0, 600) mg/dL.
     """
     path = Path(path)
     try:

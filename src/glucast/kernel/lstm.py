@@ -100,9 +100,10 @@ def lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
     order, so each step reads and writes one contiguous block. The sigmoid
     gate rows of the weights are pre-scaled by 0.5, so one tanh per step
     evaluates all four gates (sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, exact in
-    binary floating point). Recording keeps every step's gate activations and
-    cell states for the hand-written backward pass through time; an untaped
-    run keeps only the hidden states, the gate buffer and two cell rows.
+    binary floating point). The input is projected into the gate buffer one
+    step at a time. Recording keeps every step's gate activations and cell
+    states for the hand-written backward pass through time; an untaped run
+    keeps only the hidden states, one step of gates and two cell rows.
     """
     wi, wr, b, x = T._val(w_in), T._val(w_rec), T._val(bias), T._val(seq)
     h4, n_in = wi.shape
@@ -117,20 +118,22 @@ def lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
     xs = x.transpose(1, 0, 2)
     if reverse_time:
         xs = xs[::-1]
-    # the input projection as one batched matmul that reads the batch-major
-    # input in place and writes the time-major buffer, so no copy of the input
-    z = np.empty((length, batch, h4))
-    np.matmul(xs, (wi * gate_scale[:, None]).T, out=z)
-    z += b * gate_scale
+    wi_t = (wi * gate_scale[:, None]).T
+    b_scaled = b * gate_scale
     wr_t = (wr * gate_scale[:, None]).T
     gate_shift = 1.0 - gate_scale
 
+    z = np.empty((length if tp is not None else 1, batch, h4))
     h = np.empty((length, batch, hidden))
     c = np.empty((length if tp is not None else 2, batch, hidden))
+    rec = np.empty((batch, h4))
+    ig = np.empty((batch, hidden))
     for s in range(length):
-        a = z[s]
+        a = z[s % len(z)]
+        np.matmul(xs[s], wi_t, out=a)
+        a += b_scaled
         if s:
-            a += h[s - 1] @ wr_t
+            a += np.matmul(h[s - 1], wr_t, out=rec)
         np.tanh(a, out=a)
         a *= gate_scale
         a += gate_shift
@@ -138,7 +141,7 @@ def lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
         c_s = c[s % len(c)]
         if s:
             np.multiply(f, c[(s - 1) % len(c)], out=c_s)
-            c_s += i * g
+            c_s += np.multiply(i, g, out=ig)
         else:
             np.multiply(i, g, out=c_s)
         np.tanh(c_s, out=h[s])
@@ -156,26 +159,38 @@ def lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
             gs = gs[::-1]
         gates = z.reshape(length, batch, 4, hidden)
         i, f, g, o = (gates[:, :, k] for k in range(4))
-        tanh_c = np.tanh(c)
         # dz = [dc * d_i, dc * d_f, dc * d_g, dh * d_o], where dc and dh are the
         # step's cell and hidden adjoints; fill the d_* factors for all steps
-        dz = gates * (1.0 - gates)
-        dz[:, :, 0] *= g
-        dz[1:, :, 1] *= c[:-1]
-        dz[0, :, 1] = 0.0
-        dz[:, :, 2] = i * (1.0 - g * g)
-        dz[:, :, 3] *= tanh_c
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        # in the one gate-sized buffer, and dc_dh in the tanh(c) buffer
+        dz = np.subtract(1.0, z)
+        dz *= z
+        d = dz.reshape(length, batch, 4, hidden)
+        d[:, :, 0] *= g
+        d[1:, :, 1] *= c[:-1]
+        d[0, :, 1] = 0.0
+        d_g = np.multiply(g, g, out=d[:, :, 2])
+        np.subtract(1.0, d_g, out=d_g)
+        d_g *= i
+        dc_dh = np.tanh(c)
+        d[:, :, 3] *= dc_dh
+        np.multiply(dc_dh, dc_dh, out=dc_dh)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
 
-        dc_next = None
+        dh, dc, dc_next = np.empty((3, batch, hidden))
         for s in range(length - 1, -1, -1):
-            dh = gs[s] + dz[s + 1].reshape(batch, h4) @ wr if s + 1 < length else gs[s]
-            dc = dh * dc_dh[s]
-            if dc_next is not None:
+            if s + 1 < length:
+                np.matmul(dz[s + 1], wr, out=dh)
+                dh += gs[s]
+            else:
+                dh[...] = gs[s]
+            np.multiply(dh, dc_dh[s], out=dc)
+            if s + 1 < length:
                 dc += dc_next
-            dz[s, :, :3] *= dc[:, None, :]
-            dz[s, :, 3] *= dh
-            dc_next = dc * f[s]
+            d[s, :, :3] *= dc[:, None, :]
+            d[s, :, 3] *= dh
+            np.multiply(dc, f[s], out=dc_next)
+        del dc_dh  # not alive through the weight-gradient GEMMs below
 
         flat = dz.reshape(length * batch, h4)
         d_w_in = flat.T @ np.ascontiguousarray(xs).reshape(-1, n_in)

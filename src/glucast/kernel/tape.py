@@ -74,7 +74,9 @@ class Tape:
         """Accumulate d(root)/d(node) into every node reachable from root.
 
         The adjoints of recorded op outputs are reset first, so a graph can be
-        replayed; leaf nodes accumulate across passes.
+        replayed; leaf nodes accumulate across passes. An op output's adjoint
+        is dropped once the op's pulls have run, so after the pass only the
+        leaves hold gradients.
         """
         for out, _ in self._ops:
             out.grad = None
@@ -82,7 +84,7 @@ class Tape:
             seed = np.ones_like(root.value)
         root.grad = np.array(seed, dtype=np.float64)
         for out, pulls in reversed(self._ops):
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 continue
             for parent, vjp in pulls:
@@ -117,14 +119,17 @@ def _pulls(*pairs):
 def _emit_shared(tape, value, inputs, vjps):
     """Emit one op over several inputs whose VJPs come from a single call
     ``vjps(g)`` returning one gradient per input (None for a constant input).
-    The call is made once per backward pass and its result shared."""
-    cache = [None, None]
+    The first pull of a backward pass makes the call; each pull then takes
+    its own result out, so none outlives the pull that hands it on."""
+    wanted = [k for k, x in enumerate(inputs) if isinstance(x, Node)]
+    pending = {}
 
     def pull_at(k):
         def pull(g):
-            if cache[0] is not g:
-                cache[0], cache[1] = g, vjps(g)
-            return cache[1][k]
+            if k not in pending:
+                results = vjps(g)
+                pending.update((j, results[j]) for j in wanted)
+            return pending.pop(k)
         return pull
 
     return _emit(tape, value, _pulls(*((x, pull_at(k)) for k, x in enumerate(inputs))))

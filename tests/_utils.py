@@ -12,6 +12,7 @@ import numpy as np
 
 from glucast.datapipe import GlucoseSeries
 from glucast.errors import IngestionError
+from glucast.kernel import tape as T
 
 
 def finite_diff_params(value_fn, arrays, eps=1e-5):
@@ -69,6 +70,102 @@ def oracle_lstm(x, w_in, w_rec, bias, reverse_time=False):
         h, c = oracle_lstm_cell(x[:, t], h, c, w_in, w_rec, bias)
         out[:, t] = h
     return out
+
+
+def oracle_lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
+    """The fused LSTM op as it was with whole-sequence buffers: the input
+    projection of all steps in one batched matmul, and the BPTT factors of
+    all steps built from gate- and cell-sized temporaries. Same signature
+    and node protocol as ``kernel.lstm_scan``."""
+    wi, wr, b, x = T._val(w_in), T._val(w_rec), T._val(bias), T._val(seq)
+    h4, n_in = wi.shape
+    hidden = h4 // 4
+    batch, length, _ = x.shape
+
+    gate_scale = np.full(h4, 0.5)
+    gate_scale[2 * hidden:3 * hidden] = 1.0
+    xs = x.transpose(1, 0, 2)
+    if reverse_time:
+        xs = xs[::-1]
+    z = np.empty((length, batch, h4))
+    np.matmul(xs, (wi * gate_scale[:, None]).T, out=z)
+    z += b * gate_scale
+    wr_t = (wr * gate_scale[:, None]).T
+    gate_shift = 1.0 - gate_scale
+
+    h = np.empty((length, batch, hidden))
+    c = np.empty((length if tp is not None else 2, batch, hidden))
+    for s in range(length):
+        a = z[s]
+        if s:
+            a += h[s - 1] @ wr_t
+        np.tanh(a, out=a)
+        a *= gate_scale
+        a += gate_shift
+        i, f, g, o = (a[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        c_s = c[s % len(c)]
+        if s:
+            np.multiply(f, c[(s - 1) % len(c)], out=c_s)
+            c_s += i * g
+        else:
+            np.multiply(i, g, out=c_s)
+        np.tanh(c_s, out=h[s])
+        h[s] *= o
+
+    value = (h[::-1] if reverse_time else h).transpose(1, 0, 2)
+    if tp is None:
+        return T.Node(value)
+
+    def bptt(grad):
+        gs = grad.transpose(1, 0, 2)
+        if reverse_time:
+            gs = gs[::-1]
+        gates = z.reshape(length, batch, 4, hidden)
+        i, f, g, o = (gates[:, :, k] for k in range(4))
+        tanh_c = np.tanh(c)
+        dz = gates * (1.0 - gates)
+        dz[:, :, 0] *= g
+        dz[1:, :, 1] *= c[:-1]
+        dz[0, :, 1] = 0.0
+        dz[:, :, 2] = i * (1.0 - g * g)
+        dz[:, :, 3] *= tanh_c
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+
+        dc_next = None
+        for s in range(length - 1, -1, -1):
+            dh = gs[s] + dz[s + 1].reshape(batch, h4) @ wr if s + 1 < length else gs[s]
+            dc = dh * dc_dh[s]
+            if dc_next is not None:
+                dc += dc_next
+            dz[s, :, :3] *= dc[:, None, :]
+            dz[s, :, 3] *= dh
+            dc_next = dc * f[s]
+
+        flat = dz.reshape(length * batch, h4)
+        d_w_in = flat.T @ np.ascontiguousarray(xs).reshape(-1, n_in)
+        d_w_rec = flat[batch:].T @ h[:-1].reshape(-1, hidden)
+        d_seq = None
+        if isinstance(seq, T.Node):
+            d_seq = (flat @ wi).reshape(length, batch, n_in)
+            d_seq = (d_seq[::-1] if reverse_time else d_seq).transpose(1, 0, 2)
+        return d_w_in, d_w_rec, flat.sum(axis=0), d_seq
+
+    return T._emit_shared(tp, value, (w_in, w_rec, bias, seq), bptt)
+
+
+def oracle_backward(tape, root):
+    """``Tape.backward`` as it was, keeping every adjoint it computes: the
+    replay loop over ``tape``'s recorded ops, seeded with ones."""
+    for out, _ in tape._ops:
+        out.grad = None
+    root.grad = np.ones_like(root.value)
+    for out, pulls in reversed(tape._ops):
+        g = out.grad
+        if g is None:
+            continue
+        for parent, vjp in pulls:
+            contrib = vjp(g)
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def oracle_clean_spikes(glucose, threshold):
@@ -149,6 +246,8 @@ def _oracle_timestamp(token):
         dt = datetime.fromisoformat(token.strip())
     except ValueError:
         return None
+    if dt.tzinfo is not None:  # an offset is rejected, not converted to UTC
+        return None
     return np.datetime64(dt).astype("datetime64[m]")
 
 
@@ -216,7 +315,7 @@ def _oracle_read_rows(path, text):
             stamp = _oracle_timestamp(row[0])
             if stamp is None:
                 raise IngestionError(f"{where} 'datetime': {row[0]!r} is not an "
-                                     f"ISO-8601 timestamp")
+                                     f"ISO-8601 timestamp without a UTC offset")
             if stamps and stamp <= stamps[-1]:
                 raise IngestionError(f"{where} 'datetime': {row[0]!r} does not come "
                                      f"after the previous reading ({stamps[-1]})")

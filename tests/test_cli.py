@@ -100,6 +100,27 @@ def test_config_names_file_line_and_key_of_a_bad_value(tmp_path, capsys, line, k
     assert f"{cfg_file} line 3" in err and repr(key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seq_len", "0"), ("ph_steps", "0"), ("period_minutes", "0"), ("test_days", "-1"),
+], ids=["seq_len", "ph_steps", "period_minutes", "test_days"])
+def test_config_names_file_line_and_key_of_a_geometry_value_below_one(
+        tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"seed = 4\n# a comment\n{key} = {value}\n")
+    where = f"{cfg_file} line 3: config key {key!r}: must be at least 1"
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_config(cfg_file)
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_series_csv(generate_patient(default_cohort(1, seed=3)[0], 8), raw / "p00.csv")
+    out = tmp_path / "prep"
+    assert run("preprocess", "--data", str(raw), "--config", str(cfg_file),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert where in err and "p00.csv" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_names_a_file_that_is_not_utf8(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_bytes(b"seed = 4\n\xff\xfe = 1\n")
@@ -174,6 +195,8 @@ PATIENT_CSV = ["datetime,glucose,CHO,insulin", "2026-01-05T00:00,100.0,0,0",
     pytest.param("2026-01-05T00:10,104.5,0", "insulin", id="short-row"),
     pytest.param("2026-01-05T00:10,104.5,0,1.5,3", "insulin", id="long-row"),
     pytest.param("2026-13-05T00:10,104.5,0,1.5", "datetime", id="bad-timestamp"),
+    pytest.param("2026-01-05T00:10+01:00,104.5,0,1.5", "datetime", id="timestamp-offset"),
+    pytest.param("2026-01-05T00:10Z,104.5,0,1.5", "datetime", id="timestamp-utc"),
     pytest.param("2026-01-05T00:05,104.5,0,1.5", "datetime", id="repeated-timestamp"),
     pytest.param("2026-01-05T00:01,104.5,0,1.5", "datetime", id="earlier-timestamp"),
     pytest.param("2026-01-05T00:10,abc,0,1.5", "glucose", id="glucose-abc"),

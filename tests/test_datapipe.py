@@ -1,7 +1,9 @@
 import csv
 import io
+import re
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,6 +246,23 @@ def test_series_csv_reads_as_the_two_path_reader(text):
         path.write_text(text, newline="", encoding="utf-8")
         assert read_outcome(read_series_csv, path) == \
             read_outcome(oracle_read_series_csv, path)
+
+
+@pytest.mark.parametrize("first, line", [
+    ("2026-01-05T00:00+01:00", 2),  # an offset on the first row
+    ("2026-01-05T00:00", 3),        # an offset-free row, then one in UTC
+], ids=["offset", "mixed"])
+def test_timestamp_with_a_utc_offset_is_a_bad_timestamp(tmp_path, first, line):
+    path = tmp_path / "p00.csv"
+    path.write_text(f"datetime,glucose,CHO,insulin\n{first},100.0,0,0\n"
+                    "2026-01-05T00:05Z,101.0,0,0\n")
+    bad = first if line == 2 else "2026-01-05T00:05Z"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestionError, match=re.escape(
+                f"{path}: line {line}, column 'datetime': {bad!r} is not an ISO-8601 "
+                "timestamp without a UTC offset")):
+            read_series_csv(path)
 
 
 # --- clean_spikes -------------------------------------------------------------

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glucast.errors import DimensionError
 from glucast.kernel import LstmParams, Tape, init_lstm_params, lstm_scan
 from glucast.kernel import tape as T
+from glucast.models import MODELS, baselines, retain
+from glucast.training import backward_with_reversal
+from glucast.training.loss import cross_entropy_node, mse_node
 
-from _utils import finite_diff_params, max_rel_err, oracle_lstm, oracle_lstm_cell
+from _utils import (finite_diff_params, max_rel_err, oracle_backward, oracle_lstm,
+                    oracle_lstm_cell, oracle_lstm_scan)
 
 
 def check_op(build_node, arrays, rtol=1e-6):
@@ -283,3 +289,100 @@ def test_lstm_scan_is_one_tape_op_and_replays_bit_identically():
     for first, second, doubled in zip(*grads):
         assert np.array_equal(first, second)
         assert np.array_equal(2.0 * first, doubled)
+
+
+# --- lstm against the whole-sequence oracle, bit for bit ----------------------
+
+def scan_bytes(scan_fn, params, x, weights, reverse_time, node_seq, taped):
+    """The bytes of a scan's output and, when taped, of every leaf gradient
+    after each of two backward replays (the second adds to the first)."""
+    nodes = [T.Node(a.copy()) for a in (params.w_in, params.w_rec, params.bias)]
+    if node_seq:
+        nodes.append(T.Node(x.copy()))
+    seq = nodes[3] if node_seq else x.copy()
+    tp = Tape() if taped else None
+    out = scan_fn(tp, *nodes[:3], seq, reverse_time=reverse_time)
+    got = [out.value.tobytes()]
+    if taped:
+        loss = T.sum_all(T.mul(out, weights, tp), tp)
+        for _ in range(2):
+            tp.backward(loss)
+            got += [n.grad.tobytes() for n in nodes]
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.sampled_from([1, 7, 50, 512]), hidden=st.sampled_from([1, 5, 24, 128]),
+       n_in=st.sampled_from([3, 64]), length=st.sampled_from([1, 2, 6, 37]),
+       reverse_time=st.booleans(), node_seq=st.booleans(), taped=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(batch=512, hidden=128, n_in=64, length=37, reverse_time=True, node_seq=True,
+         taped=True, seed=0)  # a production-size layer
+def test_lstm_scan_equals_the_whole_sequence_oracle_bit_for_bit(
+        batch, hidden, n_in, length, reverse_time, node_seq, taped, seed):
+    rng = np.random.default_rng(seed)
+    params = init_lstm_params(n_in, hidden, rng)
+    params.bias[...] = rng.normal(size=params.bias.shape)
+    x = rng.normal(size=(batch, length, n_in))
+    weights = rng.normal(size=(batch, length, hidden))
+    args = (params, x, weights, reverse_time, node_seq, taped)
+    assert scan_bytes(lstm_scan, *args) == scan_bytes(oracle_lstm_scan, *args)
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_untaped_scan_keeps_one_step_of_gates():
+    # (37, 512, 512) gates of the whole sequence would be 4x the output
+    params = init_lstm_params(64, 128, np.random.default_rng(7))
+    x = RNG.normal(size=(512, 37, 64))
+    out, peak = traced_peak(lambda: scan(params, x))
+    assert peak < 1.5 * out.nbytes
+
+
+def test_production_lstm_training_step_peak_memory():
+    model = MODELS["lstm"].build(baselines.LstmRegConfig(3, 256, 256, 5), seed=1)
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=(50, 37, 3)), rng.normal(size=50)
+    labels = rng.integers(0, 5, size=50)
+    _, peak = traced_peak(lambda: backward_with_reversal(model, x, y, labels, 10 ** -2.5))
+    assert peak < 90 * 2 ** 20
+
+
+def loss_graph(model, x, y, labels):
+    """(tape, parameter nodes, root) of a training loss with the adversary."""
+    tp = Tape()
+    nodes = {k: T.Node(v.copy()) for k, v in model.param_arrays().items()}
+    pred, adv = model.graph(tp, x, nodes, with_adversary=True)
+    total = mse_node(tp, pred, y)
+    if adv is not None:
+        total = T.add(total, T.scale(cross_entropy_node(tp, adv, labels), 0.3, tp), tp)
+    return tp, nodes, total
+
+
+@pytest.mark.parametrize("model", [
+    MODELS["retain"].build(retain.RetainConfig(seq_len=6, embed_dim=5, alpha_hidden=4,
+                                               beta_hidden=3, n_sources=3,
+                                               reverse_time=True), seed=2),
+    MODELS["stdattn"].build(baselines.StdAttnConfig(3, 4), seed=2),
+    MODELS["lstm"].build(baselines.LstmRegConfig(3, 5, 4, 3), seed=2),
+], ids=lambda m: m.kind)
+def test_backward_frees_op_adjoints_and_keeps_leaf_gradients(model):
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(7, 6, 3)), rng.normal(size=7)
+    labels = rng.integers(0, 3, size=7)
+    tp, nodes, total = loss_graph(model, x, y, labels)
+    ref_tp, ref_nodes, ref_total = loss_graph(model, x, y, labels)
+    tp.backward(total)
+    oracle_backward(ref_tp, ref_total)
+    assert all(out.grad is None for out, _ in tp._ops)
+    for name, node in nodes.items():
+        ref = ref_nodes[name].grad
+        assert (node.grad is None) == (ref is None), name
+        assert node.grad is None or node.grad.tobytes() == ref.tobytes(), name
