@@ -8,8 +8,8 @@ per-input contribution tables. Every command echoes its effective
 configuration into the output directory, so a run is reproducible from the
 echo plus the seed.
 
-Exit codes: 0 ok, 2 usage/config, 3 missing input, 4 numeric failure,
-5 capability mismatch.
+Exit codes: 0 ok, 2 usage/config, 3 missing or unreadable input, 4 numeric
+failure, 5 capability mismatch.
 """
 
 from __future__ import annotations
@@ -270,15 +270,18 @@ def cmd_train(args) -> int:
     if not data.is_dir():
         raise FileNotFoundError(f"archive directory {data} does not exist")
     source_ids = [p for p in (args.sources or "").split(",") if p]
+    patient_ids = [*source_ids, args.target]
     try:
-        sources = [_splits_from_archive(read_patient_archive(data, pid))
-                   for pid in source_ids]
-        target = _splits_from_archive(read_patient_archive(data, args.target))
+        archives = [read_patient_archive(data, pid) for pid in patient_ids]
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"missing preprocessed archive: {exc}") from exc
+    model = _build_model(cfg, n_sources=len(source_ids))
+    for pid, archive in zip(patient_ids, archives):
+        _check_geometry(model, "the model config", data / pid, archive["scaling"],
+                        archive["meta"], [archive["train"], archive["valid"]])
+    *sources, target = map(_splits_from_archive, archives)
 
     out = _ensure_out_dir(args.out)
-    model = _build_model(cfg, n_sources=len(source_ids))
     train_cfg = _train_config(cfg)
 
     history = []
@@ -295,23 +298,28 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_geometry(model, owner, root, scaling, meta, splits):
+    """ConfigError naming ``owner`` (the model file or config) and the
+    archive's scaling.json unless the model takes the windows of the archive
+    in ``root``: those its sidecar describes and those of ``splits``."""
+    archive = {"seq_len": (meta["seq_len"], *(s.x.shape[1] for s in splits)),
+               "input_dim": (len(scaling.input_mean), *(s.x.shape[2] for s in splits))}
+    for name, value in model.window_geometry().items():
+        for have in archive[name]:
+            if have != value:
+                raise ConfigError(
+                    f"{owner} has {name} = {value}, but the archive "
+                    f"{root / 'scaling.json'} and its windows have {name} = {have}")
+
+
 def _load_target_test(data_dir, target, model, model_path):
     """The target's test split (train.csv and valid.csv are not read), after
     checking that the model takes the archive's windows."""
     root = Path(data_dir) / target
     scaling, meta = read_scaling_json(root / "scaling.json")
     test = read_archive_split(root, "test", scaling, meta)
-    archive = {"seq_len": (meta["seq_len"], test.x.shape[1]),
-               "input_dim": (len(scaling.input_mean), test.x.shape[2])}
-    for name, value in model.window_geometry().items():
-        if any(have != value for have in archive[name]):
-            raise ConfigError(
-                f"model {model_path} has {name} = {value}, but the archive "
-                f"{root / 'scaling.json'} and its test windows have "
-                f"{name} = {archive[name][0]}")
-    truth = {np.datetime64(t, "m"): float(v)
-             for t, v in zip(test.target_t, scaling.invert_target(test.y))}
-    return meta, test, scaling, truth
+    _check_geometry(model, f"model {model_path}", root, scaling, meta, [test])
+    return meta, test, scaling
 
 
 def cmd_evaluate(args) -> int:
@@ -320,8 +328,9 @@ def cmd_evaluate(args) -> int:
     if not model_path.is_file():
         raise FileNotFoundError(f"model file {model_path} does not exist")
     model = load_model(model_path)
-    _, test, scaling, truth = _load_target_test(args.data, args.target, model,
-                                                model_path)
+    _, test, scaling = _load_target_test(args.data, args.target, model, model_path)
+    truth = {np.datetime64(t, "m"): float(v)
+             for t, v in zip(test.target_t, scaling.invert_target(test.y))}
 
     preds = model.predict(test.x)
     series = reconstruct(list(zip(test.target_t, preds)), scaling, truth)
@@ -367,10 +376,7 @@ def cmd_explain(args) -> int:
               "the two-level-attention model)", file=sys.stderr)
         return EXIT_CAPABILITY
 
-    meta, test, scaling, _ = _load_target_test(args.data, args.target, model,
-                                               model_path)
-    if not len(test):
-        raise ValueError(f"the test split of {args.target} has no windows to explain")
+    meta, test, scaling = _load_target_test(args.data, args.target, model, model_path)
     if args.sample is not None and not 0 <= args.sample < len(test):
         raise ConfigError(f"--sample must be in [0, {len(test)})")
     period = meta["period_minutes"]
@@ -488,7 +494,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IngestionError) as exc:
+    except (OSError, IngestionError) as exc:  # a missing or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except ConfigError as exc:

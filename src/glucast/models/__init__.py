@@ -21,9 +21,7 @@ from .retain import (
     ForwardTrace,
     RetainConfig,
     RetainParams,
-    forward,
     init_retain_params,
-    trace_batch,
 )
 from .serialize import load_model, save_model
 from .wrappers import (
@@ -37,7 +35,6 @@ from .wrappers import (
 
 __all__ = [
     "RetainConfig", "RetainParams", "ForwardTrace", "init_retain_params",
-    "forward", "trace_batch",
     "ContributionMap", "contributions", "normalized_contributions",
     "aggregate_attributions", "event_conditioned_attributions",
     "event_mask_from_windows", "EventAttributionProfile",

@@ -87,7 +87,8 @@ def init_lstm_reg_params(config: LstmRegConfig, rng) -> LstmRegParams:
 
 
 def std_attn_graph(tp, x_batch, p):
-    """Graph for a (B, L, r) batch; returns (y_hat (B,), weights (B, L))."""
+    """Graph for a (B, L, r) batch: a dict of the nodes ``y_hat`` (B,) and
+    ``weights`` (B, L), and ``adv_probs`` None (the baseline has no adversary)."""
     x = T._val(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
@@ -100,7 +101,7 @@ def std_attn_graph(tp, x_batch, p):
     pooled = T.sum_axis(T.mul(states, T.reshape(weights, (batch, seq_len, 1), tp), tp),
                         1, tp)                               # (B, p)
     y_hat = T.add(T.matmul(pooled, p["out_w"], tp), p["out_b"], tp)
-    return y_hat, weights
+    return {"y_hat": y_hat, "weights": weights, "adv_probs": None}
 
 
 def _last_step(seq, tp):
@@ -116,7 +117,9 @@ def _last_step(seq, tp):
 
 
 def lstm_reg_graph(tp, x_batch, p, with_adversary=True, reverse_adversary=True):
-    """Graph for the stacked regressor; returns (y_hat, last hidden, adv_probs)."""
+    """Graph for the stacked regressor: a dict of the nodes ``y_hat`` (B,),
+    ``hidden`` (the last hidden state, (B, n2)) and ``adv_probs`` (B, K)
+    (None without the adversary)."""
     x = T._val(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
@@ -129,4 +132,4 @@ def lstm_reg_graph(tp, x_batch, p, with_adversary=True, reverse_adversary=True):
         fed = T.grad_reverse(hidden, tp) if reverse_adversary else hidden
         logits = T.add(T.matmul(fed, T.transpose(p["adv_w"], tp), tp), p["adv_b"], tp)
         adv_probs = T.softmax(logits, tp)
-    return y_hat, hidden, adv_probs
+    return {"y_hat": y_hat, "hidden": hidden, "adv_probs": adv_probs}

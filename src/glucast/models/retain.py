@@ -9,6 +9,10 @@ per-(timestep, variable) contributions; see :mod:`glucast.models.attribution`.
 
 A patient-classification head (dense + softmax on the context vector) makes
 the model usable for adversarial multi-source transfer.
+
+:func:`build_graph` returns its nodes by name, taped or not. Predictions and
+traces (:class:`ForwardTrace`) come from ``RetainModel`` in
+:mod:`glucast.models.wrappers`, whose one untaped runner checks the windows.
 """
 
 from __future__ import annotations
@@ -18,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ConsistencyError, DimensionError
-from ..kernel import (
-    LstmParams,
-    check_dimensions,
-    check_finite,
-    glorot,
-    init_lstm_params,
-    lstm_scan,
-    param_arrays,
-)
+from ..kernel import LstmParams, check_dimensions, glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
 
@@ -100,8 +96,8 @@ def _check_rows(bad, message):
 @dataclass
 class ForwardTrace:
     """Every intermediate of a forward pass, kept for attribution. A batch
-    trace (from :func:`trace_batch`) carries a leading (B,) axis on every
-    field; a single-window trace has none and a float ``y_hat``."""
+    trace (from ``RetainModel.trace_batch``) carries a leading (B,) axis on
+    every field; a single-window trace has none and a float ``y_hat``."""
 
     embeddings: np.ndarray        # (L, m) v_i
     scores: np.ndarray            # (L,) pre-softmax temporal scores
@@ -128,22 +124,11 @@ class ForwardTrace:
             y_hat=float(self.y_hat[i]), adv_probs=self.adv_probs[i])
 
 
-@dataclass
-class GraphOutputs:
-    """Graph nodes of a (possibly batched) forward pass."""
-
-    embeddings: T.Node        # (B, L, m)
-    scores: T.Node            # (B, L)
-    temporal_weights: T.Node  # (B, L)
-    variable_weights: T.Node  # (B, L, m)
-    context: T.Node           # (B, m)
-    y_hat: T.Node             # (B,)
-    adv_probs: T.Node | None  # (B, K)
-
-
 def build_graph(tp, x_batch, p, config: RetainConfig, with_adversary=True,
-                reverse_adversary=True) -> GraphOutputs:
-    """Assemble the forward graph for a (B, L, r) input batch.
+                reverse_adversary=True) -> dict:
+    """The forward graph of a (B, L, r) input batch, as a dict of its named
+    nodes: ``y_hat`` (B,), ``adv_probs`` (B, K) (None without the adversary)
+    and the other intermediates under their :class:`ForwardTrace` names.
 
     ``p`` maps flat parameter names (as in :func:`param_arrays`) to arrays or
     tape nodes. When ``reverse_adversary`` is set, the classifier head reads
@@ -191,52 +176,6 @@ def build_graph(tp, x_batch, p, config: RetainConfig, with_adversary=True,
         logits = T.add(T.matmul(fed, T.transpose(p["adv_w"], tp), tp), p["adv_b"], tp)
         adv_probs = T.softmax(logits, tp)
 
-    return GraphOutputs(embeddings=embeddings, scores=scores,
-                        temporal_weights=temporal, variable_weights=variable,
-                        context=context, y_hat=y_hat, adv_probs=adv_probs)
-
-
-# windows per untaped pass in trace_batch: bounds the LSTM intermediates
-# alive at once (a whole 1440-window test split in one pass triples peak memory)
-TRACE_CHUNK = 128
-
-
-def in_chunks(fn, x, chunk):
-    """fn over consecutive blocks of at most ``chunk`` rows of a non-empty x,
-    with its array result (or each array of its tuple result, where a None
-    stays None) concatenated on axis 0."""
-    x = np.asarray(x, dtype=np.float64)
-    parts = [fn(x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
-    if isinstance(parts[0], tuple):
-        return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
-
-
-def trace_batch(x, params: RetainParams, config: RetainConfig) -> ForwardTrace:
-    """Run a (B, L, r) batch through the model, TRACE_CHUNK windows at a
-    time, and keep all intermediates with a leading batch axis."""
-    x = check_finite(x, "input windows")
-    if x.ndim != 3 or x.shape[1:] != (config.seq_len, config.input_dim) or not len(x):
-        raise DimensionError(
-            f"input windows have shape {x.shape}, expected "
-            f"(B >= 1, {config.seq_len}, {config.input_dim})")
-    arrays = param_arrays(params)
-
-    def trace_chunk(xs):
-        outs = build_graph(None, xs, arrays, config)
-        return tuple(node.value for node in (
-            outs.embeddings, outs.scores, outs.temporal_weights,
-            outs.variable_weights, outs.context, outs.y_hat, outs.adv_probs))
-
-    return ForwardTrace(*in_chunks(trace_chunk, x, TRACE_CHUNK))
-
-
-def forward(x, params: RetainParams, config: RetainConfig) -> ForwardTrace:
-    """Run one (L, r) window through the model and keep all intermediates."""
-    x = check_finite(x, "input window")
-    if x.shape != (config.seq_len, config.input_dim):
-        raise DimensionError(
-            f"input window has shape {x.shape}, expected "
-            f"{(config.seq_len, config.input_dim)}")
-    return trace_batch(x[None], params, config).row(0)
-
+    return {"embeddings": embeddings, "scores": scores, "temporal_weights": temporal,
+            "variable_weights": variable, "context": context, "y_hat": y_hat,
+            "adv_probs": adv_probs}

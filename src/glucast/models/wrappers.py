@@ -1,23 +1,66 @@
-"""Uniform handles around the three model families, and their registry.
+"""Uniform handles around the three model families, their registry, and
+the one untaped runner.
 
 Each family is one class: its CLI name (``kind``), its file format tag, its
-config dataclass, its parameter init and its forward graph. Everything else
-is shared: the model is ``Cls(config, params)``, ``build(config, seed)``
-makes a fresh one, ``param_arrays`` is the generic flat view of the params
-dataclass, ``window_geometry`` reads the config (input width, and window
-length where the config fixes one) and ``predict`` is one untaped pass.
-The training loop, the CLI and serialization use only these, and find a
-family through ``MODELS``.
+config dataclass, its parameter init and its forward graph, which returns
+a dict of named nodes (``y_hat``, ``adv_probs`` and any intermediates).
+Everything else is shared: the model is ``Cls(config, params)``,
+``build(config, seed)`` makes a fresh one, ``param_arrays`` is the generic
+flat view of the params dataclass and ``window_geometry`` reads the config
+(input width, and window length where the config fixes one).
+
+``untaped_pass`` is the only code that runs a graph without a tape:
+``predict``, validation and the retain trace behind ``explain`` all go
+through it, and so through one window check (``check_windows``), which the
+training loop also runs on the windows it tapes. The training loop, the CLI
+and serialization use only these, and find a family through ``MODELS``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
-from ..kernel import param_arrays
+from ..errors import DimensionError
+from ..kernel import check_finite, param_arrays
 from . import baselines, retain
 
-PREDICT_CHUNK = 512  # windows per untaped prediction pass
+# windows per untaped pass of predict and validation; validation's adv_probs
+# (and so history.csv) change in the last bits at other chunk sizes
+PREDICT_CHUNK = 512
+# windows per untaped pass of a retain trace: bounds the intermediates alive
+# at once, which set the peak memory of explain (512 raises it by about 5 MB)
+TRACE_CHUNK = 128
+
+TRACE_FIELDS = tuple(f.name for f in fields(retain.ForwardTrace))
+
+
+def check_windows(model, x) -> np.ndarray:
+    """x as a float64 (B >= 1, L, r) array of finite windows that the
+    model's window geometry takes; ValueError or DimensionError otherwise."""
+    x = check_finite(x, "input windows")
+    want = model.window_geometry()
+    if (x.ndim != 3 or not len(x) or x.shape[2] != want["input_dim"]
+            or x.shape[1] != want.get("seq_len", x.shape[1])):
+        raise DimensionError(f"input windows have shape {x.shape}, expected "
+                             f"(B >= 1, {want.get('seq_len', 'L')}, {want['input_dim']})")
+    return x
+
+
+def untaped_pass(model, x, outputs, chunk=PREDICT_CHUNK) -> dict:
+    """{name: array} of the named graph outputs for a batch of windows,
+    checked once and run ``chunk`` windows at a time. The adversary head
+    runs only when ``adv_probs`` is named."""
+    x = check_windows(model, x)
+    arrays = model.param_arrays()
+
+    def run(xs):  # a chunk's other nodes are freed before the next chunk runs
+        nodes = model.graph(None, xs, arrays, with_adversary="adv_probs" in outputs)
+        return [nodes[name].value for name in outputs]
+
+    parts = [run(x[lo:lo + chunk]) for lo in range(0, len(x), chunk)]
+    return {name: np.concatenate(values) for name, values in zip(outputs, zip(*parts))}
 
 
 class _Model:
@@ -43,23 +86,8 @@ class _Model:
                 for name in ("seq_len", "input_dim") if hasattr(self.config, name)}
 
 
-def untaped_pass(model, x, with_adversary=False):
-    """(y_hat, adv_probs) of a (B, L, r) batch through the model's untaped
-    graph, PREDICT_CHUNK windows at a time; adv_probs is None without the
-    adversary."""
-    if not len(x):
-        return np.empty(0), None
-    arrays = model.param_arrays()
-
-    def chunk(xs):
-        y_hat, adv = model.graph(None, xs, arrays, with_adversary=with_adversary)
-        return y_hat.value, None if adv is None else adv.value
-
-    return retain.in_chunks(chunk, x, PREDICT_CHUNK)
-
-
 def _predict(self, x) -> np.ndarray:
-    return untaped_pass(self, x)[0]
+    return untaped_pass(self, x, ("y_hat",))["y_hat"]
 
 
 class RetainModel(_Model):
@@ -76,17 +104,18 @@ class RetainModel(_Model):
         return cls.build(config, seed)
 
     def graph(self, tp, x_batch, p, with_adversary=True):
-        outs = retain.build_graph(tp, x_batch, p, self.config,
+        return retain.build_graph(tp, x_batch, p, self.config,
                                   with_adversary=with_adversary)
-        return outs.y_hat, outs.adv_probs
 
     predict = _predict
 
     def forward(self, x) -> retain.ForwardTrace:
-        return retain.forward(x, self.params, self.config)
+        """The trace of one (L, r) window."""
+        return self.trace_batch(np.asarray(x)[None]).row(0)
 
     def trace_batch(self, x) -> retain.ForwardTrace:
-        return retain.trace_batch(x, self.params, self.config)
+        """The trace of a (B, L, r) batch, every field with a leading batch axis."""
+        return retain.ForwardTrace(**untaped_pass(self, x, TRACE_FIELDS, TRACE_CHUNK))
 
 
 class StdAttnModel(_Model):
@@ -104,8 +133,7 @@ class StdAttnModel(_Model):
         return cls.build(baselines.StdAttnConfig(input_dim, hidden), seed)
 
     def graph(self, tp, x_batch, p, with_adversary=False):
-        y_hat, _ = baselines.std_attn_graph(tp, x_batch, p)
-        return y_hat, None
+        return baselines.std_attn_graph(tp, x_batch, p)
 
     predict = _predict
 
@@ -126,9 +154,7 @@ class LstmRegModel(_Model):
             baselines.LstmRegConfig(input_dim, hidden1, hidden2, n_sources), seed)
 
     def graph(self, tp, x_batch, p, with_adversary=True):
-        y_hat, _, adv = baselines.lstm_reg_graph(tp, x_batch, p,
-                                                 with_adversary=with_adversary)
-        return y_hat, adv
+        return baselines.lstm_reg_graph(tp, x_batch, p, with_adversary=with_adversary)
 
     predict = _predict
 

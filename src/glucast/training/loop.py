@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..kernel import tape as T
-from ..models.wrappers import restore, snapshot, untaped_pass
+from ..models.wrappers import check_windows, restore, snapshot, untaped_pass
 from .adam import AdamState, adam_step
 from .loss import cross_entropy, cross_entropy_node, mse_node
 
@@ -85,13 +85,13 @@ def backward_with_reversal(model, batch_x, batch_y, batch_labels, lam):
     nodes = {name: T.Node(arr) for name, arr in arrays.items()}
     use_adv = lam > 0 and batch_labels is not None and model.supports_adversary
 
-    pred, adv_probs = model.graph(tp, np.asarray(batch_x, dtype=np.float64),
-                                  nodes, with_adversary=use_adv)
-    total = mse_node(tp, pred, batch_y)
+    outs = model.graph(tp, np.asarray(batch_x, dtype=np.float64), nodes,
+                       with_adversary=use_adv)
+    total = mse_node(tp, outs["y_hat"], batch_y)
     mse_val = float(total.value)
     ce_val = 0.0
     if use_adv:
-        ce = cross_entropy_node(tp, adv_probs, batch_labels)
+        ce = cross_entropy_node(tp, outs["adv_probs"], batch_labels)
         ce_val = float(ce.value)
         total = T.add(total, T.scale(ce, lam, tp), tp)
     if model.l2_weight > 0:
@@ -113,9 +113,9 @@ def _validation_scores(model, valid_x, valid_y, valid_labels, lam):
     """Validation MSE, and the adversary's cross-entropy where it trains (nan
     otherwise), from one untaped pass over the windows."""
     use_adv = lam > 0 and valid_labels is not None and model.supports_adversary
-    pred, adv = untaped_pass(model, valid_x, with_adversary=use_adv)
-    v_mse = float(np.mean((pred - valid_y) ** 2))
-    v_ce = cross_entropy(valid_labels, adv) if use_adv else float("nan")
+    outs = untaped_pass(model, valid_x, ("y_hat", "adv_probs") if use_adv else ("y_hat",))
+    v_mse = float(np.mean((outs["y_hat"] - valid_y) ** 2))
+    v_ce = cross_entropy(valid_labels, outs["adv_probs"]) if use_adv else float("nan")
     return v_mse, v_ce
 
 
@@ -124,6 +124,8 @@ def _optimize(model, train_x, train_y, train_labels, valid_x, valid_y,
     n = train_y.shape[0]
     if n == 0 or valid_y.shape[0] == 0:
         raise ValueError(f"{phase}: empty training or validation set")
+    check_windows(model, train_x)
+    check_windows(model, valid_x)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.param_arrays()

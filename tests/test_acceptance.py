@@ -23,7 +23,6 @@ from glucast.models import (
     StdAttnModel,
     contributions,
     event_conditioned_attributions,
-    forward,
     init_retain_params,
     load_model,
     normalized_contributions,
@@ -60,7 +59,7 @@ def test_criterion_1_decomposition_identity():
                            n_sources=int(rng.integers(1, 5)))
         params = init_retain_params(cfg, rng)
         x = rng.normal(scale=2.0, size=(cfg.seq_len, cfg.input_dim))
-        trace = forward(x, params, cfg)
+        trace = RetainModel(cfg, params).forward(x)
         cmap = contributions(x, trace, params)
         recon = cmap.contribution.sum() + cmap.bias
         err = abs(trace.y_hat - recon) / max(1.0, abs(trace.y_hat))
@@ -119,7 +118,7 @@ def test_criterion_2_gradient_correctness():
     std_model = StdAttnModel.create(input_dim=2, hidden=3, seed=3)
     _, bad_s = _check_gradients(
         "stdattn", std_model.param_arrays(),
-        lambda tp, nodes: (std_attn_graph(tp, x, nodes)[0], None),
+        lambda tp, nodes: (std_attn_graph(tp, x, nodes)["y_hat"], None),
         y, None, 0.0)
 
     lstm_model = LstmRegModel.create(input_dim=2, n_sources=3, seed=4,
@@ -139,13 +138,12 @@ def test_criterion_2_gradient_correctness():
 def _retain_unreversed(tp, nodes, model, x):
     outs = build_graph(tp, x, nodes, model.config, with_adversary=True,
                        reverse_adversary=False)
-    return outs.y_hat, outs.adv_probs
+    return outs["y_hat"], outs["adv_probs"]
 
 
 def _lstm_unreversed(tp, nodes, x):
-    y_hat, _, adv = lstm_reg_graph(tp, x, nodes, with_adversary=True,
-                                   reverse_adversary=False)
-    return y_hat, adv
+    outs = lstm_reg_graph(tp, x, nodes, with_adversary=True, reverse_adversary=False)
+    return outs["y_hat"], outs["adv_probs"]
 
 
 # --- 3: gradient-reversal identity ------------------------------------------------
@@ -162,14 +160,14 @@ def test_criterion_3_reversal_identity():
     arrays = model.param_arrays()
     _, mse_grads = _loss_value_and_grads(
         arrays, lambda tp, nodes: (build_graph(tp, x, nodes, model.config,
-                                               with_adversary=False).y_hat, None),
+                                               with_adversary=False)["y_hat"], None),
         y, None, 0.0)
 
     tp = T.Tape()
     nodes = {k: T.Node(v) for k, v in arrays.items()}
     outs = build_graph(tp, x, nodes, model.config, with_adversary=True,
                        reverse_adversary=False)
-    tp.backward(cross_entropy_node(tp, outs.adv_probs, labels))
+    tp.backward(cross_entropy_node(tp, outs["adv_probs"], labels))
     ce_grads = {k: (n.grad if n.grad is not None else np.zeros_like(n.value))
                 for k, n in nodes.items()}
 
@@ -199,9 +197,9 @@ def test_criterion_4_attention_invariants():
         batch = 1000
         x = rng.normal(scale=3.0, size=(batch, cfg.seq_len, cfg.input_dim))
         outs = build_graph(None, x, param_arrays(params), cfg, with_adversary=True)
-        alpha_err = np.abs(outs.temporal_weights.value.sum(axis=1) - 1.0)
-        adv_err = np.abs(outs.adv_probs.value.sum(axis=1) - 1.0)
-        beta_bad = np.abs(outs.variable_weights.value) > 1.0
+        alpha_err = np.abs(outs["temporal_weights"].value.sum(axis=1) - 1.0)
+        adv_err = np.abs(outs["adv_probs"].value.sum(axis=1) - 1.0)
+        beta_bad = np.abs(outs["variable_weights"].value) > 1.0
         violations += int((alpha_err > 1e-9).sum())
         violations += int((adv_err > 1e-9).sum())
         violations += int(beta_bad.any(axis=(1, 2)).sum())
@@ -387,8 +385,8 @@ def test_criterion_9_serialization_bit_exact(tmp_path):
     identical = 0
     for _ in range(100):
         x = rng.normal(scale=2.0, size=(cfg.seq_len, cfg.input_dim))
-        a = forward(x, model.params, model.config)
-        b = forward(x, loaded.params, loaded.config)
+        a = model.forward(x)
+        b = loaded.forward(x)
         identical += int(a.y_hat == b.y_hat
                          and np.array_equal(a.temporal_weights, b.temporal_weights)
                          and np.array_equal(a.variable_weights, b.variable_weights)

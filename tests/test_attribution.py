@@ -4,13 +4,12 @@ import pytest
 from glucast.errors import ConsistencyError, DegenerateAttributionError
 from glucast.models import (
     RetainConfig,
+    RetainModel,
     aggregate_attributions,
     contributions,
     event_conditioned_attributions,
-    forward,
     init_retain_params,
     normalized_contributions,
-    trace_batch,
 )
 from glucast.models.attribution import ContributionMap, event_mask_from_windows
 
@@ -28,7 +27,7 @@ def test_zero_input_all_zero_contributions():
     params = make()
     params.out_b[...] = 0.4
     x = np.zeros((CFG.seq_len, CFG.input_dim))
-    cmap = contributions(x, forward(x, params, CFG), params)
+    cmap = contributions(x, RetainModel(CFG, params).forward(x), params)
     assert np.array_equal(cmap.contribution, np.zeros_like(x))
     assert cmap.contribution.sum() + cmap.bias == pytest.approx(0.4)
 
@@ -37,7 +36,7 @@ def test_single_nonzero_input_owns_the_prediction():
     params = make(seed=3)
     x = np.zeros((CFG.seq_len, CFG.input_dim))
     x[2, 1] = 1.7
-    trace = forward(x, params, CFG)
+    trace = RetainModel(CFG, params).forward(x)
     cmap = contributions(x, trace, params)
     others = cmap.contribution.copy()
     others[2, 1] = 0.0
@@ -50,7 +49,7 @@ def test_decomposition_identity_random():
         params = make(seed=seed)
         x = np.random.default_rng(seed + 1000).normal(
             scale=2.0, size=(CFG.seq_len, CFG.input_dim))
-        trace = forward(x, params, CFG)
+        trace = RetainModel(CFG, params).forward(x)
         cmap = contributions(x, trace, params)
         assert cmap.contribution.sum() + cmap.bias == pytest.approx(
             trace.y_hat, abs=1e-9)
@@ -59,7 +58,7 @@ def test_decomposition_identity_random():
 def test_coefficient_homogeneity_power_of_two_exact():
     params = make(seed=5)
     x = RNG.normal(size=(CFG.seq_len, CFG.input_dim))
-    cmap = contributions(x, forward(x, params, CFG), params)
+    cmap = contributions(x, RetainModel(CFG, params).forward(x), params)
     # with attention frozen through the stored coefficients, doubling an
     # input exactly doubles its contribution
     assert np.array_equal(cmap.coefficients * (2.0 * x), 2.0 * cmap.contribution)
@@ -68,7 +67,7 @@ def test_coefficient_homogeneity_power_of_two_exact():
 def test_stale_trace_raises_consistency_error():
     params = make(seed=6)
     x = RNG.normal(size=(CFG.seq_len, CFG.input_dim))
-    trace = forward(x, params, CFG)
+    trace = RetainModel(CFG, params).forward(x)
     other_cfg = RetainConfig(seq_len=4, input_dim=3, embed_dim=3,
                              alpha_hidden=2, beta_hidden=2, n_sources=2)
     other = init_retain_params(other_cfg, np.random.default_rng(0))
@@ -84,11 +83,11 @@ def test_batched_contributions_match_per_window():
     params = make(seed=8)
     xs = np.random.default_rng(8).normal(scale=2.0,
                                          size=(50, CFG.seq_len, CFG.input_dim))
-    batch = contributions(xs, trace_batch(xs, params, CFG), params)
+    batch = contributions(xs, RetainModel(CFG, params).trace_batch(xs), params)
     norm = normalized_contributions(batch)
     assert batch.contribution.shape == norm.shape == xs.shape
     for i, x in enumerate(xs):
-        one = contributions(x, forward(x, params, CFG), params)
+        one = contributions(x, RetainModel(CFG, params).forward(x), params)
         assert batch.bias == one.bias
         assert np.allclose(batch.contribution[i], one.contribution, rtol=0, atol=1e-12)
         assert np.allclose(batch.coefficients[i], one.coefficients, rtol=0, atol=1e-12)
@@ -98,7 +97,7 @@ def test_batched_contributions_match_per_window():
 def test_stale_batch_trace_names_the_bad_row():
     params = make(seed=9)
     xs = RNG.normal(size=(6, CFG.seq_len, CFG.input_dim))
-    trace = trace_batch(xs, params, CFG)
+    trace = RetainModel(CFG, params).trace_batch(xs)
     stale = xs.copy()
     stale[4] *= 3.0  # row 4 no longer matches its trace
     with pytest.raises(ConsistencyError, match=r"window 4\b"):

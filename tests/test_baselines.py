@@ -19,14 +19,14 @@ RNG = np.random.default_rng(31)
 
 def std_attn(x, params):
     """(predictions (B,), attention weights (B, L)) of a (B, L, r) batch."""
-    y, weights = std_attn_graph(None, x, param_arrays(params))
-    return y.value, weights.value
+    outs = std_attn_graph(None, x, param_arrays(params))
+    return outs["y_hat"].value, outs["weights"].value
 
 
 def lstm_reg(x, params):
     """(predictions, last hidden states, class probabilities) of a batch."""
-    y, hidden, adv = lstm_reg_graph(None, x, param_arrays(params))
-    return y.value, hidden.value, adv.value
+    outs = lstm_reg_graph(None, x, param_arrays(params))
+    return outs["y_hat"].value, outs["hidden"].value, outs["adv_probs"].value
 
 
 def np_softmax(s):
@@ -124,7 +124,7 @@ def test_std_attention_gradients_match_finite_differences():
 
     nodes = {k: T.Node(v) for k, v in arrays.items()}
     tp = Tape()
-    y, _ = std_attn_graph(tp, x, nodes)
+    y = std_attn_graph(tp, x, nodes)["y_hat"]
     tp.backward(T.sum_all(y, tp))
     analytic = {k: (n.grad if n.grad is not None else np.zeros_like(n.value))
                 for k, n in nodes.items()}
@@ -140,7 +140,7 @@ def test_lstm_regressor_gradients_match_finite_differences():
 
     nodes = {k: T.Node(v) for k, v in arrays.items()}
     tp = Tape()
-    y, _, _ = lstm_reg_graph(tp, x, nodes, with_adversary=False)
+    y = lstm_reg_graph(tp, x, nodes, with_adversary=False)["y_hat"]
     tp.backward(T.sum_all(y, tp))
     analytic = {k: (n.grad if n.grad is not None else np.zeros_like(n.value))
                 for k, n in nodes.items()}

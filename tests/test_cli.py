@@ -472,6 +472,23 @@ def test_evaluate_rejects_model_of_other_window_geometry(mini_run, tmp_path,
     assert not (tmp_path / "ev" / "metrics.json").exists()
 
 
+def test_evaluate_names_the_width_of_test_windows_narrower_than_the_sidecar(
+        mini_run, tmp_path, capsys):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep" / "p02", prep / "p02")
+    path = prep / "p02" / "test.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if not name.startswith("insulin_")]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+    assert run("evaluate", "--model", str(mini_run / "run" / "model.json"), "--data",
+               str(prep), "--target", "p02", "--out", str(tmp_path / "ev")) == 2
+    err = capsys.readouterr().err
+    assert "input_dim = 3, but the archive" in err and "have input_dim = 2" in err
+    assert str(prep / "p02" / "scaling.json") in err
+
+
 def test_explain_rejects_model_of_other_window_geometry(mini_run, tmp_path, capsys):
     model = _edit_model(mini_run / "run" / "model.json", tmp_path / "model.json",
                         seq_len=12)
@@ -481,6 +498,58 @@ def test_explain_rejects_model_of_other_window_geometry(mini_run, tmp_path, caps
     assert str(model) in err and "seq_len" in err
     assert str(mini_run / "prep" / "p02" / "scaling.json") in err
     assert not (tmp_path / "ex").exists()
+
+
+@pytest.mark.parametrize("field, value", [("seq_len", 12), ("input_dim", 2)])
+def test_train_rejects_archives_of_other_window_geometry(mini_run, tmp_path, capsys,
+                                                         field, value):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(_mini_cfg(mini_run).read_text() + f"{field} = {value}\n")
+    out = tmp_path / "run"
+    assert run("train", "--data", str(mini_run / "prep"), "--target", "p02",
+               "--sources", "p00,p01", "--max-epochs", "1", "--config", str(cfg),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"the model config has {field} = {value}" in err
+    assert str(mini_run / "prep" / "p00" / "scaling.json") in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def _target_is_a_file(mini_run, tmp_path):
+    target = "p02/scaling.json"
+    return (["evaluate", "--model", str(mini_run / "run" / "model.json"), "--data",
+             str(mini_run / "prep"), "--target", target, "--out", str(tmp_path / "ev")],
+            mini_run / "prep" / target)
+
+
+def _directory_among_patient_csvs(mini_run, tmp_path):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    shutil.copy(mini_run / "raw" / "p00.csv", raw)
+    (raw / "zz.csv").mkdir()
+    return (["preprocess", "--data", str(raw), "--config", str(_mini_cfg(mini_run)),
+             "--out", str(tmp_path / "prep")], raw / "zz.csv")
+
+
+def _test_split_is_a_directory(mini_run, tmp_path):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep" / "p02", prep / "p02")
+    (prep / "p02" / "test.csv").unlink()
+    (prep / "p02" / "test.csv").mkdir()
+    return (["evaluate", "--model", str(mini_run / "run" / "model.json"), "--data",
+             str(prep), "--target", "p02", "--out", str(tmp_path / "ev")],
+            prep / "p02" / "test.csv")
+
+
+@pytest.mark.parametrize("case", [_target_is_a_file, _directory_among_patient_csvs,
+                                  _test_split_is_a_directory],
+                         ids=["target-is-a-file", "dir-named-csv", "test-csv-is-a-dir"])
+def test_filesystem_fault_on_an_input_exits_3_naming_the_path(mini_run, tmp_path,
+                                                              capsys, case):
+    argv, path = case(mini_run, tmp_path)
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
 
 
 def _delete_param(params, name):

@@ -359,10 +359,11 @@ def loss_graph(model, x, y, labels):
     """(tape, parameter nodes, root) of a training loss with the adversary."""
     tp = Tape()
     nodes = {k: T.Node(v.copy()) for k, v in model.param_arrays().items()}
-    pred, adv = model.graph(tp, x, nodes, with_adversary=True)
-    total = mse_node(tp, pred, y)
-    if adv is not None:
-        total = T.add(total, T.scale(cross_entropy_node(tp, adv, labels), 0.3, tp), tp)
+    outs = model.graph(tp, x, nodes, with_adversary=True)
+    total = mse_node(tp, outs["y_hat"], y)
+    if outs["adv_probs"] is not None:
+        total = T.add(total, T.scale(cross_entropy_node(tp, outs["adv_probs"], labels),
+                                     0.3, tp), tp)
     return tp, nodes, total
 
 

@@ -4,15 +4,9 @@ import pytest
 from glucast.errors import ConfigError, ConsistencyError, DimensionError
 from glucast.kernel import Tape, param_arrays
 from glucast.kernel import tape as T
-from glucast.models import RetainModel, retain
-from glucast.models.retain import (
-    TRACE_CHUNK,
-    RetainConfig,
-    build_graph,
-    forward,
-    init_retain_params,
-    trace_batch,
-)
+from glucast.models import MODELS, RetainModel, baselines, retain
+from glucast.models.retain import RetainConfig, build_graph, init_retain_params
+from glucast.models.wrappers import TRACE_CHUNK
 
 from _utils import finite_diff_params, max_rel_err, oracle_lstm
 
@@ -71,16 +65,16 @@ def test_embed_identity_and_zero():
     cfg, params = tiny_model(seed=1, config=SQUARE)
     params.embed_w[...] = np.eye(3)
     x = RNG.normal(size=(2, cfg.seq_len, 3))
-    assert np.array_equal(trace_batch(x, params, cfg).embeddings, x)
+    assert np.array_equal(RetainModel(cfg, params).trace_batch(x).embeddings, x)
     params.embed_w[...] = RNG.normal(size=(3, 3))
-    assert np.array_equal(trace_batch(np.zeros_like(x), params, cfg).embeddings,
+    assert np.array_equal(RetainModel(cfg, params).trace_batch(np.zeros_like(x)).embeddings,
                           np.zeros_like(x))
 
 
 def test_embed_rows_match_matvec_oracle():
     cfg, params = tiny_model(seed=2)
     x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
-    got = trace_batch(x, params, cfg).embeddings
+    got = RetainModel(cfg, params).trace_batch(x).embeddings
     for b in range(3):
         for i in range(cfg.seq_len):
             assert np.allclose(got[b, i], params.embed_w @ x[b, i], atol=1e-14)
@@ -89,9 +83,9 @@ def test_embed_rows_match_matvec_oracle():
 def test_embed_shape_mismatch():
     cfg, params = tiny_model()
     with pytest.raises(DimensionError):
-        trace_batch(np.zeros((2, cfg.seq_len, cfg.input_dim + 1)), params, cfg)
+        RetainModel(cfg, params).trace_batch(np.zeros((2, cfg.seq_len, cfg.input_dim + 1)))
     with pytest.raises(DimensionError):
-        trace_batch(np.zeros((cfg.seq_len, cfg.input_dim)), params, cfg)
+        RetainModel(cfg, params).trace_batch(np.zeros((cfg.seq_len, cfg.input_dim)))
 
 
 # --- attention stages -------------------------------------------------------
@@ -101,7 +95,7 @@ def test_temporal_attention_uniform_when_weights_zero():
     params.alpha_w[...] = 0.0
     params.alpha_b[...] = 0.0
     x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
-    alphas = trace_batch(x, params, cfg).temporal_weights
+    alphas = RetainModel(cfg, params).trace_batch(x).temporal_weights
     assert np.allclose(alphas, np.full((3, cfg.seq_len), 1 / cfg.seq_len), atol=1e-15)
 
 
@@ -109,7 +103,7 @@ def test_temporal_attention_matches_composed_oracles():
     cfg, params = tiny_model(seed=2)
     params.alpha_b[...] = 0.17
     x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
-    got = trace_batch(x, params, cfg).temporal_weights
+    got = RetainModel(cfg, params).trace_batch(x).temporal_weights
     for b in range(3):
         assert np.allclose(got[b], stage_oracles(x[b], params)[1], atol=1e-14)
 
@@ -119,17 +113,17 @@ def test_variable_attention_zero_and_saturated():
     x = RNG.normal(size=(2, cfg.seq_len, cfg.input_dim))
     params.beta_w[...] = 0.0
     params.beta_b[...] = 0.0
-    assert np.array_equal(trace_batch(x, params, cfg).variable_weights,
+    assert np.array_equal(RetainModel(cfg, params).trace_batch(x).variable_weights,
                           np.zeros((2, cfg.seq_len, cfg.embed_dim)))
     params.beta_b[...] = 10.0
-    assert np.all(trace_batch(x, params, cfg).variable_weights > 0.9999)
+    assert np.all(RetainModel(cfg, params).trace_batch(x).variable_weights > 0.9999)
 
 
 def test_variable_attention_matches_composed_oracles():
     cfg, params = tiny_model(seed=4)
     params.beta_b[...] = RNG.normal(size=cfg.embed_dim)
     x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
-    got = trace_batch(x, params, cfg).variable_weights
+    got = RetainModel(cfg, params).trace_batch(x).variable_weights
     for b in range(3):
         assert np.allclose(got[b], stage_oracles(x[b], params)[2], atol=1e-14)
 
@@ -155,19 +149,19 @@ def test_context_vector_one_hot_and_zero():
     x = RNG.normal(size=(2, cfg.seq_len, cfg.input_dim))
     x[:, :, 0] = 0.0
     x[:, 2, 0] = 1.0
-    trace = trace_batch(x, params, cfg)
+    trace = RetainModel(cfg, params).trace_batch(x)
     assert np.all(trace.temporal_weights[:, 2] == 1.0)
     assert np.all(np.delete(trace.temporal_weights, 2, axis=1) <= 5e-324)  # floor
     assert np.allclose(trace.context, trace.embeddings[:, 2], atol=1e-15)
     params.beta_b[...] = 0.0
-    assert np.array_equal(trace_batch(x, params, cfg).context,
+    assert np.array_equal(RetainModel(cfg, params).trace_batch(x).context,
                           np.zeros((2, cfg.embed_dim)))
 
 
 def test_context_vector_matches_loop_oracle():
     cfg, params = tiny_model(seed=6)
     x = RNG.normal(size=(3, cfg.seq_len, cfg.input_dim))
-    trace = trace_batch(x, params, cfg)
+    trace = RetainModel(cfg, params).trace_batch(x)
     for b in range(3):
         expect = np.zeros(cfg.embed_dim)
         for i in range(cfg.seq_len):
@@ -183,7 +177,7 @@ def test_context_vector_matches_loop_oracle():
 def test_forward_zero_input_gives_bias():
     cfg, params = tiny_model()
     params.out_b[...] = 1.25
-    trace = forward(np.zeros((cfg.seq_len, cfg.input_dim)), params, cfg)
+    trace = RetainModel(cfg, params).forward(np.zeros((cfg.seq_len, cfg.input_dim)))
     assert trace.y_hat == pytest.approx(1.25, abs=1e-15)
     assert np.array_equal(trace.context, np.zeros(cfg.embed_dim))
 
@@ -193,7 +187,7 @@ def test_forward_zero_readout_gives_bias():
     params.out_w[...] = 0.0
     params.out_b[...] = -0.75
     x = RNG.normal(size=(cfg.seq_len, cfg.input_dim))
-    assert forward(x, params, cfg).y_hat == pytest.approx(-0.75, abs=1e-15)
+    assert RetainModel(cfg, params).forward(x).y_hat == pytest.approx(-0.75, abs=1e-15)
 
 
 def test_forward_rejects_nonfinite_and_bad_shape():
@@ -201,15 +195,15 @@ def test_forward_rejects_nonfinite_and_bad_shape():
     bad = np.zeros((cfg.seq_len, cfg.input_dim))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        forward(bad, params, cfg)
+        RetainModel(cfg, params).forward(bad)
     with pytest.raises(DimensionError):
-        forward(np.zeros((cfg.seq_len + 1, cfg.input_dim)), params, cfg)
+        RetainModel(cfg, params).forward(np.zeros((cfg.seq_len + 1, cfg.input_dim)))
 
 
 def test_forward_matches_pipeline_of_stage_oracles():
     cfg, params = tiny_model(seed=11)
     x = RNG.normal(size=(cfg.seq_len, cfg.input_dim))
-    trace = forward(x, params, cfg)
+    trace = RetainModel(cfg, params).forward(x)
 
     v, alphas, betas, ctx = stage_oracles(x, params)
     y = float(params.out_w @ ctx + params.out_b)
@@ -226,7 +220,7 @@ def test_forward_invariants_random_sweep():
         cfg, params = tiny_model(seed=seed)
         x = np.random.default_rng(seed).normal(scale=3.0,
                                                size=(cfg.seq_len, cfg.input_dim))
-        trace = forward(x, params, cfg)  # __post_init__ checks the invariants
+        trace = RetainModel(cfg, params).forward(x)  # __post_init__ checks the invariants
         assert abs(trace.temporal_weights.sum() - 1.0) <= 1e-9
         assert np.all(trace.temporal_weights > 0)
         assert np.all(np.abs(trace.variable_weights) <= 1.0)
@@ -240,8 +234,8 @@ def test_reverse_time_changes_only_rnn_order():
                            beta_hidden=cfg.beta_hidden, n_sources=cfg.n_sources,
                            reverse_time=True)
     x = RNG.normal(size=(cfg.seq_len, cfg.input_dim))
-    fwd = forward(x, params, cfg)
-    rev = forward(x, params, rev_cfg)
+    fwd = RetainModel(cfg, params).forward(x)
+    rev = RetainModel(rev_cfg, params).forward(x)
     # embeddings are order-insensitive; attention weights are not
     assert np.array_equal(fwd.embeddings, rev.embeddings)
     assert abs(rev.temporal_weights.sum() - 1.0) <= 1e-9
@@ -252,7 +246,7 @@ def test_predict_batch_matches_single_forward():
     cfg, params = tiny_model(seed=17)
     xs = RNG.normal(size=(8, cfg.seq_len, cfg.input_dim))
     batched = RetainModel(cfg, params).predict(xs)
-    singles = np.array([forward(x, params, cfg).y_hat for x in xs])
+    singles = np.array([RetainModel(cfg, params).forward(x).y_hat for x in xs])
     assert np.allclose(batched, singles, rtol=1e-12, atol=1e-12)
 
 
@@ -271,23 +265,24 @@ def test_trace_batch_rows_match_forward(n, reverse_time):
     cfg, params = tiny_model(seed=23, config=cfg)
     xs = np.random.default_rng(n).normal(scale=2.0,
                                          size=(n, cfg.seq_len, cfg.input_dim))
-    batch = trace_batch(xs, params, cfg)
+    batch = RetainModel(cfg, params).trace_batch(xs)
     assert batch.y_hat.shape == (n,)
     for i, x in enumerate(xs):
-        one = forward(x, params, cfg)
+        one = RetainModel(cfg, params).forward(x)
         assert abs(batch.y_hat[i] - one.y_hat) <= 1e-12
         for name in TRACE_FIELDS:
             assert np.allclose(getattr(batch, name)[i], getattr(one, name),
                                rtol=0, atol=1e-12), (i, name)
     if reverse_time:  # the order does reach the batched path
-        fwd = trace_batch(xs, params, RetainConfig(
-            **{**vars(cfg), "reverse_time": False}))
+        fwd = RetainModel(RetainConfig(
+            **{**vars(cfg), "reverse_time": False}), params).trace_batch(xs)
         assert not np.allclose(fwd.temporal_weights, batch.temporal_weights)
 
 
 def test_trace_batch_invariant_names_bad_row():
     cfg, params = tiny_model(seed=29)
-    trace = trace_batch(RNG.normal(size=(4, cfg.seq_len, cfg.input_dim)), params, cfg)
+    trace = RetainModel(cfg, params).trace_batch(
+        RNG.normal(size=(4, cfg.seq_len, cfg.input_dim)))
     broken = trace.temporal_weights.copy()
     broken[2, 0] += 0.5
     with pytest.raises(ConsistencyError, match=r"window 2"):
@@ -301,9 +296,63 @@ def test_trace_batch_rejects_nonfinite_and_empty():
     bad = np.zeros((3, cfg.seq_len, cfg.input_dim))
     bad[1, 0, 0] = np.inf
     with pytest.raises(ValueError):
-        trace_batch(bad, params, cfg)
+        RetainModel(cfg, params).trace_batch(bad)
     with pytest.raises(DimensionError):
-        trace_batch(np.zeros((0, cfg.seq_len, cfg.input_dim)), params, cfg)
+        RetainModel(cfg, params).trace_batch(np.zeros((0, cfg.seq_len, cfg.input_dim)))
+
+
+@pytest.mark.parametrize("embed, hidden", [(16, 24), (64, 128)])
+def test_predict_and_trace_share_one_graph_and_agree_bit_for_bit(embed, hidden):
+    # 2 * TRACE_CHUNK + 44 windows: one predict chunk, three trace chunks
+    cfg = RetainConfig(embed_dim=embed, alpha_hidden=hidden, beta_hidden=hidden,
+                       n_sources=3)
+    model = RetainModel.create(cfg, seed=31)
+    xs = np.random.default_rng(32).normal(
+        size=(2 * TRACE_CHUNK + 44, cfg.seq_len, cfg.input_dim))
+    chunks = []
+    graph = model.graph
+
+    def counting(tp, x_batch, p, with_adversary=True):
+        chunks.append(len(x_batch))
+        return graph(tp, x_batch, p, with_adversary=with_adversary)
+
+    model.graph = counting
+    y_hat = model.predict(xs)
+    trace = model.trace_batch(xs)
+    assert chunks == [len(xs), TRACE_CHUNK, TRACE_CHUNK, 44]
+    assert y_hat.tobytes() == trace.y_hat.tobytes()
+
+
+# --- one window check for every family ------------------------------------------
+
+FAMILY_CONFIGS = {
+    "retain": RetainConfig(seq_len=6, input_dim=3, embed_dim=5, alpha_hidden=4,
+                           beta_hidden=3, n_sources=2),
+    "stdattn": baselines.StdAttnConfig(input_dim=3, hidden=4),
+    "lstm": baselines.LstmRegConfig(input_dim=3, hidden1=5, hidden2=4, n_sources=2),
+}
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_every_family_checks_windows_and_returns_named_nodes(kind):
+    model = MODELS[kind].build(FAMILY_CONFIGS[kind], seed=3)
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(4, 6, 3))
+    outs = model.graph(None, x, model.param_arrays())
+    assert {"y_hat", "adv_probs"} <= set(outs)
+    assert (outs["adv_probs"] is None) == (not model.supports_adversary)
+    assert model.predict(x).tobytes() == outs["y_hat"].value.tobytes()
+
+    nan = x.copy()
+    nan[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        model.predict(nan)
+    for bad in (x[..., :2], x[0], x[:0]):  # input width, a 2-D array, no windows
+        with pytest.raises(DimensionError, match=r"B >= 1"):
+            model.predict(bad)
+    if kind == "retain":  # the only family whose config fixes the window length
+        with pytest.raises(DimensionError, match=r"\(B >= 1, 6, 3\)"):
+            model.predict(rng.normal(size=(4, 7, 3)))
 
 
 def test_prediction_gradients_match_finite_differences():
@@ -314,7 +363,7 @@ def test_prediction_gradients_match_finite_differences():
     nodes = {k: T.Node(v) for k, v in arrays.items()}
     tp = Tape()
     outs = build_graph(tp, x, nodes, cfg, with_adversary=False)
-    tp.backward(T.sum_all(outs.y_hat, tp))
+    tp.backward(T.sum_all(outs["y_hat"], tp))
     analytic = {k: (n.grad if n.grad is not None else np.zeros_like(n.value))
                 for k, n in nodes.items()}
 

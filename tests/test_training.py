@@ -161,14 +161,14 @@ def test_reversal_frozen_mse_branch_is_negated_ce():
     from glucast.training.loss import cross_entropy_node
     tp = T.Tape()
     nodes = {k: T.Node(v) for k, v in model.param_arrays().items()}
-    _, adv = model.graph(tp, x, nodes, with_adversary=True)
+    adv = model.graph(tp, x, nodes, with_adversary=True)["adv_probs"]
     # bypass the reversal by rebuilding without it
     from glucast.models.retain import build_graph
     tp = T.Tape()
     nodes = {k: T.Node(v) for k, v in model.param_arrays().items()}
     outs = build_graph(tp, x, nodes, model.config, with_adversary=True,
                        reverse_adversary=False)
-    tp.backward(cross_entropy_node(tp, outs.adv_probs, labels))
+    tp.backward(cross_entropy_node(tp, outs["adv_probs"], labels))
     ce_grads = {k: (n.grad if n.grad is not None else np.zeros_like(n.value))
                 for k, n in nodes.items()}
 
@@ -193,7 +193,7 @@ def test_reversal_identity_vs_two_finite_difference_passes():
         return float(np.mean((pred - y) ** 2))
 
     def ce_value():
-        _, adv = model.graph(None, x, arrays, with_adversary=True)
+        adv = model.graph(None, x, arrays, with_adversary=True)["adv_probs"]
         return cross_entropy(labels, adv.value)
 
     fd_mse = finite_diff_params(mse_value, {"embed_w": arrays["embed_w"]}, eps=1e-5)
@@ -322,8 +322,8 @@ def test_grad_check_on_full_model_loss():
         nodes = {k: T.Node(v) for k, v in arrays.items()}
         outs = build_graph(tp, x, nodes, model.config, with_adversary=True,
                            reverse_adversary=False)
-        total = T.add(mse_node(tp, outs.y_hat, y),
-                      T.scale(cross_entropy_node(tp, outs.adv_probs, labels),
+        total = T.add(mse_node(tp, outs["y_hat"], y),
+                      T.scale(cross_entropy_node(tp, outs["adv_probs"], labels),
                               lam, tp), tp)
         return nodes, total
 
@@ -360,6 +360,6 @@ def test_source_epoch_scores_validation_in_one_pass(monkeypatch):
     # the score before epoch 1, then epoch 1's own
     assert windows == [len(valid_x), len(valid_x)]
     mse = float(np.mean((model.predict(valid_x) - valid_y) ** 2))
-    _, adv = graph(None, valid_x, model.param_arrays(), with_adversary=True)
+    adv = graph(None, valid_x, model.param_arrays(), with_adversary=True)["adv_probs"]
     assert history[0]["valid_mse"] == mse
     assert history[0]["valid_ce"] == cross_entropy(labels, adv.value)
