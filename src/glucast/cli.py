@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .datapipe import (
+    VARIABLES,
     SplitSpec,
     preprocess_series,
     read_archive_split,
@@ -352,17 +353,19 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-VARIABLE_NAMES = ("glucose", "cho", "insulin")
-
-
-def _write_matrix_csv(path, matrix, period_minutes):
+def _write_matrix_csv(path, matrix, period_minutes, suffix="", footer=()):
+    """An (L, r) window matrix, one row per step labelled with its age in
+    minutes and one column per variable (its name plus ``suffix``), then a
+    row per (label, value) of ``footer``."""
     seq_len, n_vars = matrix.shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["age_minutes"] + list(VARIABLE_NAMES[:n_vars]))
+        writer.writerow(["age_minutes"] + [v + suffix for v in VARIABLES[:n_vars]])
         for i in range(seq_len):
             age = (seq_len - 1 - i) * period_minutes
             writer.writerow([age] + [repr(float(v)) for v in matrix[i]])
+        for label, value in footer:
+            writer.writerow([label, repr(value)] + [""] * (n_vars - 1))
 
 
 def cmd_explain(args) -> int:
@@ -379,6 +382,11 @@ def cmd_explain(args) -> int:
     meta, test, scaling = _load_target_test(args.data, args.target, model, model_path)
     if args.sample is not None and not 0 <= args.sample < len(test):
         raise ConfigError(f"--sample must be in [0, {len(test)})")
+    names = VARIABLES[:test.x.shape[2]]
+    if args.event is not None and args.event not in names:
+        raise ConfigError(f"--event {args.event}: the archive "
+                          f"{Path(args.data) / args.target / 'scaling.json'} has "
+                          f"only the variables {', '.join(names)}")
     period = meta["period_minutes"]
     out = _ensure_out_dir(args.out)
 
@@ -392,34 +400,22 @@ def cmd_explain(args) -> int:
                       aggregate_attributions(attributions, "max"), period)
 
     if args.sample is not None:
-        contribution = cmap.contribution[args.sample]
-        with open(out / f"contributions_{args.sample}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["age_minutes"] + [f"{v}_contribution"
-                                               for v in VARIABLE_NAMES])
-            seq_len = contribution.shape[0]
-            for i in range(seq_len):
-                age = (seq_len - 1 - i) * period
-                writer.writerow([age] + [repr(float(v)) for v in contribution[i]])
-            writer.writerow(["bias", repr(cmap.bias), "", ""])
-            writer.writerow(["prediction", repr(float(trace.y_hat[args.sample])),
-                             "", ""])
+        _write_matrix_csv(out / f"contributions_{args.sample}.csv",
+                          cmap.contribution[args.sample], period, "_contribution",
+                          [("bias", cmap.bias),
+                           ("prediction", float(trace.y_hat[args.sample]))])
 
     if args.event is not None:
-        var_index = VARIABLE_NAMES.index(args.event)
-        mask = event_mask_from_windows(test.x, scaling.input_mean,
-                                       scaling.input_std, var_index)
+        mask = event_mask_from_windows(test.x, scaling, names.index(args.event))
         profile = event_conditioned_attributions(mask, attributions,
                                                  args.horizon, period)
         with open(out / f"event_{args.event}.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["offset_minutes", "count"]
-                            + [f"{v}_share" for v in VARIABLE_NAMES])
+            writer.writerow(["offset_minutes", "count"] + [f"{v}_share" for v in names])
             for offset, count, mean in zip(profile.offsets_minutes,
                                            profile.counts, profile.means):
-                shares = ["" for _ in VARIABLE_NAMES] if mean is None else \
+                shares = ["" for _ in names] if mean is None else \
                     [repr(float(s)) for s in mean.sum(axis=0)]
                 writer.writerow([offset, count] + shares)
         if profile.total_events == 0:

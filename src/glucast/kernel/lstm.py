@@ -2,67 +2,22 @@
 
 Gate layout is fixed: the stacked weight rows hold the input, forget,
 cell-candidate and output gates, in that order. Initial hidden and cell
-states are zero vectors. Also here, for every model family built on these
-layers: the flat naming of a params dataclass and the dimension check of a
-config dataclass.
+states are zero vectors. A layer's parameters are three entries of its
+model's flat name -> array dict: ``<layer>.w_in`` (4*hidden, input),
+``<layer>.w_rec`` (4*hidden, hidden) and ``<layer>.bias`` (4*hidden,). Also
+here, for every model family built on these layers: the dimension check of
+a config dataclass.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
 from . import tape as T
-
-
-@dataclass
-class LstmParams:
-    """Learnable arrays of one LSTM layer.
-
-    w_in:  (4*hidden, input)  stacked gate weights applied to the input
-    w_rec: (4*hidden, hidden) stacked gate weights applied to the state
-    bias:  (4*hidden,)
-    """
-
-    w_in: np.ndarray
-    w_rec: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        h4, i = self.w_in.shape
-        if h4 % 4 != 0:
-            raise DimensionError(f"gate weight rows must be 4*hidden, got {h4}")
-        if self.w_rec.shape != (h4, h4 // 4):
-            raise DimensionError(
-                f"recurrent weights {self.w_rec.shape} inconsistent with w_in {self.w_in.shape}")
-        if self.bias.shape != (h4,):
-            raise DimensionError(f"bias shape {self.bias.shape} does not match {h4} gate rows")
-
-    @property
-    def input_size(self) -> int:
-        return self.w_in.shape[1]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_in.shape[0] // 4
-
-
-def param_arrays(params) -> dict:
-    """Flat name -> live ndarray view of a params dataclass, in field order;
-    an LstmParams field gives ``<field>.w_in``, ``.w_rec`` and ``.bias``."""
-    out = {}
-    for f in fields(params):
-        v = getattr(params, f.name)
-        if isinstance(v, LstmParams):
-            out[f"{f.name}.w_in"] = v.w_in
-            out[f"{f.name}.w_rec"] = v.w_rec
-            out[f"{f.name}.bias"] = v.bias
-        else:
-            out[f.name] = v
-    return out
 
 
 def check_dimensions(config) -> None:
@@ -83,13 +38,15 @@ def glorot(rng, rows, cols):
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def init_lstm_params(input_size, hidden_size, rng) -> LstmParams:
-    """Glorot-uniform weights, zero biases except forget gate bias = 1."""
-    w_in = glorot(rng, 4 * hidden_size, input_size)
-    w_rec = glorot(rng, 4 * hidden_size, hidden_size)
+def init_lstm_params(name, input_size, hidden_size, rng) -> dict:
+    """The layer's entries of a model's flat parameter dict, each key
+    prefixed ``<name>.``: Glorot-uniform weights, zero biases except forget
+    gate bias = 1."""
     bias = np.zeros(4 * hidden_size)
     bias[hidden_size:2 * hidden_size] = 1.0
-    return LstmParams(w_in=w_in, w_rec=w_rec, bias=bias)
+    return {f"{name}.w_in": glorot(rng, 4 * hidden_size, input_size),
+            f"{name}.w_rec": glorot(rng, 4 * hidden_size, hidden_size),
+            f"{name}.bias": bias}
 
 
 def lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):

@@ -11,18 +11,11 @@ from .attribution import (
 )
 from .baselines import (
     LstmRegConfig,
-    LstmRegParams,
     StdAttnConfig,
-    StdAttnParams,
     init_lstm_reg_params,
     init_std_attn_params,
 )
-from .retain import (
-    ForwardTrace,
-    RetainConfig,
-    RetainParams,
-    init_retain_params,
-)
+from .retain import ForwardTrace, RetainConfig, init_retain_params
 from .serialize import load_model, save_model
 from .wrappers import (
     MODELS,
@@ -34,11 +27,11 @@ from .wrappers import (
 )
 
 __all__ = [
-    "RetainConfig", "RetainParams", "ForwardTrace", "init_retain_params",
+    "RetainConfig", "ForwardTrace", "init_retain_params",
     "ContributionMap", "contributions", "normalized_contributions",
     "aggregate_attributions", "event_conditioned_attributions",
     "event_mask_from_windows", "EventAttributionProfile",
-    "StdAttnConfig", "StdAttnParams", "LstmRegConfig", "LstmRegParams",
+    "StdAttnConfig", "LstmRegConfig",
     "init_std_attn_params", "init_lstm_reg_params",
     "MODELS", "RetainModel", "StdAttnModel", "LstmRegModel", "snapshot", "restore",
     "save_model", "load_model",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConsistencyError, DegenerateAttributionError, DimensionError
-from .retain import ForwardTrace, RetainParams, first_bad_window
+from .retain import ForwardTrace, first_bad_window
 
 RECONSTRUCTION_RTOL = 1e-6
 
@@ -33,25 +33,27 @@ class ContributionMap:
     bias: float
 
 
-def contributions(x, trace: ForwardTrace, params: RetainParams) -> ContributionMap:
+def contributions(x, trace: ForwardTrace, params: dict) -> ContributionMap:
     """Decompose trace.y_hat into per-input contributions for window x, or
-    for every window of a (B, L, r) batch and its batch trace."""
+    for every window of a (B, L, r) batch and its batch trace; ``params`` is
+    the retain model's flat parameter dict."""
     x = np.asarray(x, dtype=np.float64)
-    m, r = params.embed_w.shape
+    embed_w, out_w = params["embed_w"], params["out_w"]
+    m, r = embed_w.shape
     lead = trace.temporal_weights.shape[:-1]
     seq_len = trace.temporal_weights.shape[-1]
     if x.shape != (*lead, seq_len, r):
         raise ConsistencyError(
             f"window shape {x.shape} does not match trace/params "
             f"{(*lead, seq_len, r)}")
-    if trace.variable_weights.shape != (*lead, seq_len, m) or params.out_w.shape != (m,):
+    if trace.variable_weights.shape != (*lead, seq_len, m) or out_w.shape != (m,):
         raise ConsistencyError("trace shapes do not match params; stale trace?")
 
     coeff = np.einsum("...l,...lm,mr->...lr", trace.temporal_weights,
-                      trace.variable_weights * params.out_w, params.embed_w)
+                      trace.variable_weights * out_w, embed_w)
     omega = coeff * x
     cmap = ContributionMap(contribution=omega, coefficients=coeff,
-                           bias=float(params.out_b))
+                           bias=float(params["out_b"]))
 
     recon = omega.sum(axis=(-2, -1)) + cmap.bias
     y_hat = np.asarray(trace.y_hat)
@@ -129,9 +131,6 @@ def event_conditioned_attributions(event_mask, attributions, horizon_after_minut
                                    total_events=int(mask.sum()))
 
 
-def event_mask_from_windows(x_std, scaling_mean, scaling_std, var_index,
-                            threshold=1e-9) -> np.ndarray:
-    """Locate events in standardized windows by undoing the scaling."""
-    x = np.asarray(x_std, dtype=np.float64)
-    raw = x[:, :, var_index] * scaling_std[var_index] + scaling_mean[var_index]
-    return raw > threshold
+def event_mask_from_windows(x_std, scaling, var_index, threshold=1e-9) -> np.ndarray:
+    """Locate events in standardized windows by undoing the ``Scaling``."""
+    return scaling.invert_inputs(x_std)[:, :, var_index] > threshold

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError
-from ..kernel import LstmParams, check_dimensions, glorot, init_lstm_params, lstm_scan
+from ..kernel import check_dimensions, glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
 LSTM_REG_L2 = 1e-4  # weight penalty used when training the stacked regressor
@@ -31,24 +31,15 @@ class StdAttnConfig:
         check_dimensions(self)
 
 
-@dataclass
-class StdAttnParams:
-    rnn: LstmParams        # r -> p
-    attn_w: np.ndarray     # (p,)
-    attn_b: np.ndarray     # ()
-    out_w: np.ndarray      # (p,)
-    out_b: np.ndarray      # ()
-
-
-def init_std_attn_params(config: StdAttnConfig, rng) -> StdAttnParams:
+def init_std_attn_params(config: StdAttnConfig, rng) -> dict:
     hidden = config.hidden
-    return StdAttnParams(
-        rnn=init_lstm_params(config.input_dim, hidden, rng),
-        attn_w=glorot(rng, hidden, 1)[:, 0],
-        attn_b=np.zeros(()),
-        out_w=glorot(rng, hidden, 1)[:, 0],
-        out_b=np.zeros(()),
-    )
+    return {
+        **init_lstm_params("rnn", config.input_dim, hidden, rng),  # r -> p
+        "attn_w": glorot(rng, hidden, 1)[:, 0],                    # (p,)
+        "attn_b": np.zeros(()),                                    # ()
+        "out_w": glorot(rng, hidden, 1)[:, 0],                     # (p,)
+        "out_b": np.zeros(()),                                     # ()
+    }
 
 
 @dataclass
@@ -64,26 +55,16 @@ class LstmRegConfig:
         check_dimensions(self)
 
 
-@dataclass
-class LstmRegParams:
-    layer1: LstmParams     # r -> n1
-    layer2: LstmParams     # n1 -> n2
-    out_w: np.ndarray      # (n2,)
-    out_b: np.ndarray      # ()
-    adv_w: np.ndarray      # (K, n2)
-    adv_b: np.ndarray      # (K,)
-
-
-def init_lstm_reg_params(config: LstmRegConfig, rng) -> LstmRegParams:
+def init_lstm_reg_params(config: LstmRegConfig, rng) -> dict:
     hidden1, hidden2, k = config.hidden1, config.hidden2, config.n_sources
-    return LstmRegParams(
-        layer1=init_lstm_params(config.input_dim, hidden1, rng),
-        layer2=init_lstm_params(hidden1, hidden2, rng),
-        out_w=glorot(rng, hidden2, 1)[:, 0],
-        out_b=np.zeros(()),
-        adv_w=glorot(rng, k, hidden2),
-        adv_b=np.zeros(k),
-    )
+    return {
+        **init_lstm_params("layer1", config.input_dim, hidden1, rng),  # r -> n1
+        **init_lstm_params("layer2", hidden1, hidden2, rng),           # n1 -> n2
+        "out_w": glorot(rng, hidden2, 1)[:, 0],                        # (n2,)
+        "out_b": np.zeros(()),                                         # ()
+        "adv_w": glorot(rng, k, hidden2),                              # (K, n2)
+        "adv_b": np.zeros(k),                                          # (K,)
+    }
 
 
 def std_attn_graph(tp, x_batch, p):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ConsistencyError, DimensionError
-from ..kernel import LstmParams, check_dimensions, glorot, init_lstm_params, lstm_scan
+from ..kernel import check_dimensions, glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
 
@@ -46,39 +46,23 @@ class RetainConfig:
             raise ConfigError(f"seq_len must be at least 2, got {self.seq_len}")
 
 
-@dataclass
-class RetainParams:
-    """All learnable arrays of the model."""
-
-    embed_w: np.ndarray        # (m, r) bias-free embedding
-    alpha_rnn: LstmParams      # m -> p
-    alpha_w: np.ndarray        # (p,)
-    alpha_b: np.ndarray        # ()
-    beta_rnn: LstmParams       # m -> q
-    beta_w: np.ndarray         # (m, q)
-    beta_b: np.ndarray         # (m,)
-    out_w: np.ndarray          # (m,)
-    out_b: np.ndarray          # ()
-    adv_w: np.ndarray          # (K, m) patient-classifier head
-    adv_b: np.ndarray          # (K,)
-
-
-def init_retain_params(config: RetainConfig, rng) -> RetainParams:
+def init_retain_params(config: RetainConfig, rng) -> dict:
+    """The model's flat name -> array parameter dict."""
     m, r = config.embed_dim, config.input_dim
     p, q, k = config.alpha_hidden, config.beta_hidden, config.n_sources
-    return RetainParams(
-        embed_w=glorot(rng, m, r),
-        alpha_rnn=init_lstm_params(m, p, rng),
-        alpha_w=glorot(rng, p, 1)[:, 0],
-        alpha_b=np.zeros(()),
-        beta_rnn=init_lstm_params(m, q, rng),
-        beta_w=glorot(rng, m, q),
-        beta_b=np.zeros(m),
-        out_w=glorot(rng, m, 1)[:, 0],
-        out_b=np.zeros(()),
-        adv_w=glorot(rng, k, m),
-        adv_b=np.zeros(k),
-    )
+    return {
+        "embed_w": glorot(rng, m, r),                # (m, r) bias-free embedding
+        **init_lstm_params("alpha_rnn", m, p, rng),  # m -> p
+        "alpha_w": glorot(rng, p, 1)[:, 0],          # (p,)
+        "alpha_b": np.zeros(()),                     # ()
+        **init_lstm_params("beta_rnn", m, q, rng),   # m -> q
+        "beta_w": glorot(rng, m, q),                 # (m, q)
+        "beta_b": np.zeros(m),                       # (m,)
+        "out_w": glorot(rng, m, 1)[:, 0],            # (m,)
+        "out_b": np.zeros(()),                       # ()
+        "adv_w": glorot(rng, k, m),                  # (K, m) patient-classifier head
+        "adv_b": np.zeros(k),                        # (K,)
+    }
 
 
 def first_bad_window(bad) -> str:
@@ -130,11 +114,12 @@ def build_graph(tp, x_batch, p, config: RetainConfig, with_adversary=True,
     nodes: ``y_hat`` (B,), ``adv_probs`` (B, K) (None without the adversary)
     and the other intermediates under their :class:`ForwardTrace` names.
 
-    ``p`` maps flat parameter names (as in :func:`param_arrays`) to arrays or
-    tape nodes. When ``reverse_adversary`` is set, the classifier head reads
-    the context vector through a gradient-reversing identity, so its
-    cross-entropy gradient arrives sign-flipped at the context computation
-    and everything upstream of it.
+    ``p`` maps the flat parameter names (the keys of
+    :func:`init_retain_params`) to arrays or tape nodes. When
+    ``reverse_adversary`` is set, the classifier head reads the context
+    vector through a gradient-reversing identity, so its cross-entropy
+    gradient arrives sign-flipped at the context computation and everything
+    upstream of it.
     """
     x = T._val(x_batch)
     if x.ndim != 3:

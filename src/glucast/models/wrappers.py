@@ -4,10 +4,12 @@ the one untaped runner.
 Each family is one class: its CLI name (``kind``), its file format tag, its
 config dataclass, its parameter init and its forward graph, which returns
 a dict of named nodes (``y_hat``, ``adv_probs`` and any intermediates).
-Everything else is shared: the model is ``Cls(config, params)``,
-``build(config, seed)`` makes a fresh one, ``param_arrays`` is the generic
-flat view of the params dataclass and ``window_geometry`` reads the config
-(input width, and window length where the config fixes one).
+Everything else is shared: the model is ``Cls(config, params)``, where
+``params`` is the one flat name -> array dict its init built (the same
+names, in the same order, as in ``model.json``); ``build(config, seed)``
+makes a fresh one, ``param_arrays`` returns that dict itself, and
+``window_geometry`` reads the config (input width, and window length where
+the config fixes one).
 
 ``untaped_pass`` is the only code that runs a graph without a tape:
 ``predict``, validation and the retain trace behind ``explain`` all go
@@ -23,7 +25,7 @@ from dataclasses import fields
 import numpy as np
 
 from ..errors import DimensionError
-from ..kernel import check_finite, param_arrays
+from ..kernel import check_finite
 from . import baselines, retain
 
 # windows per untaped pass of predict and validation; validation's adv_probs
@@ -79,7 +81,7 @@ class _Model:
         return cls(config, cls.init_params(config, np.random.default_rng(seed)))
 
     def param_arrays(self) -> dict:
-        return param_arrays(self.params)
+        return self.params
 
     def window_geometry(self) -> dict:
         return {name: getattr(self.config, name)

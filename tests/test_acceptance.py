@@ -14,7 +14,6 @@ from glucast.datapipe import SplitSpec, build_samples, preprocess_series, standa
 from glucast.evalmetrics import cg_ega_report, p_ega, r_ega, reconstruct, rmse
 from glucast.evalmetrics.grid_oracle import point_zones_oracle, rate_zones_oracle
 from glucast.evalmetrics.metrics import PredictionSeries
-from glucast.kernel import param_arrays
 from glucast.kernel import tape as T
 from glucast.models import (
     LstmRegModel,
@@ -196,7 +195,7 @@ def test_criterion_4_attention_invariants():
         params = init_retain_params(cfg, rng)
         batch = 1000
         x = rng.normal(scale=3.0, size=(batch, cfg.seq_len, cfg.input_dim))
-        outs = build_graph(None, x, param_arrays(params), cfg, with_adversary=True)
+        outs = build_graph(None, x, params, cfg, with_adversary=True)
         alpha_err = np.abs(outs["temporal_weights"].value.sum(axis=1) - 1.0)
         adv_err = np.abs(outs["adv_probs"].value.sum(axis=1) - 1.0)
         beta_bad = np.abs(outs["variable_weights"].value) > 1.0
@@ -355,8 +354,7 @@ def test_criterion_8_event_attribution(cohort_run):
             contributions(x, trace, model.params)))
     attributions = np.stack(attributions)
 
-    cho_events = event_mask_from_windows(test_set.x, scaling.input_mean,
-                                         scaling.input_std, var_index=1)
+    cho_events = event_mask_from_windows(test_set.x, scaling, var_index=1)
     profile = event_conditioned_attributions(cho_events, list(attributions),
                                              horizon_after_minutes=30,
                                              period_minutes=5)

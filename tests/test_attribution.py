@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glucast.datapipe import Scaling
 from glucast.errors import ConsistencyError, DegenerateAttributionError
 from glucast.models import (
     RetainConfig,
@@ -25,7 +26,7 @@ def make(seed=0):
 
 def test_zero_input_all_zero_contributions():
     params = make()
-    params.out_b[...] = 0.4
+    params["out_b"][...] = 0.4
     x = np.zeros((CFG.seq_len, CFG.input_dim))
     cmap = contributions(x, RetainModel(CFG, params).forward(x), params)
     assert np.array_equal(cmap.contribution, np.zeros_like(x))
@@ -203,5 +204,6 @@ def test_event_mask_from_standardized_windows():
     mean = np.array([0.0, 5.0])
     std = np.array([1.0, 10.0])
     std_windows = (raw - mean) / std
-    mask = event_mask_from_windows(std_windows, mean, std, var_index=1)
+    scaling = Scaling(input_mean=mean, input_std=std, target_mean=0.0, target_std=1.0)
+    mask = event_mask_from_windows(std_windows, scaling, var_index=1)
     assert mask[0, 1] and mask.sum() == 1

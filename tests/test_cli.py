@@ -427,7 +427,7 @@ def test_explain_aggregate_matches_offline_recomputation(mini_run):
         got = _read_matrix(out / f"attribution_{mode}.csv")
         assert np.allclose(got, aggregate_attributions(atts, mode), rtol=0, atol=1e-12)
 
-    mask = event_mask_from_windows(test.x, scaling.input_mean, scaling.input_std, 1)
+    mask = event_mask_from_windows(test.x, scaling, 1)
     profile = event_conditioned_attributions(
         mask, atts, 60, archive["meta"]["period_minutes"])
     expect = np.array([np.full(3, np.nan) if mean is None else mean.sum(axis=0)
@@ -447,6 +447,59 @@ def test_explain_rerun_is_byte_identical(mini_run, tmp_path):
         runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert runs[0] == runs[1]
     assert "contributions_3.csv" in runs[0] and "event_cho.csv" in runs[0]
+
+
+@pytest.fixture(scope="module")
+def two_var_run(mini_run, tmp_path_factory):
+    """The target's archive cut to glucose and CHO, and a retain model of
+    input_dim 2 trained on it."""
+    root = tmp_path_factory.mktemp("two_var")
+    shutil.copytree(mini_run / "prep" / "p02", root / "prep" / "p02")
+    for split in ("train", "valid", "test"):
+        path = root / "prep" / "p02" / f"{split}.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        keep = [i for i, name in enumerate(rows[0]) if not name.startswith("insulin_")]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+    sidecar = root / "prep" / "p02" / "scaling.json"
+    doc = json.loads(sidecar.read_text())
+    doc["input_mean"], doc["input_std"] = doc["input_mean"][:2], doc["input_std"][:2]
+    sidecar.write_text(json.dumps(doc))
+    cfg = root / "two.cfg"
+    cfg.write_text(_mini_cfg(mini_run).read_text() + "input_dim = 2\n")
+    assert run("train", "--data", str(root / "prep"), "--target", "p02",
+               "--max-epochs", "1", "--seed", "3", "--config", str(cfg),
+               "--out", str(root / "run")) == 0
+    return root
+
+
+def test_explain_tables_of_a_two_variable_archive_have_two_columns(two_var_run):
+    out = two_var_run / "explain"
+    assert run("explain", "--model", str(two_var_run / "run" / "model.json"),
+               "--data", str(two_var_run / "prep"), "--target", "p02",
+               "--sample", "0", "--event", "cho", "--out", str(out)) == 0
+    for name in ("attribution_mean.csv", "attribution_max.csv", "contributions_0.csv"):
+        with open(out / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        suffix = "_contribution" if name.startswith("contributions") else ""
+        assert header == ["age_minutes", f"glucose{suffix}", f"cho{suffix}"], name
+        assert all(len(row) == 3 for row in rows), name
+    with open(out / "event_cho.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["offset_minutes", "count", "glucose_share", "cho_share"]
+    assert rows and all(len(row) == 4 for row in rows)
+
+
+def test_explain_event_missing_from_the_archive_exits_2(two_var_run, tmp_path, capsys):
+    out = tmp_path / "ex"
+    assert run("explain", "--model", str(two_var_run / "run" / "model.json"),
+               "--data", str(two_var_run / "prep"), "--target", "p02",
+               "--event", "insulin", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--event insulin" in err and "Traceback" not in err
+    assert str(two_var_run / "prep" / "p02" / "scaling.json") in err
+    assert not out.exists()
 
 
 def _edit_model(src, dst, **config):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glucast.errors import DimensionError
-from glucast.kernel import LstmParams, Tape, init_lstm_params, lstm_scan
+from glucast.kernel import Tape, init_lstm_params, lstm_scan
 from glucast.kernel import tape as T
 from glucast.models import MODELS, baselines, retain
 from glucast.training import backward_with_reversal
@@ -195,31 +195,31 @@ def test_tanh_sigmoid_open_bounds():
 
 def scan(params, x, reverse_time=False):
     """Untaped lstm_scan of a (B, L, input) batch, as a (B, L, hidden) array."""
-    return lstm_scan(None, params.w_in, params.w_rec, params.bias, x,
-                     reverse_time=reverse_time).value
+    return lstm_scan(None, *params.values(), x, reverse_time=reverse_time).value
 
 
 def test_lstm_zero_params_zero_output():
-    params = LstmParams(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
+    params = {"rnn.w_in": np.zeros((8, 3)), "rnn.w_rec": np.zeros((8, 2)),
+              "rnn.bias": np.zeros(8)}
     out = scan(params, RNG.normal(size=(1, 5, 3)))
     assert np.array_equal(out, np.zeros((1, 5, 2)))
 
 
 def test_lstm_length_one_reverse_is_noop():
-    params = init_lstm_params(3, 2, np.random.default_rng(1))
+    params = init_lstm_params("rnn", 3, 2, np.random.default_rng(1))
     x = RNG.normal(size=(2, 1, 3))
     assert np.array_equal(scan(params, x, reverse_time=False),
                           scan(params, x, reverse_time=True))
 
 
 def test_lstm_two_steps_match_oracle():
-    params = init_lstm_params(3, 2, np.random.default_rng(2))
+    params = init_lstm_params("rnn", 3, 2, np.random.default_rng(2))
     x = RNG.normal(size=(1, 2, 3))
     h = np.zeros((1, 2))
     c = np.zeros((1, 2))
     expect = []
     for t in range(2):
-        h, c = oracle_lstm_cell(x[:, t], h, c, params.w_in, params.w_rec, params.bias)
+        h, c = oracle_lstm_cell(x[:, t], h, c, *params.values())
         expect.append(h)
     assert np.allclose(scan(params, x), np.stack(expect, axis=1), atol=1e-12)
 
@@ -228,16 +228,16 @@ def test_lstm_two_steps_match_oracle():
 @pytest.mark.parametrize("hidden", [1, 5])
 @pytest.mark.parametrize("batch", [1, 7])
 def test_lstm_scan_matches_numpy_lstm(batch, hidden, reverse_time):
-    params = init_lstm_params(3, hidden, np.random.default_rng(hidden))
+    params = init_lstm_params("rnn", 3, hidden, np.random.default_rng(hidden))
     x = RNG.normal(size=(batch, 6, 3))
-    expect = oracle_lstm(x, params.w_in, params.w_rec, params.bias, reverse_time)
+    expect = oracle_lstm(x, *params.values(), reverse_time)
     got = scan(params, x, reverse_time)
     assert got.shape == (batch, 6, hidden)
     assert np.max(np.abs(got - expect)) <= 1e-12
 
 
 def test_lstm_reverse_time_consumes_backwards():
-    params = init_lstm_params(2, 3, np.random.default_rng(3))
+    params = init_lstm_params("rnn", 2, 3, np.random.default_rng(3))
     x = RNG.normal(size=(2, 4, 2))
     rev = scan(params, x, reverse_time=True)
     plain_on_flipped = scan(params, x[:, ::-1], reverse_time=False)
@@ -245,7 +245,7 @@ def test_lstm_reverse_time_consumes_backwards():
 
 
 def test_lstm_input_size_mismatch():
-    params = init_lstm_params(3, 2, np.random.default_rng(4))
+    params = init_lstm_params("rnn", 3, 2, np.random.default_rng(4))
     with pytest.raises(DimensionError, match=r"\(2, 5, 4\)"):
         scan(params, RNG.normal(size=(2, 5, 4)))
     with pytest.raises(DimensionError):
@@ -260,20 +260,19 @@ def lstm_graph(tp, ns, weights, reverse_time):
 
 
 def test_lstm_gradients_match_finite_differences():
-    params = init_lstm_params(2, 2, np.random.default_rng(5))
+    params = init_lstm_params("rnn", 2, 2, np.random.default_rng(5))
     x = RNG.normal(size=(2, 3, 2))
     weights = RNG.normal(size=(2, 3, 2))
     for reverse_time in (False, True):
-        arrays = [params.w_in.copy(), params.w_rec.copy(), params.bias.copy(), x.copy()]
+        arrays = [a.copy() for a in (*params.values(), x)]
         check_op(lambda tp, ns: lstm_graph(tp, ns, weights, reverse_time), arrays,
                  rtol=1e-5)
 
 
 def test_lstm_scan_is_one_tape_op_and_replays_bit_identically():
-    params = init_lstm_params(3, 4, np.random.default_rng(6))
+    params = init_lstm_params("rnn", 3, 4, np.random.default_rng(6))
     weights = RNG.normal(size=(3, 5, 4))
-    nodes = [T.Node(a) for a in (params.w_in, params.w_rec, params.bias,
-                                 RNG.normal(size=(3, 5, 3)))]
+    nodes = [T.Node(a) for a in (*params.values(), RNG.normal(size=(3, 5, 3)))]
     tp = Tape()
     lstm_scan(tp, *nodes)
     assert len(tp) == 1
@@ -296,7 +295,7 @@ def test_lstm_scan_is_one_tape_op_and_replays_bit_identically():
 def scan_bytes(scan_fn, params, x, weights, reverse_time, node_seq, taped):
     """The bytes of a scan's output and, when taped, of every leaf gradient
     after each of two backward replays (the second adds to the first)."""
-    nodes = [T.Node(a.copy()) for a in (params.w_in, params.w_rec, params.bias)]
+    nodes = [T.Node(a.copy()) for a in params.values()]
     if node_seq:
         nodes.append(T.Node(x.copy()))
     seq = nodes[3] if node_seq else x.copy()
@@ -321,8 +320,8 @@ def scan_bytes(scan_fn, params, x, weights, reverse_time, node_seq, taped):
 def test_lstm_scan_equals_the_whole_sequence_oracle_bit_for_bit(
         batch, hidden, n_in, length, reverse_time, node_seq, taped, seed):
     rng = np.random.default_rng(seed)
-    params = init_lstm_params(n_in, hidden, rng)
-    params.bias[...] = rng.normal(size=params.bias.shape)
+    params = init_lstm_params("rnn", n_in, hidden, rng)
+    params["rnn.bias"][...] = rng.normal(size=params["rnn.bias"].shape)
     x = rng.normal(size=(batch, length, n_in))
     weights = rng.normal(size=(batch, length, hidden))
     args = (params, x, weights, reverse_time, node_seq, taped)
@@ -340,7 +339,7 @@ def traced_peak(fn):
 
 def test_untaped_scan_keeps_one_step_of_gates():
     # (37, 512, 512) gates of the whole sequence would be 4x the output
-    params = init_lstm_params(64, 128, np.random.default_rng(7))
+    params = init_lstm_params("rnn", 64, 128, np.random.default_rng(7))
     x = RNG.normal(size=(512, 37, 64))
     out, peak = traced_peak(lambda: scan(params, x))
     assert peak < 1.5 * out.nbytes

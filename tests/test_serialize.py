@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tempfile
@@ -45,6 +46,22 @@ def test_saved_format_tag_and_unknown_format(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
         load_model(path)
+
+
+# sha256 of a freshly built model's model.json: guards the names, their order
+# and the order of the random draws behind each parameter
+@pytest.mark.parametrize("build, digest", [
+    (lambda: RetainModel.create(CFG, seed=11),
+     "d1086c796125fd1f9d57f4d31c00c392fbf4d32552306d6867ff883d69d989e1"),
+    (lambda: StdAttnModel.create(input_dim=3, hidden=4, seed=11),
+     "8d0791b11856fd2edba72ffef035e620890ef84df3c4781db44da87a036bd5eb"),
+    (lambda: LstmRegModel.create(input_dim=3, n_sources=2, seed=11, hidden1=4, hidden2=3),
+     "3bf20198f02179d0dfede53c47e37ff19c186db311bddbea2d98a15da4534a7d"),
+], ids=["retain", "stdattn", "lstm"])
+def test_fresh_model_json_bytes_are_pinned(tmp_path, build, digest):
+    path = tmp_path / "model.json"
+    save_model(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("data", [b"garbage{", b"\xff\xfe", b"", b'{"format": "retain-v1",'])
