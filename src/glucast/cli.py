@@ -101,30 +101,66 @@ CONFIG_DEFAULTS = {
     "missing_rate": 0.0,
 }
 
-# the window and split geometry: each an integer of at least 1
-_AT_LEAST_ONE = ("seq_len", "ph_steps", "period_minutes", "test_days")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_AT_LEAST_0 = (lambda v: v >= 0, "at least 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "a finite number >= 0")
+
+# every key's domain beyond its type, as (test, description): checked where a
+# value enters, from a config file or a flag
+CONFIG_DOMAINS = {
+    "model": (lambda v: v in MODELS, "one of " + ", ".join(MODELS)),
+    "seq_len": _AT_LEAST_1,
+    "input_dim": _AT_LEAST_1,
+    "embed_dim": _AT_LEAST_1,
+    "alpha_hidden": _AT_LEAST_1,
+    "beta_hidden": _AT_LEAST_1,
+    "reverse_time": (lambda v: isinstance(v, bool), "true or false"),
+    "stdattn_hidden": _AT_LEAST_1,
+    "lstm_hidden1": _AT_LEAST_1,
+    "lstm_hidden2": _AT_LEAST_1,
+    "batch_size": _AT_LEAST_1,
+    "lr_source": _POSITIVE,
+    "lr_finetune": _POSITIVE,
+    "patience_source": _AT_LEAST_1,
+    "patience_finetune": _AT_LEAST_1,
+    "lambda": _NON_NEGATIVE,
+    "max_epochs": _AT_LEAST_0,
+    "seed": _AT_LEAST_0,
+    "test_days": _AT_LEAST_1,
+    "valid_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "ph_steps": _AT_LEAST_1,
+    "period_minutes": _AT_LEAST_1,
+    "spike_threshold": _POSITIVE,
+    "patients": _AT_LEAST_1,
+    "days": _AT_LEAST_1,
+    "noise_std": _NON_NEGATIVE,
+    "missing_rate": (lambda v: 0 <= v < 1, "in [0, 1)"),
+}
 
 
 def _coerce(key, text, where=""):
+    """The value of ``text`` for ``key``: ConfigError naming ``where`` and
+    the key unless it parses as the default's type and lies in the key's
+    domain."""
     default = CONFIG_DEFAULTS[key]
+    value = text
     if isinstance(default, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{where}config key {key!r}: expected a boolean, got {text!r}")
-    if isinstance(default, (int, float)):
+        value = {"1": True, "true": True, "yes": True, "on": True, "0": False,
+                 "false": False, "no": False, "off": False}.get(text.lower())
+        if value is None:
+            raise ConfigError(f"{where}config key {key!r}: expected a boolean, got {text!r}")
+    elif isinstance(default, (int, float)):
         try:
             value = type(default)(text)
         except ValueError:
             kind = "an integer" if isinstance(default, int) else "a number"
             raise ConfigError(f"{where}config key {key!r}: expected {kind}, "
                               f"got {text!r}") from None
-        if key in _AT_LEAST_ONE and value < 1:
-            raise ConfigError(f"{where}config key {key!r}: must be at least 1, "
-                              f"got {text!r}")
-        return value
-    return text
+    test, domain = CONFIG_DOMAINS[key]
+    if not test(value):
+        raise ConfigError(f"{where}config key {key!r}: must be {domain}, got {text!r}")
+    return value
 
 
 def load_config(path=None, overrides=None) -> dict:
@@ -151,7 +187,7 @@ def load_config(path=None, overrides=None) -> dict:
             continue
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = _coerce(key, str(value)) if isinstance(value, str) else value
+        cfg[key] = _coerce(key, str(value))
     return cfg
 
 
@@ -210,8 +246,6 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config, {"patients": args.patients, "days": args.days,
                                     "seed": args.seed, "noise_std": args.noise_std,
                                     "missing_rate": args.missing_rate})
-    if cfg["patients"] < 1 or cfg["days"] < 1:
-        raise ConfigError("--patients and --days must be at least 1")
     out = _ensure_out_dir(args.out)
     profiles = default_cohort(cfg["patients"], cfg["seed"],
                               noise_std=cfg["noise_std"],

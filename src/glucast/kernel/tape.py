@@ -11,9 +11,15 @@ arrays are treated as constants: they take part in the value computation but
 receive no gradient. Passing ``tape=None`` skips recording entirely, which
 turns the same code path into a pure (non-differentiable) evaluation.
 
+Every op is recorded in one form, ``(outs, parents, vjp)``: its output
+nodes (one, or several for a fused op such as ``lstm_scan``), its operands,
+and one function from the outputs' adjoints to one gradient per operand.
+New ops record through ``emit``.
+
 Values are immutable once emitted and the ops are pure, so evaluation is
-safe from multiple threads; a single Tape, however, belongs to one logical
-training thread.
+safe from multiple threads. Ops are recorded, and a Tape is replayed, only
+from the calling thread: an op that hands part of its work to another
+thread waits for it before it records or returns.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from ..errors import DimensionError
 __all__ = [
     "Node",
     "Tape",
+    "value_of",
+    "emit",
     "check_finite",
     "add",
     "sub",
@@ -65,31 +73,37 @@ class Tape:
     def __len__(self):
         return len(self._ops)
 
-    def record(self, out, pulls):
-        # pulls: list of (parent Node, vjp); vjp maps out's adjoint to the
-        # parent's share of it
-        self._ops.append((out, pulls))
+    def record(self, outs, parents, vjp):
+        """Record one op: its output nodes, its operands (nodes or constants)
+        and ``vjp(*adjoints)``, which maps one adjoint per output (None for an
+        output that got none) to one gradient per parent (None for a
+        constant, or for no contribution)."""
+        self._ops.append((outs, parents, vjp))
 
     def backward(self, root, seed=None):
         """Accumulate d(root)/d(node) into every node reachable from root.
 
         The adjoints of recorded op outputs are reset first, so a graph can be
         replayed; leaf nodes accumulate across passes. An op output's adjoint
-        is dropped once the op's pulls have run, so after the pass only the
-        leaves hold gradients.
+        is dropped once the op's vjp has run, so after the pass only the
+        leaves hold gradients. A node's gradients are summed in reverse
+        recording order across ops and in parent order within one.
         """
-        for out, _ in self._ops:
-            out.grad = None
+        for outs, _, _ in self._ops:
+            for out in outs:
+                out.grad = None
         if seed is None:
             seed = np.ones_like(root.value)
         root.grad = np.array(seed, dtype=np.float64)
-        for out, pulls in reversed(self._ops):
-            g, out.grad = out.grad, None
-            if g is None:
+        for outs, parents, vjp in reversed(self._ops):
+            adjoints = [out.grad for out in outs]
+            if all(g is None for g in adjoints):
                 continue
-            for parent, vjp in pulls:
-                contrib = vjp(g)
-                parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            for out in outs:
+                out.grad = None
+            for parent, contrib in zip(parents, vjp(*adjoints)):
+                if contrib is not None:
+                    parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def check_finite(x, name):
@@ -100,39 +114,29 @@ def check_finite(x, name):
     return arr
 
 
-def _val(x):
+def value_of(x):
+    """The array of a node, or a constant as a float64 array."""
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
 
 
-def _emit(tape, value, pulls):
-    out = Node(value)
-    if tape is not None and pulls:
-        tape.record(out, pulls)
-    return out
+def emit(tape, value, parents, vjp):
+    """The node of an op's value, or a tuple of nodes for a tuple of values,
+    recorded on ``tape`` (see ``Tape.record``) when a parent is a node."""
+    many = isinstance(value, tuple)
+    outs = tuple(map(Node, value)) if many else (Node(value),)
+    if tape is not None and any(isinstance(x, Node) for x in parents):
+        tape.record(outs, parents, vjp)
+    return outs if many else outs[0]
 
 
-def _pulls(*pairs):
-    # keep pull entries only for differentiable (Node) operands
-    return [(x, fn) for x, fn in pairs if isinstance(x, Node)]
-
-
-def _emit_shared(tape, value, inputs, vjps):
-    """Emit one op over several inputs whose VJPs come from a single call
-    ``vjps(g)`` returning one gradient per input (None for a constant input).
-    The first pull of a backward pass makes the call; each pull then takes
-    its own result out, so none outlives the pull that hands it on."""
-    wanted = [k for k, x in enumerate(inputs) if isinstance(x, Node)]
-    pending = {}
-
-    def pull_at(k):
-        def pull(g):
-            if k not in pending:
-                results = vjps(g)
-                pending.update((j, results[j]) for j in wanted)
-            return pending.pop(k)
-        return pull
-
-    return _emit(tape, value, _pulls(*((x, pull_at(k)) for k, x in enumerate(inputs))))
+def _pair(a, b, da, db):
+    """The vjp of a two-operand op from one pull per operand; a constant
+    operand's pull is never called."""
+    if not isinstance(a, Node):
+        return lambda g: (None, db(g))
+    if not isinstance(b, Node):
+        return lambda g: (da(g), None)
+    return lambda g: (da(g), db(g))
 
 
 def _unbroadcast(g, shape):
@@ -149,41 +153,36 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b, tape=None):
-    av, bv = _val(a), _val(b)
-    return _emit(tape, av + bv, _pulls(
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(g, bv.shape)),
-    ))
+    av, bv = value_of(a), value_of(b)
+    return emit(tape, av + bv, (a, b), _pair(
+        a, b, lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b, tape=None):
-    av, bv = _val(a), _val(b)
-    return _emit(tape, av - bv, _pulls(
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(-g, bv.shape)),
-    ))
+    av, bv = value_of(a), value_of(b)
+    return emit(tape, av - bv, (a, b), _pair(
+        a, b, lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b, tape=None):
-    av, bv = _val(a), _val(b)
-    return _emit(tape, av * bv, _pulls(
-        (a, lambda g: _unbroadcast(g * bv, av.shape)),
-        (b, lambda g: _unbroadcast(g * av, bv.shape)),
-    ))
+    av, bv = value_of(a), value_of(b)
+    return emit(tape, av * bv, (a, b), _pair(
+        a, b, lambda g: _unbroadcast(g * bv, av.shape),
+        lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def neg(a, tape=None):
-    return _emit(tape, -_val(a), _pulls((a, lambda g: -g)))
+    return emit(tape, -value_of(a), (a,), lambda g: (-g,))
 
 
 def scale(a, k, tape=None):
     k = float(k)
-    return _emit(tape, _val(a) * k, _pulls((a, lambda g: g * k)))
+    return emit(tape, value_of(a) * k, (a,), lambda g: (g * k,))
 
 
 def matmul(a, b, tape=None):
     """Matrix/vector product for 1-D and 2-D operands."""
-    av, bv = _val(a), _val(b)
+    av, bv = value_of(a), value_of(b)
     if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
         raise DimensionError(
             f"matmul supports 1-D/2-D operands, got {av.shape} @ {bv.shape}")
@@ -191,7 +190,6 @@ def matmul(a, b, tape=None):
     inner_b = bv.shape[0]
     if inner_a != inner_b:
         raise DimensionError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    value = av @ bv
 
     if av.ndim == 2 and bv.ndim == 2:
         da = lambda g: g @ bv.T
@@ -205,37 +203,37 @@ def matmul(a, b, tape=None):
     else:
         da = lambda g: g * bv
         db = lambda g: g * av
-    return _emit(tape, value, _pulls((a, da), (b, db)))
+    return emit(tape, av @ bv, (a, b), _pair(a, b, da, db))
 
 
 def transpose(a, tape=None):
-    av = _val(a)
+    av = value_of(a)
     if av.ndim != 2:
         raise DimensionError(f"transpose expects a 2-D array, got shape {av.shape}")
-    return _emit(tape, av.T, _pulls((a, lambda g: g.T)))
+    return emit(tape, av.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape, tape=None):
-    av = _val(a)
+    av = value_of(a)
     old = av.shape
-    return _emit(tape, av.reshape(shape), _pulls((a, lambda g: g.reshape(old))))
+    return emit(tape, av.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def tanh(a, tape=None):
-    y = np.tanh(_val(a))
-    return _emit(tape, y, _pulls((a, lambda g: g * (1.0 - y * y))))
+    y = np.tanh(value_of(a))
+    return emit(tape, y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def log(a, tape=None):
-    av = _val(a)
-    return _emit(tape, np.log(av), _pulls((a, lambda g: g / av)))
+    av = value_of(a)
+    return emit(tape, np.log(av), (a,), lambda g: (g / av,))
 
 
 def clip_min(a, lo, tape=None):
     """Elementwise max(a, lo); gradient is blocked where the floor binds."""
-    av = _val(a)
+    av = value_of(a)
     mask = av > lo
-    return _emit(tape, np.maximum(av, lo), _pulls((a, lambda g: g * mask)))
+    return emit(tape, np.maximum(av, lo), (a,), lambda g: (g * mask,))
 
 
 def softmax(a, tape=None):
@@ -245,7 +243,7 @@ def softmax(a, tape=None):
     ~745 underflows exp to exactly 0.0, and downstream code relies on the
     weights staying positive. The floor is invisible to the sums.
     """
-    av = _val(a)
+    av = value_of(a)
     if av.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(av)):
@@ -254,44 +252,44 @@ def softmax(a, tape=None):
     e = np.exp(shifted)
     y = np.maximum(e / e.sum(axis=-1, keepdims=True), 5e-324)
 
-    def pull(g):
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    def vjp(g):
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
-    return _emit(tape, y, _pulls((a, pull)))
+    return emit(tape, y, (a,), vjp)
 
 
 def sum_all(a, tape=None):
-    av = _val(a)
-    return _emit(tape, np.asarray(av.sum()), _pulls(
-        (a, lambda g: np.broadcast_to(g, av.shape).copy() if av.shape else g)))
+    av = value_of(a)
+    return emit(tape, np.asarray(av.sum()), (a,), lambda g: (
+        np.broadcast_to(g, av.shape).copy() if av.shape else g,))
 
 
 def sum_axis(a, axis, tape=None):
-    av = _val(a)
-    return _emit(tape, av.sum(axis=axis), _pulls(
-        (a, lambda g: np.broadcast_to(np.expand_dims(g, axis), av.shape).copy())))
+    av = value_of(a)
+    return emit(tape, av.sum(axis=axis), (a,), lambda g: (
+        np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),))
 
 
 def mean_all(a, tape=None):
-    av = _val(a)
+    av = value_of(a)
     n = av.size
     return scale(sum_all(a, tape), 1.0 / n, tape)
 
 
 def gather_rows(a, idx, tape=None):
     """Pick a[i, idx[i]] for each row of a 2-D array."""
-    av = _val(a)
+    av = value_of(a)
     idx = np.asarray(idx, dtype=np.intp)
     rows = np.arange(av.shape[0])
 
-    def pull(g):
+    def vjp(g):
         out = np.zeros_like(av)
         out[rows, idx] = g
-        return out
+        return (out,)
 
-    return _emit(tape, av[rows, idx], _pulls((a, pull)))
+    return emit(tape, av[rows, idx], (a,), vjp)
 
 
 def grad_reverse(a, tape=None):
     """Identity in the forward pass; multiplies the gradient by -1."""
-    return _emit(tape, _val(a), _pulls((a, lambda g: -g)))
+    return emit(tape, value_of(a), (a,), lambda g: (-g,))

@@ -70,11 +70,11 @@ def init_lstm_reg_params(config: LstmRegConfig, rng) -> dict:
 def std_attn_graph(tp, x_batch, p):
     """Graph for a (B, L, r) batch: a dict of the nodes ``y_hat`` (B,) and
     ``weights`` (B, L), and ``adv_probs`` None (the baseline has no adversary)."""
-    x = T._val(x_batch)
+    x = T.value_of(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
     batch, seq_len, _ = x.shape
-    states = lstm_scan(tp, p["rnn.w_in"], p["rnn.w_rec"], p["rnn.bias"], x_batch)
+    (states,) = lstm_scan(tp, p, ("rnn",), x_batch)
     flat = T.reshape(states, (batch * seq_len, -1), tp)
     scores = T.reshape(T.add(T.matmul(flat, p["attn_w"], tp), p["attn_b"], tp),
                        (batch, seq_len), tp)
@@ -87,25 +87,25 @@ def std_attn_graph(tp, x_batch, p):
 
 def _last_step(seq, tp):
     """The final timestep (B, n) of a (B, L, n) node."""
-    sv = T._val(seq)
+    sv = T.value_of(seq)
 
-    def pull(g):
+    def vjp(g):
         out = np.zeros_like(sv)
         out[:, -1] = g
-        return out
+        return (out,)
 
-    return T._emit(tp, sv[:, -1], T._pulls((seq, pull)))
+    return T.emit(tp, sv[:, -1], (seq,), vjp)
 
 
 def lstm_reg_graph(tp, x_batch, p, with_adversary=True, reverse_adversary=True):
     """Graph for the stacked regressor: a dict of the nodes ``y_hat`` (B,),
     ``hidden`` (the last hidden state, (B, n2)) and ``adv_probs`` (B, K)
     (None without the adversary)."""
-    x = T._val(x_batch)
+    x = T.value_of(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
-    h1 = lstm_scan(tp, p["layer1.w_in"], p["layer1.w_rec"], p["layer1.bias"], x_batch)
-    h2 = lstm_scan(tp, p["layer2.w_in"], p["layer2.w_rec"], p["layer2.bias"], h1)
+    (h1,) = lstm_scan(tp, p, ("layer1",), x_batch)
+    (h2,) = lstm_scan(tp, p, ("layer2",), h1)
     hidden = _last_step(h2, tp)                              # (B, n2)
     y_hat = T.add(T.matmul(hidden, p["out_w"], tp), p["out_b"], tp)
     adv_probs = None

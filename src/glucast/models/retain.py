@@ -121,7 +121,7 @@ def build_graph(tp, x_batch, p, config: RetainConfig, with_adversary=True,
     gradient arrives sign-flipped at the context computation and everything
     upstream of it.
     """
-    x = T._val(x_batch)
+    x = T.value_of(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
     batch, seq_len, _ = x.shape
@@ -132,17 +132,13 @@ def build_graph(tp, x_batch, p, config: RetainConfig, with_adversary=True,
     v_flat = T.matmul(flat, T.transpose(p["embed_w"], tp), tp)
     embeddings = T.reshape(v_flat, (batch, seq_len, m), tp)
 
-    g_seq = lstm_scan(tp, p["alpha_rnn.w_in"], p["alpha_rnn.w_rec"],
-                      p["alpha_rnn.bias"], embeddings,
-                      reverse_time=config.reverse_time)
+    g_seq, h_seq = lstm_scan(tp, p, ("alpha_rnn", "beta_rnn"), embeddings,
+                             reverse_time=config.reverse_time)
     g_all = T.reshape(g_seq, (batch * seq_len, -1), tp)
     scores = T.reshape(T.add(T.matmul(g_all, p["alpha_w"], tp), p["alpha_b"], tp),
                        (batch, seq_len), tp)
     temporal = T.softmax(scores, tp)
 
-    h_seq = lstm_scan(tp, p["beta_rnn.w_in"], p["beta_rnn.w_rec"],
-                      p["beta_rnn.bias"], embeddings,
-                      reverse_time=config.reverse_time)
     h_all = T.reshape(h_seq, (batch * seq_len, -1), tp)
     variable = T.reshape(
         T.tanh(T.add(T.matmul(h_all, T.transpose(p["beta_w"], tp), tp),

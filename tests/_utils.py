@@ -72,12 +72,14 @@ def oracle_lstm(x, w_in, w_rec, bias, reverse_time=False):
     return out
 
 
-def oracle_lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
-    """The fused LSTM op as it was with whole-sequence buffers: the input
-    projection of all steps in one batched matmul, and the BPTT factors of
-    all steps built from gate- and cell-sized temporaries. Same signature
-    and node protocol as ``kernel.lstm_scan``."""
-    wi, wr, b, x = T._val(w_in), T._val(w_rec), T._val(bias), T._val(seq)
+def oracle_lstm_scan(tp, p, layers, seq, reverse_time=False):
+    """The fused LSTM op of one layer as it was with whole-sequence buffers:
+    the input projection of all steps in one batched matmul, and the BPTT
+    factors of all steps built from gate- and cell-sized temporaries. Same
+    signature and node protocol as ``kernel.lstm_scan``, for one layer."""
+    (name,) = layers
+    parents = (p[f"{name}.w_in"], p[f"{name}.w_rec"], p[f"{name}.bias"], seq)
+    wi, wr, b, x = map(T.value_of, parents)
     h4, n_in = wi.shape
     hidden = h4 // 4
     batch, length, _ = x.shape
@@ -113,9 +115,6 @@ def oracle_lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
         h[s] *= o
 
     value = (h[::-1] if reverse_time else h).transpose(1, 0, 2)
-    if tp is None:
-        return T.Node(value)
-
     def bptt(grad):
         gs = grad.transpose(1, 0, 2)
         if reverse_time:
@@ -148,24 +147,26 @@ def oracle_lstm_scan(tp, w_in, w_rec, bias, seq, reverse_time=False):
         if isinstance(seq, T.Node):
             d_seq = (flat @ wi).reshape(length, batch, n_in)
             d_seq = (d_seq[::-1] if reverse_time else d_seq).transpose(1, 0, 2)
-        return d_w_in, d_w_rec, flat.sum(axis=0), d_seq
+        grads = (d_w_in, d_w_rec, flat.sum(axis=0), d_seq)
+        return tuple(d if isinstance(x, T.Node) else None for x, d in zip(parents, grads))
 
-    return T._emit_shared(tp, value, (w_in, w_rec, bias, seq), bptt)
+    return T.emit(tp, (value,), parents, bptt)
 
 
 def oracle_backward(tape, root):
     """``Tape.backward`` as it was, keeping every adjoint it computes: the
     replay loop over ``tape``'s recorded ops, seeded with ones."""
-    for out, _ in tape._ops:
-        out.grad = None
+    for outs, _, _ in tape._ops:
+        for out in outs:
+            out.grad = None
     root.grad = np.ones_like(root.value)
-    for out, pulls in reversed(tape._ops):
-        g = out.grad
-        if g is None:
+    for outs, parents, vjp in reversed(tape._ops):
+        adjoints = [out.grad for out in outs]
+        if all(g is None for g in adjoints):
             continue
-        for parent, vjp in pulls:
-            contrib = vjp(g)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+        for parent, contrib in zip(parents, vjp(*adjoints)):
+            if contrib is not None:
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def oracle_clean_spikes(glucose, threshold):

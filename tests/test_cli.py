@@ -121,6 +121,92 @@ def test_config_names_file_line_and_key_of_a_geometry_value_below_one(
     assert not out.exists()
 
 
+# values of each key's type outside its domain
+OUT_OF_DOMAIN = {
+    "model": ["rnn", "Retain"],
+    "seq_len": ["0", "-2"],
+    "input_dim": ["0", "-1"],
+    "embed_dim": ["0", "-64"],
+    "alpha_hidden": ["0", "-1"],
+    "beta_hidden": ["0", "-1"],
+    "reverse_time": ["2", "-1"],
+    "stdattn_hidden": ["0", "-1"],
+    "lstm_hidden1": ["0", "-256"],
+    "lstm_hidden2": ["0", "-1"],
+    "batch_size": ["0", "-50"],
+    "lr_source": ["-1", "0", "nan", "inf"],
+    "lr_finetune": ["nan", "0", "-1e-4", "-inf"],
+    "patience_source": ["0", "-1"],
+    "patience_finetune": ["0", "-25"],
+    "lambda": ["-0.5", "inf", "nan"],
+    "max_epochs": ["-1", "-500"],
+    "seed": ["-1", "-7"],
+    "test_days": ["0", "-1"],
+    "valid_fraction": ["1.5", "0", "1", "nan", "-0.2"],
+    "ph_steps": ["0", "-6"],
+    "period_minutes": ["0", "-5"],
+    "spike_threshold": ["-1", "0", "nan", "inf"],
+    "patients": ["0", "-6"],
+    "days": ["0", "-21"],
+    "noise_std": ["-1", "nan", "inf"],
+    "missing_rate": ["1", "1.5", "-0.1", "nan"],
+}
+
+
+def _typed(key, text):
+    """text as a library caller or a flag passes it: a bool key's bad value
+    as an int, a number in the default's type."""
+    default = CONFIG_DEFAULTS[key]
+    if isinstance(default, bool):
+        return int(text)
+    return type(default)(text) if isinstance(default, (int, float)) else text
+
+
+@pytest.mark.parametrize("key", OUT_OF_DOMAIN)
+def test_config_value_outside_its_domain_is_named_where_it_enters(tmp_path, capsys, key):
+    assert set(OUT_OF_DOMAIN) == set(CONFIG_DEFAULTS)
+    for bad in OUT_OF_DOMAIN[key]:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"seed = 4\n# a comment\n{key} = {bad}\n")
+        where = f"{cfg_file} line 3: config key {key!r}: "
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_config(cfg_file)
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key!r}: ")):
+            load_config(None, {key: _typed(key, bad)})
+        out = tmp_path / "s"
+        assert run("synth", "--patients", "1", "--days", "1", "--config", str(cfg_file),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("synth", "--patients", "patients", "0"),
+    ("synth", "--days", "days", "-1"),
+    ("synth", "--seed", "seed", "-1"),
+    ("synth", "--noise-std", "noise_std", "-1"),
+    ("synth", "--missing-rate", "missing_rate", "1.0"),
+    ("preprocess", "--seed", "seed", "-3"),
+    ("train", "--max-epochs", "max_epochs", "-1"),
+    ("train", "--seed", "seed", "-1"),
+])
+def test_flag_outside_its_domain_exits_2_naming_the_key(tmp_path, capsys, command, flag,
+                                                        key, value):
+    inputs = {"synth": [], "preprocess": ["--data", str(tmp_path)],
+              "train": ["--data", str(tmp_path), "--target", "p00"]}[command]
+    out = tmp_path / "out"
+    assert run(command, *inputs, f"{flag}={value}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: must be" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_default_and_example_configs_are_the_same_values():
+    example = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
+    assert load_config(example) == load_config() == CONFIG_DEFAULTS
+
+
 def test_config_names_a_file_that_is_not_utf8(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_bytes(b"seed = 4\n\xff\xfe = 1\n")
@@ -792,15 +878,18 @@ CONFIG_TYPED_KEYS = [key for key, value in CONFIG_DEFAULTS.items()
 
 
 def _corrupt_config(draw, data):
-    how = draw(st.sampled_from(["value", "unknown", "no-equals", "bytes"]))
+    how = draw(st.sampled_from(["value", "domain", "unknown", "no-equals", "bytes"]))
     if how == "bytes":
         return _bad_byte(draw, data)
     key = draw(st.sampled_from(CONFIG_TYPED_KEYS))
     default = CONFIG_DEFAULTS[key]
     bad = ("maybe" if isinstance(default, bool) else
            draw(st.sampled_from(["abc", "", "1.5" if isinstance(default, int) else "1,5"])))
-    line = {"value": f"{key} = {bad}", "unknown": "no_such_key = 1",
-            "no-equals": f"{key} {default}"}[how]
+    if how == "domain":
+        key = draw(st.sampled_from(sorted(OUT_OF_DOMAIN)))
+        bad = draw(st.sampled_from(OUT_OF_DOMAIN[key]))
+    line = {"value": f"{key} = {bad}", "domain": f"{key} = {bad}",
+            "unknown": "no_such_key = 1", "no-equals": f"{key} {default}"}[how]
     lines = data.decode().splitlines()
     lines.insert(draw(st.integers(0, len(lines))), line)
     return "\n".join(lines).encode()

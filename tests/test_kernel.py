@@ -1,4 +1,8 @@
+import sys
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from glucast.errors import DimensionError
 from glucast.kernel import Tape, init_lstm_params, lstm_scan
+from glucast.kernel import lstm as lstm_module
 from glucast.kernel import tape as T
 from glucast.models import MODELS, baselines, retain
 from glucast.training import backward_with_reversal
@@ -195,7 +200,7 @@ def test_tanh_sigmoid_open_bounds():
 
 def scan(params, x, reverse_time=False):
     """Untaped lstm_scan of a (B, L, input) batch, as a (B, L, hidden) array."""
-    return lstm_scan(None, *params.values(), x, reverse_time=reverse_time).value
+    return lstm_scan(None, params, ("rnn",), x, reverse_time=reverse_time)[0].value
 
 
 def test_lstm_zero_params_zero_output():
@@ -253,9 +258,10 @@ def test_lstm_input_size_mismatch():
 
 
 def lstm_graph(tp, ns, weights, reverse_time):
-    """Weighted sum of lstm_scan(w_in, w_rec, bias, seq) outputs, so every
-    step and unit gets its own upstream gradient."""
-    out = lstm_scan(tp, ns[0], ns[1], ns[2], ns[3], reverse_time=reverse_time)
+    """Weighted sum of the outputs of lstm_scan over nodes (w_in, w_rec,
+    bias, seq), so every step and unit gets its own upstream gradient."""
+    p = dict(zip(("rnn.w_in", "rnn.w_rec", "rnn.bias"), ns))
+    (out,) = lstm_scan(tp, p, ("rnn",), ns[3], reverse_time=reverse_time)
     return T.sum_all(T.mul(out, weights, tp), tp)
 
 
@@ -274,7 +280,7 @@ def test_lstm_scan_is_one_tape_op_and_replays_bit_identically():
     weights = RNG.normal(size=(3, 5, 4))
     nodes = [T.Node(a) for a in (*params.values(), RNG.normal(size=(3, 5, 3)))]
     tp = Tape()
-    lstm_scan(tp, *nodes)
+    lstm_scan(tp, dict(zip(params, nodes)), ("rnn",), nodes[3])
     assert len(tp) == 1
 
     tp = Tape()
@@ -300,7 +306,8 @@ def scan_bytes(scan_fn, params, x, weights, reverse_time, node_seq, taped):
         nodes.append(T.Node(x.copy()))
     seq = nodes[3] if node_seq else x.copy()
     tp = Tape() if taped else None
-    out = scan_fn(tp, *nodes[:3], seq, reverse_time=reverse_time)
+    (out,) = scan_fn(tp, dict(zip(params, nodes)), ("rnn",), seq,
+                     reverse_time=reverse_time)
     got = [out.value.tobytes()]
     if taped:
         loss = T.sum_all(T.mul(out, weights, tp), tp)
@@ -326,6 +333,175 @@ def test_lstm_scan_equals_the_whole_sequence_oracle_bit_for_bit(
     weights = rng.normal(size=(batch, length, hidden))
     args = (params, x, weights, reverse_time, node_seq, taped)
     assert scan_bytes(lstm_scan, *args) == scan_bytes(oracle_lstm_scan, *args)
+
+
+# --- several layers over one sequence, on one thread or two ------------------
+
+def layers_bytes(p, x, weights, reverse_time, node_seq, taped, at_once):
+    """The bytes of layers "a" and "b" over x, as one two-layer scan
+    (``at_once``) or as two one-layer scans, and, when taped, of every
+    gradient after one backward pass of a weighted sum of both outputs."""
+    nodes = {k: T.Node(v.copy()) for k, v in p.items()}
+    seq = T.Node(x.copy()) if node_seq else x.copy()
+    tp = Tape() if taped else None
+    if at_once:
+        outs = lstm_scan(tp, nodes, ("a", "b"), seq, reverse_time)
+    else:
+        outs = (*lstm_scan(tp, nodes, ("a",), seq, reverse_time),
+                *lstm_scan(tp, nodes, ("b",), seq, reverse_time))
+    got = [out.value.tobytes() for out in outs]
+    if taped:
+        loss = T.add(T.sum_all(T.mul(outs[0], weights[0], tp), tp),
+                     T.sum_all(T.mul(outs[1], weights[1], tp), tp), tp)
+        tp.backward(loss)
+        got += [n.grad.tobytes() for n in nodes.values()]
+        got += [seq.grad.tobytes()] if node_seq else []
+    return got
+
+
+def two_layers(rng, batch, length, n_in, hidden_a, hidden_b):
+    p = {**init_lstm_params("a", n_in, hidden_a, rng),
+         **init_lstm_params("b", n_in, hidden_b, rng)}
+    for name in ("a.bias", "b.bias"):
+        p[name][...] = rng.normal(size=p[name].shape)
+    x = rng.normal(size=(batch, length, n_in))
+    weights = [rng.normal(size=(batch, length, h)) for h in (hidden_a, hidden_b)]
+    return p, x, weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.sampled_from([1, 7, 50]), length=st.sampled_from([1, 2, 6]),
+       n_in=st.sampled_from([3, 16]), hidden_a=st.sampled_from([1, 5, 24]),
+       hidden_b=st.sampled_from([2, 24]), reverse_time=st.booleans(),
+       node_seq=st.booleans(), taped=st.booleans(), force_worker=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(batch=50, length=37, n_in=64, hidden_a=128, hidden_b=128, reverse_time=False,
+         node_seq=True, taped=True, force_worker=False, seed=0)  # retain, production
+@example(batch=1, length=37, n_in=64, hidden_a=128, hidden_b=128, reverse_time=True,
+         node_seq=True, taped=True, force_worker=True, seed=1)
+@example(batch=512, length=37, n_in=16, hidden_a=24, hidden_b=24, reverse_time=True,
+         node_seq=False, taped=False, force_worker=False, seed=2)  # below the threshold
+def test_a_two_layer_scan_equals_two_one_layer_scans_bit_for_bit(
+        batch, length, n_in, hidden_a, hidden_b, reverse_time, node_seq, taped,
+        force_worker, seed):
+    p, x, weights = two_layers(np.random.default_rng(seed), batch, length, n_in,
+                               hidden_a, hidden_b)
+    args = (p, x, weights, reverse_time, node_seq, taped)
+    threshold = 0 if force_worker else lstm_module.PARALLEL_STEP_WORK
+    with mock.patch.object(lstm_module, "PARALLEL_STEP_WORK", threshold):
+        at_once = layers_bytes(*args, at_once=True)
+    assert at_once == layers_bytes(*args, at_once=False)
+
+
+def test_production_size_retain_scans_use_the_worker(monkeypatch):
+    # 64/128 at batch 50 is above the threshold, 16/24 at 512 windows below
+    names = []
+    forward = lstm_module._Layer.forward
+
+    def spy(layer, xs):
+        names.append(threading.current_thread().name)
+        forward(layer, xs)
+
+    monkeypatch.setattr(lstm_module._Layer, "forward", spy)
+    for batch, n_in, hidden in ((50, 64, 128), (512, 16, 24)):
+        p, x, _ = two_layers(np.random.default_rng(3), batch, 4, n_in, hidden, hidden)
+        lstm_scan(None, p, ("a", "b"), x)
+    main = threading.current_thread().name
+    assert names[0] == main and names[1].startswith("lstm_scan") and names[2:] == [main] * 2
+
+
+def test_twenty_threaded_runs_give_identical_bits(monkeypatch):
+    # 20 runs from four calling threads at once, which share the one worker,
+    # with thread switches forced often; each equals the one-thread bits
+    monkeypatch.setattr(lstm_module, "PARALLEL_STEP_WORK", 0)
+    p, x, weights = two_layers(np.random.default_rng(4), 50, 12, 64, 128, 96)
+    expect = layers_bytes(p, x, weights, True, True, True, at_once=False)
+    runs = []
+
+    def caller():
+        for _ in range(5):
+            runs.append(layers_bytes(p, x, weights, True, True, True, at_once=True))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(runs) == 20 and all(run == expect for run in runs)
+
+
+@pytest.mark.parametrize("phase", ["forward", "bptt"])
+@pytest.mark.parametrize("failing", ["a", "b"])
+def test_an_exception_in_either_layer_reaches_the_caller_after_both_end(
+        monkeypatch, phase, failing):
+    # layer a runs on the calling thread, b on the worker; the one that does
+    # not fail is slow, so the exception must wait for it
+    monkeypatch.setattr(lstm_module, "PARALLEL_STEP_WORK", 0)
+    p, x, weights = two_layers(np.random.default_rng(5), 3, 4, 2, 2, 3)
+    ended = []
+    original = getattr(lstm_module._Layer, phase)
+
+    def patched(layer, *args):
+        name = "a" if layer.h.shape[2] == 2 else "b"
+        if name == failing:
+            raise FloatingPointError(f"layer {name} overflowed")
+        time.sleep(0.2)
+        result = original(layer, *args)
+        ended.append(name)
+        return result
+
+    monkeypatch.setattr(lstm_module._Layer, phase, patched)
+    with pytest.raises(FloatingPointError, match=f"^layer {failing} overflowed$"):
+        layers_bytes(p, x, weights, False, True, True, at_once=True)
+    assert ended == [{"a": "b", "b": "a"}[failing]]
+
+
+class CountingNumpy:
+    """numpy, with every np.matmul call counted."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("constant", ["w_in", "w_rec", "seq"])
+def test_a_constant_operand_costs_no_product(monkeypatch, constant):
+    p, x, weights = two_layers(np.random.default_rng(6), 4, 5, 3, 2, 3)
+    counts = {}
+    for case in ("none", constant):
+        counting = CountingNumpy()
+        monkeypatch.setattr(lstm_module, "np", counting)
+        nodes = {k: v if k.endswith(case) else T.Node(v) for k, v in p.items()}
+        seq = x if case == "seq" else T.Node(x)
+        tp = Tape()
+        (out,) = lstm_scan(tp, nodes, ("a",), seq)
+        tp.backward(T.sum_all(T.mul(out, weights[0], tp), tp))
+        counts[case] = counting.matmuls
+        (_, parents, vjp), = tp._ops[:1]
+        grads = vjp(weights[0])
+        assert [g is None for g in grads] == [not isinstance(x, T.Node) for x in parents]
+    assert counts[constant] == counts["none"] - 1
+    # the elementwise and matmul ops: None for the constant operand
+    for op in (T.add, T.sub, T.mul, T.matmul):
+        for a, b in ((T.Node(np.ones((2, 2))), np.ones((2, 2))),
+                     (np.ones((2, 2)), T.Node(np.ones((2, 2))))):
+            tp = Tape()
+            op(a, b, tp)
+            (_, parents, vjp), = tp._ops
+            grads = vjp(np.ones((2, 2)))
+            assert [g is None for g in grads] == [not isinstance(x, T.Node) for x in parents]
 
 
 def traced_peak(fn):
@@ -381,7 +557,7 @@ def test_backward_frees_op_adjoints_and_keeps_leaf_gradients(model):
     ref_tp, ref_nodes, ref_total = loss_graph(model, x, y, labels)
     tp.backward(total)
     oracle_backward(ref_tp, ref_total)
-    assert all(out.grad is None for out, _ in tp._ops)
+    assert all(out.grad is None for outs, _, _ in tp._ops for out in outs)
     for name, node in nodes.items():
         ref = ref_nodes[name].grad
         assert (node.grad is None) == (ref is None), name

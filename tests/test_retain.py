@@ -3,10 +3,12 @@ import pytest
 
 from glucast.errors import ConfigError, ConsistencyError, DimensionError
 from glucast.kernel import Tape
+from glucast.kernel import lstm
 from glucast.kernel import tape as T
 from glucast.models import MODELS, RetainModel, baselines, retain
 from glucast.models.retain import RetainConfig, build_graph, init_retain_params
-from glucast.models.wrappers import TRACE_CHUNK
+from glucast.models.wrappers import TRACE_CHUNK, TRACE_FIELDS
+from glucast.training import backward_with_reversal
 
 from _utils import finite_diff_params, max_rel_err, oracle_lstm
 
@@ -322,6 +324,48 @@ def test_predict_and_trace_share_one_graph_and_agree_bit_for_bit(embed, hidden):
     trace = model.trace_batch(xs)
     assert chunks == [len(xs), TRACE_CHUNK, TRACE_CHUNK, 44]
     assert y_hat.tobytes() == trace.y_hat.tobytes()
+
+
+# --- both attention LSTMs as one scan, on one thread or two ----------------------
+
+def step_and_inference_bytes(model, x, y, labels):
+    """The bytes of a training step's gradients and losses, of predict and of
+    every trace field."""
+    grads, *losses = backward_with_reversal(model, x, y, labels, 0.1)
+    trace = model.trace_batch(x)
+    return ([g.tobytes() for g in grads.values()], losses, model.predict(x).tobytes(),
+            [getattr(trace, name).tobytes() for name in TRACE_FIELDS])
+
+
+@pytest.mark.parametrize("reverse_time", [False, True])
+def test_retain_bits_do_not_depend_on_the_worker_or_on_one_op(monkeypatch, reverse_time):
+    # the shared embeddings still sum the mul pull, then beta's dseq, then
+    # alpha's, as when each LSTM was an op of its own recorded in turn
+    model = RetainModel.build(RetainConfig(seq_len=6, embed_dim=5, alpha_hidden=4,
+                                           beta_hidden=3, n_sources=3,
+                                           reverse_time=reverse_time), seed=8)
+    rng = np.random.default_rng(34)
+    x, y, labels = rng.normal(size=(9, 6, 3)), rng.normal(size=9), rng.integers(0, 3, 9)
+    calls = []
+    scan = retain.lstm_scan
+
+    def spy(tp, p, layers, seq, reverse_time=False):
+        calls.append(layers)
+        return scan(tp, p, layers, seq, reverse_time)
+
+    monkeypatch.setattr(retain, "lstm_scan", spy)
+    monkeypatch.setattr(lstm, "PARALLEL_STEP_WORK", 10 ** 18)
+    one_thread = step_and_inference_bytes(model, x, y, labels)
+    assert set(calls) == {("alpha_rnn", "beta_rnn")}
+    monkeypatch.setattr(lstm, "PARALLEL_STEP_WORK", 0)
+    assert step_and_inference_bytes(model, x, y, labels) == one_thread
+
+    def one_op_per_layer(tp, p, layers, seq, reverse_time=False):
+        return tuple(out for name in layers
+                     for out in scan(tp, p, (name,), seq, reverse_time))
+
+    monkeypatch.setattr(retain, "lstm_scan", one_op_per_layer)
+    assert step_and_inference_bytes(model, x, y, labels) == one_thread
 
 
 # --- one window check for every family ------------------------------------------
