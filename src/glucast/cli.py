@@ -70,80 +70,54 @@ EXIT_MISSING_INPUT = 3
 EXIT_NUMERIC = 4
 EXIT_CAPABILITY = 5
 
-# every tunable, with its type fixed by the default value
-CONFIG_DEFAULTS = {
-    "model": "retain",
-    "seq_len": 37,
-    "input_dim": 3,
-    "embed_dim": 64,
-    "alpha_hidden": 128,
-    "beta_hidden": 128,
-    "reverse_time": False,
-    "stdattn_hidden": 128,
-    "lstm_hidden1": 256,
-    "lstm_hidden2": 256,
-    "batch_size": 50,
-    "lr_source": 1e-3,
-    "lr_finetune": 1e-4,
-    "patience_source": 100,
-    "patience_finetune": 25,
-    "lambda": 10.0 ** -2.5,
-    "max_epochs": 500,
-    "seed": 0,
-    "test_days": 5,
-    "valid_fraction": 0.2,
-    "ph_steps": 6,
-    "period_minutes": 5,
-    "spike_threshold": 50.0,
-    "patients": 6,
-    "days": 21,
-    "noise_std": 2.0,
-    "missing_rate": 0.0,
-}
-
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 _AT_LEAST_0 = (lambda v: v >= 0, "at least 0")
 _POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
 _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
-# every key's domain beyond its type, as (test, description): checked where a
-# value enters, from a config file or a flag
-CONFIG_DOMAINS = {
-    "model": (lambda v: v in MODELS, "one of " + ", ".join(MODELS)),
-    "seq_len": _AT_LEAST_1,
-    "input_dim": _AT_LEAST_1,
-    "embed_dim": _AT_LEAST_1,
-    "alpha_hidden": _AT_LEAST_1,
-    "beta_hidden": _AT_LEAST_1,
-    "reverse_time": (lambda v: isinstance(v, bool), "true or false"),
-    "stdattn_hidden": _AT_LEAST_1,
-    "lstm_hidden1": _AT_LEAST_1,
-    "lstm_hidden2": _AT_LEAST_1,
-    "batch_size": _AT_LEAST_1,
-    "lr_source": _POSITIVE,
-    "lr_finetune": _POSITIVE,
-    "patience_source": _AT_LEAST_1,
-    "patience_finetune": _AT_LEAST_1,
-    "lambda": _NON_NEGATIVE,
-    "max_epochs": _AT_LEAST_0,
-    "seed": _AT_LEAST_0,
-    "test_days": _AT_LEAST_1,
-    "valid_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "ph_steps": _AT_LEAST_1,
-    "period_minutes": _AT_LEAST_1,
-    "spike_threshold": _POSITIVE,
-    "patients": _AT_LEAST_1,
-    "days": _AT_LEAST_1,
-    "noise_std": _NON_NEGATIVE,
-    "missing_rate": (lambda v: 0 <= v < 1, "in [0, 1)"),
+# every tunable, as key: (default, domain). The default fixes the type; the
+# domain is (test, description) of the values beyond that type, checked
+# where a value enters, from a config file or a flag
+CONFIG_KEYS = {
+    "model": ("retain", (lambda v: v in MODELS, "one of " + ", ".join(MODELS))),
+    "seq_len": (37, _AT_LEAST_1),
+    "embed_dim": (64, _AT_LEAST_1),
+    "alpha_hidden": (128, _AT_LEAST_1),
+    "beta_hidden": (128, _AT_LEAST_1),
+    "reverse_time": (False, (lambda v: isinstance(v, bool), "true or false")),
+    "stdattn_hidden": (128, _AT_LEAST_1),
+    "lstm_hidden1": (256, _AT_LEAST_1),
+    "lstm_hidden2": (256, _AT_LEAST_1),
+    "batch_size": (50, _AT_LEAST_1),
+    "lr_source": (1e-3, _POSITIVE),
+    "lr_finetune": (1e-4, _POSITIVE),
+    "patience_source": (100, _AT_LEAST_1),
+    "patience_finetune": (25, _AT_LEAST_1),
+    "lambda": (10.0 ** -2.5, _NON_NEGATIVE),
+    "max_epochs": (500, _AT_LEAST_0),
+    "seed": (0, _AT_LEAST_0),
+    "test_days": (5, _AT_LEAST_1),
+    "valid_fraction": (0.2, (lambda v: 0 < v < 1, "in (0, 1)")),
+    "ph_steps": (6, _AT_LEAST_1),
+    "period_minutes": (5, _AT_LEAST_1),
+    "spike_threshold": (50.0, _POSITIVE),
+    "patients": (6, _AT_LEAST_1),
+    "days": (21, _AT_LEAST_1),
+    "noise_std": (2.0, _NON_NEGATIVE),
+    "missing_rate": (0.0, (lambda v: 0 <= v < 1, "in [0, 1)")),
 }
+CONFIG_DEFAULTS = {key: default for key, (default, _) in CONFIG_KEYS.items()}
+
+# dataclass field -> the config key it is read from, where the names differ
+FIELD_KEYS = {"lam": "lambda", "hidden": "stdattn_hidden",
+              "hidden1": "lstm_hidden1", "hidden2": "lstm_hidden2"}
 
 
 def _coerce(key, text, where=""):
     """The value of ``text`` for ``key``: ConfigError naming ``where`` and
     the key unless it parses as the default's type and lies in the key's
     domain."""
-    default = CONFIG_DEFAULTS[key]
+    default, (test, domain) = CONFIG_KEYS[key]
     value = text
     if isinstance(default, bool):
         value = {"1": True, "true": True, "yes": True, "on": True, "0": False,
@@ -157,7 +131,6 @@ def _coerce(key, text, where=""):
             kind = "an integer" if isinstance(default, int) else "a number"
             raise ConfigError(f"{where}config key {key!r}: expected {kind}, "
                               f"got {text!r}") from None
-    test, domain = CONFIG_DOMAINS[key]
     if not test(value):
         raise ConfigError(f"{where}config key {key!r}: must be {domain}, got {text!r}")
     return value
@@ -210,13 +183,12 @@ def _ensure_out_dir(path):
     return out
 
 
-def _train_config(cfg) -> TrainConfig:
-    return TrainConfig(batch_size=cfg["batch_size"], lr_source=cfg["lr_source"],
-                       lr_finetune=cfg["lr_finetune"],
-                       patience_source=cfg["patience_source"],
-                       patience_finetune=cfg["patience_finetune"],
-                       lam=cfg["lambda"], max_epochs=cfg["max_epochs"],
-                       seed=cfg["seed"])
+def _from_config(cls, cfg, **derived):
+    """The dataclass ``cls``, each field read from ``derived`` (values worked
+    out from the inputs) or else from the config key of its name or, where
+    FIELD_KEYS renames it, of that name."""
+    settings = {**cfg, **derived}
+    return cls(**{f.name: settings[FIELD_KEYS.get(f.name, f.name)] for f in fields(cls)})
 
 
 def _splits_from_archive(archive) -> PatientSplits:
@@ -225,16 +197,12 @@ def _splits_from_archive(archive) -> PatientSplits:
                          patient_id=archive["meta"]["patient_id"])
 
 
-def _build_model(cfg, n_sources):
-    """A fresh model of the family cfg["model"] names, its config read from
-    the config keys of the same name (or the family's ``cli_keys``)."""
-    cls = MODELS.get(cfg["model"])
-    if cls is None:
-        raise ConfigError(f"unknown model {cfg['model']!r} (use {', '.join(MODELS)})")
-    settings = {**cfg, "n_sources": max(n_sources, 1)}
+def _build_model(cfg, **derived):
+    """A fresh model of the family cfg["model"] names, its config read by
+    ``_from_config``."""
+    cls = MODELS[cfg["model"]]
     try:
-        config = cls.config_type(**{f.name: settings[cls.cli_keys.get(f.name, f.name)]
-                                    for f in fields(cls.config_type)})
+        config = _from_config(cls.config_type, cfg, **derived)
     except ConfigError as exc:
         raise ConfigError(f"{cls.kind} model: {exc}") from exc
     return cls.build(config, seed=cfg["seed"])
@@ -279,7 +247,7 @@ def cmd_preprocess(args) -> int:
     if not csvs:
         raise FileNotFoundError(f"no patient CSVs in {data}")
     out = _ensure_out_dir(args.out)
-    spec = SplitSpec(test_days=cfg["test_days"], valid_fraction=cfg["valid_fraction"])
+    spec = _from_config(SplitSpec, cfg)
     for path in csvs:
         series = read_series_csv(path)
         try:
@@ -310,14 +278,18 @@ def cmd_train(args) -> int:
         archives = [read_patient_archive(data, pid) for pid in patient_ids]
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"missing preprocessed archive: {exc}") from exc
-    model = _build_model(cfg, n_sources=len(source_ids))
+    # no config key sets the input width: it is the target archive's
+    model = _build_model(cfg, n_sources=max(len(source_ids), 1),
+                         input_dim=len(archives[-1]["scaling"].input_mean))
+    owners = {"seq_len": "the model config",
+              "input_dim": f"the target archive {data / args.target / 'scaling.json'}"}
     for pid, archive in zip(patient_ids, archives):
-        _check_geometry(model, "the model config", data / pid, archive["scaling"],
+        _check_geometry(model, owners, data / pid, archive["scaling"],
                         archive["meta"], [archive["train"], archive["valid"]])
     *sources, target = map(_splits_from_archive, archives)
 
     out = _ensure_out_dir(args.out)
-    train_cfg = _train_config(cfg)
+    train_cfg = _from_config(TrainConfig, cfg)
 
     history = []
     if sources:
@@ -333,17 +305,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _check_geometry(model, owner, root, scaling, meta, splits):
-    """ConfigError naming ``owner`` (the model file or config) and the
-    archive's scaling.json unless the model takes the windows of the archive
-    in ``root``: those its sidecar describes and those of ``splits``."""
+def _check_geometry(model, owners, root, scaling, meta, splits):
+    """ConfigError naming the owner of the field (``owners[field]``: the
+    model file, the config or the target archive) and the archive's
+    scaling.json unless the model takes the windows of the archive in
+    ``root``: those its sidecar describes and those of ``splits``."""
     archive = {"seq_len": (meta["seq_len"], *(s.x.shape[1] for s in splits)),
                "input_dim": (len(scaling.input_mean), *(s.x.shape[2] for s in splits))}
     for name, value in model.window_geometry().items():
         for have in archive[name]:
             if have != value:
                 raise ConfigError(
-                    f"{owner} has {name} = {value}, but the archive "
+                    f"{owners[name]} has {name} = {value}, but the archive "
                     f"{root / 'scaling.json'} and its windows have {name} = {have}")
 
 
@@ -353,7 +326,8 @@ def _load_target_test(data_dir, target, model, model_path):
     root = Path(data_dir) / target
     scaling, meta = read_scaling_json(root / "scaling.json")
     test = read_archive_split(root, "test", scaling, meta)
-    _check_geometry(model, f"model {model_path}", root, scaling, meta, [test])
+    owners = dict.fromkeys(model.window_geometry(), f"model {model_path}")
+    _check_geometry(model, owners, root, scaling, meta, [test])
     return meta, test, scaling
 
 
@@ -404,6 +378,8 @@ def _write_matrix_csv(path, matrix, period_minutes, suffix="", footer=()):
 
 def cmd_explain(args) -> int:
     cfg = load_config(args.config, {})
+    if args.horizon < 0:
+        raise ConfigError(f"--horizon must be at least 0 minutes, got {args.horizon}")
     model_path = Path(args.model)
     if not model_path.is_file():
         raise FileNotFoundError(f"model file {model_path} does not exist")
@@ -490,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory of sample archives")
     p.add_argument("--target", required=True)
     p.add_argument("--sources", default="", help="comma-separated patient ids")
-    p.add_argument("--model", choices=("retain", "stdattn", "lstm"), default=None)
+    p.add_argument("--model", default=None, help="one of " + ", ".join(MODELS))
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)

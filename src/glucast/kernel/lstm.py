@@ -68,6 +68,15 @@ def init_lstm_params(name, input_size, hidden_size, rng) -> dict:
             f"{name}.bias": bias}
 
 
+# The calling thread allocates the worker's buffers (``loop_buffers`` and
+# ``grad_buffers``, handed over as ``bufs``) to keep peak memory down, not
+# for correctness. With the worker allocating its own BPTT buffers instead
+# (19 lines fewer, every output bit the same), perfbench train-prod peak RSS
+# rose in 3 of 3 run pairs on a 2-core machine, from 192.6-193.7 MB to
+# 201.5-205.6 MB, at an unchanged train_samples_per_s (592-642 against
+# 593-649). The likely cause, not verified, is glibc's per-thread malloc
+# arena: what the worker frees stays in its own arena, where the calling
+# thread's allocations cannot reuse it.
 class _Layer:
     """One layer of a scan: its weights with the sigmoid gate rows scaled by
     0.5, and the buffers its step loops write. Every buffer is allocated by

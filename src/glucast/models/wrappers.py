@@ -3,7 +3,9 @@ the one untaped runner.
 
 Each family is one class: its CLI name (``kind``), its file format tag, its
 config dataclass, its parameter init and its forward graph, which returns
-a dict of named nodes (``y_hat``, ``adv_probs`` and any intermediates).
+a dict of named nodes (``y_hat``, ``adv_probs`` and any intermediates). A
+family names no config keys: the CLI fills the config dataclass's fields
+from its own keys.
 Everything else is shared: the model is ``Cls(config, params)``, where
 ``params`` is the one flat name -> array dict its init built (the same
 names, in the same order, as in ``model.json``); ``build(config, seed)``
@@ -69,8 +71,6 @@ class _Model:
     """What every family shares. ``graph`` and ``predict`` are each family
     class's own attributes, as ``perfbench/tracer.py`` patches them there."""
 
-    cli_keys = {}  # config field -> the train config key it comes from, if renamed
-
     def __init__(self, config, params):
         self.config = config
         self.params = params
@@ -125,7 +125,6 @@ class StdAttnModel(_Model):
     format_version = "stdattn-v1"
     config_type = baselines.StdAttnConfig
     init_params = staticmethod(baselines.init_std_attn_params)
-    cli_keys = {"hidden": "stdattn_hidden"}
     attributable = False
     supports_adversary = False
     l2_weight = 0.0
@@ -145,7 +144,6 @@ class LstmRegModel(_Model):
     format_version = "lstmreg-v1"
     config_type = baselines.LstmRegConfig
     init_params = staticmethod(baselines.init_lstm_reg_params)
-    cli_keys = {"hidden1": "lstm_hidden1", "hidden2": "lstm_hidden2"}
     attributable = False
     supports_adversary = True
     l2_weight = baselines.LSTM_REG_L2

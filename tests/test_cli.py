@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glucast import cli
 from glucast.cli import CONFIG_DEFAULTS, load_config, main
-from glucast.datapipe import GlucoseSeries, write_series_csv
+from glucast.datapipe import GlucoseSeries, SplitSpec, write_series_csv
 from glucast.errors import ConfigError
 from glucast.models import LstmRegModel, StdAttnModel, save_model
 from glucast.synthdata import default_cohort, generate_patient
+from glucast.training import TrainConfig
 
 
 def run(*argv):
@@ -125,7 +127,6 @@ def test_config_names_file_line_and_key_of_a_geometry_value_below_one(
 OUT_OF_DOMAIN = {
     "model": ["rnn", "Retain"],
     "seq_len": ["0", "-2"],
-    "input_dim": ["0", "-1"],
     "embed_dim": ["0", "-64"],
     "alpha_hidden": ["0", "-1"],
     "beta_hidden": ["0", "-1"],
@@ -190,6 +191,7 @@ def test_config_value_outside_its_domain_is_named_where_it_enters(tmp_path, caps
     ("preprocess", "--seed", "seed", "-3"),
     ("train", "--max-epochs", "max_epochs", "-1"),
     ("train", "--seed", "seed", "-1"),
+    ("train", "--model", "model", "rnn"),
 ])
 def test_flag_outside_its_domain_exits_2_naming_the_key(tmp_path, capsys, command, flag,
                                                         key, value):
@@ -255,9 +257,11 @@ def _spiked_cohort(raw):
                          raw / f"{profile.patient_id}.csv")
 
 
-# sha256 of the raw CSVs and the archives below, as first written by the
-# per-reading and per-window implementation of the chain
-PINNED_PREPROCESS_SHA256 = "5381d457fca97725b8d02b379cafdb9000b3ad94c7d706e0187cd4059b269605"
+# sha256 of the raw CSVs, the archives below (as first written by the
+# per-reading and per-window implementation of the chain) and the
+# effective.cfg echo; without effective.cfg the files hash to
+# 446e434677cccd4ecfe739aa87fe3d829e6e032d771d118f347c3e7b8633b12c
+PINNED_PREPROCESS_SHA256 = "6be6067064a3783558cb8852271bb217b401c9b964cc5fefc43aa1322dbf6f13"
 
 
 def test_preprocess_archive_bytes_are_pinned(tmp_path):
@@ -537,27 +541,31 @@ def test_explain_rerun_is_byte_identical(mini_run, tmp_path):
 
 @pytest.fixture(scope="module")
 def two_var_run(mini_run, tmp_path_factory):
-    """The target's archive cut to glucose and CHO, and a retain model of
-    input_dim 2 trained on it."""
+    """The target's archive cut to glucose and CHO, and a retain model
+    trained on it, which takes its input width from the archive."""
     root = tmp_path_factory.mktemp("two_var")
     shutil.copytree(mini_run / "prep" / "p02", root / "prep" / "p02")
+    _drop_insulin(root / "prep" / "p02")
+    assert run("train", "--data", str(root / "prep"), "--target", "p02",
+               "--max-epochs", "1", "--seed", "3", "--config", str(_mini_cfg(mini_run)),
+               "--out", str(root / "run")) == 0
+    assert json.loads((root / "run" / "model.json").read_text())["config"]["input_dim"] == 2
+    return root
+
+
+def _drop_insulin(archive):
+    """Cut a patient's archive to glucose and CHO: its windows and its sidecar."""
     for split in ("train", "valid", "test"):
-        path = root / "prep" / "p02" / f"{split}.csv"
+        path = archive / f"{split}.csv"
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         keep = [i for i, name in enumerate(rows[0]) if not name.startswith("insulin_")]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
-    sidecar = root / "prep" / "p02" / "scaling.json"
+    sidecar = archive / "scaling.json"
     doc = json.loads(sidecar.read_text())
     doc["input_mean"], doc["input_std"] = doc["input_mean"][:2], doc["input_std"][:2]
     sidecar.write_text(json.dumps(doc))
-    cfg = root / "two.cfg"
-    cfg.write_text(_mini_cfg(mini_run).read_text() + "input_dim = 2\n")
-    assert run("train", "--data", str(root / "prep"), "--target", "p02",
-               "--max-epochs", "1", "--seed", "3", "--config", str(cfg),
-               "--out", str(root / "run")) == 0
-    return root
 
 
 def test_explain_tables_of_a_two_variable_archive_have_two_columns(two_var_run):
@@ -585,6 +593,16 @@ def test_explain_event_missing_from_the_archive_exits_2(two_var_run, tmp_path, c
     err = capsys.readouterr().err
     assert "--event insulin" in err and "Traceback" not in err
     assert str(two_var_run / "prep" / "p02" / "scaling.json") in err
+    assert not out.exists()
+
+
+def test_explain_rejects_a_negative_horizon_before_writing(mini_run, tmp_path, capsys):
+    out = tmp_path / "ex"
+    assert run("explain", "--model", str(mini_run / "run" / "model.json"),
+               "--data", str(mini_run / "prep"), "--target", "p02", "--event", "cho",
+               "--horizon", "-5", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--horizon" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -639,7 +657,7 @@ def test_explain_rejects_model_of_other_window_geometry(mini_run, tmp_path, caps
     assert not (tmp_path / "ex").exists()
 
 
-@pytest.mark.parametrize("field, value", [("seq_len", 12), ("input_dim", 2)])
+@pytest.mark.parametrize("field, value", [("seq_len", 12)])
 def test_train_rejects_archives_of_other_window_geometry(mini_run, tmp_path, capsys,
                                                          field, value):
     cfg = tmp_path / "train.cfg"
@@ -652,6 +670,66 @@ def test_train_rejects_archives_of_other_window_geometry(mini_run, tmp_path, cap
     assert f"the model config has {field} = {value}" in err
     assert str(mini_run / "prep" / "p00" / "scaling.json") in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_train_rejects_a_source_archive_narrower_than_the_target(mini_run, tmp_path,
+                                                                 capsys):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep", prep)
+    _drop_insulin(prep / "p00")
+    out = tmp_path / "run"
+    assert run("train", "--data", str(prep), "--target", "p02", "--sources", "p00,p01",
+               "--max-epochs", "1", "--config", str(_mini_cfg(mini_run)),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert (f"the target archive {prep / 'p02' / 'scaling.json'} has input_dim = 3, "
+            f"but the archive {prep / 'p00' / 'scaling.json'}") in err
+    assert "have input_dim = 2" in err and "Traceback" not in err and not out.exists()
+
+
+# each family's config-key sizes and the model.json config block they give
+# (the archive's width and the number of sources filled in)
+FAMILY_SIZES = {
+    "retain": ("embed_dim = 5\nalpha_hidden = 7\nbeta_hidden = 4\nreverse_time = true\n",
+               {"seq_len": 37, "input_dim": 3, "embed_dim": 5, "alpha_hidden": 7,
+                "beta_hidden": 4, "n_sources": 2, "reverse_time": True}),
+    "stdattn": ("stdattn_hidden = 5\n", {"input_dim": 3, "hidden": 5}),
+    "lstm": ("lstm_hidden1 = 5\nlstm_hidden2 = 4\n",
+             {"input_dim": 3, "hidden1": 5, "hidden2": 4, "n_sources": 2}),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_SIZES)
+def test_config_keys_reach_every_family_and_the_training_and_split_configs(
+        mini_run, tmp_path, monkeypatch, family):
+    sizes, block = FAMILY_SIZES[family]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(sizes + "lambda = 0.25\nbatch_size = 7\ntest_days = 3\n"
+                   "valid_fraction = 0.3\npatience_source = 2\npatience_finetune = 2\n")
+    seen = []
+
+    def spy(real, at):  # records the config argument at position ``at``
+        def call(*args, **kwargs):
+            seen.append(args[at])
+            return real(*args, **kwargs)
+        return call
+
+    for name, at in (("preprocess_series", 1), ("train_source", 2), ("finetune", 2)):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name), at))
+    prep, out = tmp_path / "prep", tmp_path / "run"
+    assert run("preprocess", "--data", str(mini_run / "raw"), "--config", str(cfg),
+               "--out", str(prep)) == 0
+    assert run("train", "--data", str(prep), "--target", "p02", "--sources", "p00,p01",
+               "--model", family, "--max-epochs", "1", "--seed", "3",
+               "--config", str(cfg), "--out", str(out)) == 0
+    split = SplitSpec(test_days=3, valid_fraction=0.3)
+    train = TrainConfig(batch_size=7, lam=0.25, max_epochs=1, seed=3,
+                        patience_source=2, patience_finetune=2)
+    assert seen == [split] * 3 + [train] * 2
+    doc = json.loads((out / "model.json").read_text())
+    assert doc["config"] == block
+    width = len(json.loads((prep / "p02" / "scaling.json").read_text())["input_mean"])
+    assert doc["config"]["input_dim"] == width
 
 
 def _target_is_a_file(mini_run, tmp_path):
