@@ -284,8 +284,7 @@ def cmd_train(args) -> int:
     owners = {"seq_len": "the model config",
               "input_dim": f"the target archive {data / args.target / 'scaling.json'}"}
     for pid, archive in zip(patient_ids, archives):
-        _check_geometry(model, owners, data / pid, archive["scaling"],
-                        archive["meta"], [archive["train"], archive["valid"]])
+        _check_geometry(model, owners, data / pid, archive["scaling"], archive["meta"])
     *sources, target = map(_splits_from_archive, archives)
 
     out = _ensure_out_dir(args.out)
@@ -305,19 +304,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _check_geometry(model, owners, root, scaling, meta, splits):
+def _check_geometry(model, owners, root, scaling, meta):
     """ConfigError naming the owner of the field (``owners[field]``: the
     model file, the config or the target archive) and the archive's
-    scaling.json unless the model takes the windows of the archive in
-    ``root``: those its sidecar describes and those of ``splits``."""
-    archive = {"seq_len": (meta["seq_len"], *(s.x.shape[1] for s in splits)),
-               "input_dim": (len(scaling.input_mean), *(s.x.shape[2] for s in splits))}
+    scaling.json unless the model takes the windows that sidecar describes
+    (each split's windows are checked against it where the split is read)."""
+    archive = {"seq_len": meta["seq_len"], "input_dim": len(scaling.input_mean)}
     for name, value in model.window_geometry().items():
-        for have in archive[name]:
-            if have != value:
-                raise ConfigError(
-                    f"{owners[name]} has {name} = {value}, but the archive "
-                    f"{root / 'scaling.json'} and its windows have {name} = {have}")
+        if archive[name] != value:
+            raise ConfigError(
+                f"{owners[name]} has {name} = {value}, but the archive "
+                f"{root / 'scaling.json'} and its windows have {name} = {archive[name]}")
 
 
 def _load_target_test(data_dir, target, model, model_path):
@@ -327,7 +324,7 @@ def _load_target_test(data_dir, target, model, model_path):
     scaling, meta = read_scaling_json(root / "scaling.json")
     test = read_archive_split(root, "test", scaling, meta)
     owners = dict.fromkeys(model.window_geometry(), f"model {model_path}")
-    _check_geometry(model, owners, root, scaling, meta, [test])
+    _check_geometry(model, owners, root, scaling, meta)
     return meta, test, scaling
 
 

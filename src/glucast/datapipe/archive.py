@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import IngestionError
+from ..errors import ConfigError, IngestionError
 from .pipeline import Scaling, SampleSet
 from .series import _FloatMemo, _shortest_reprs
 
@@ -226,10 +226,19 @@ def write_patient_archive(directory, patient_id, train, valid, test, scaling,
 
 def read_archive_split(root, split, scaling, meta) -> SampleSet:
     """Load one split ("train", "valid" or "test") of the patient archive in
-    directory ``root``, given its sidecar as returned by read_scaling_json."""
-    return read_sample_csv(Path(root) / f"{split}.csv", seq_len=meta["seq_len"],
-                           provenance=split, period_minutes=meta["period_minutes"],
-                           ph_steps=meta["ph_steps"], scaling=scaling)
+    directory ``root``, given its sidecar as returned by read_scaling_json.
+    ConfigError names the split's file when its windows are of another width
+    than the sidecar's (their length is the header's, checked on reading)."""
+    path = Path(root) / f"{split}.csv"
+    samples = read_sample_csv(path, seq_len=meta["seq_len"], provenance=split,
+                              period_minutes=meta["period_minutes"],
+                              ph_steps=meta["ph_steps"], scaling=scaling)
+    width = len(scaling.input_mean)
+    if samples.x.shape[2] != width:
+        raise ConfigError(f"{Path(root) / 'scaling.json'} has input_dim = {width}, but "
+                          f"the archive windows in {path} have input_dim = "
+                          f"{samples.x.shape[2]}")
+    return samples
 
 
 def read_patient_archive(directory, patient_id):

@@ -1,11 +1,26 @@
-"""Plain LSTM layers reading one sequence, as one fused tape operation.
+"""Plain LSTM layers as one fused tape operation.
 
 Layers that read the same sequence (retain's alpha and beta) are one op
-with one output per layer. Above ``PARALLEL_STEP_WORK``, a persistent
-worker thread runs every layer after the first while the calling thread
-runs the first; the worker only writes into buffers the calling thread
-allocated, and the op is recorded on the tape from the calling thread only,
-after both have finished. Gate layout is fixed: the stacked weight rows hold the input, forget,
+with one output per layer. Stacked layers (``stacked=True``: the stacked
+regressor's layer1 and layer2) are one op as well: each layer reads the
+hidden states of the layer below, and only the top layer's output is a node.
+
+A persistent worker thread shares the work of a layer whose steps take at
+least ``PARALLEL_STEP_WORK`` multiply-adds, and only when BLAS leaves a core
+free (``USE_WORKER``):
+
+* side by side, it runs the forward step loops and BPTTs of every layer
+  after the first while the calling thread runs the first;
+* stacked two high, it runs layer 2's forward step s as soon as the calling
+  thread's layer 1 has written h1[s] (a wavefront); the BPTTs stay serial;
+* in a BPTT that runs on the calling thread alone, it computes the input
+  side's weight gradients (w_in and bias) while the calling thread computes
+  the w_rec and sequence gradients.
+
+The worker only writes into buffers the calling thread allocated, and the op
+is recorded on the tape from the calling thread only, after both have
+finished; the bits are those of running everything on one thread. Gate
+layout is fixed: the stacked weight rows hold the input, forget,
 cell-candidate and output gates, in that order. Initial hidden and cell
 states are zero vectors. A layer's parameters are three entries of its
 model's flat name -> array dict: ``<layer>.w_in`` (4*hidden, input),
@@ -17,6 +32,8 @@ a config dataclass.
 from __future__ import annotations
 
 import numbers
+import os
+import threading
 from concurrent import futures
 from dataclasses import fields
 
@@ -26,17 +43,49 @@ from ..errors import ConfigError, DimensionError
 from . import tape as T
 
 # Above this many multiply-adds per step in every layer of a scan, batch *
-# 4*hidden * (hidden + input), lstm_scan runs its layers after the first on
-# the worker thread. Two layers, graph plus backward, on 2 cores at one BLAS
-# thread: below 1.5e6 the thread won nothing (0.8-1.2x), from 1.6e6 it won
-# 1.3-1.9x (64/128 at batch 50, 4.9e6: 1.45-1.6x). 2.5e6 leaves a margin
-# and keeps every batch of the 16/24 acceptance size, up to PREDICT_CHUNK's
-# 512 windows (2.0e6), on one thread.
+# 4*hidden * (hidden + input), lstm_scan hands work to the worker thread. Two
+# layers, graph plus backward, on 2 cores at one BLAS thread: below 1.5e6 the
+# thread won nothing (0.8-1.2x), from 1.6e6 it won 1.3-1.9x (64/128 at batch
+# 50, 4.9e6: 1.45-1.6x). 2.5e6 leaves a margin and keeps every batch of the
+# 16/24 acceptance size, up to PREDICT_CHUNK's 512 windows (2.0e6), on one
+# thread.
 PARALLEL_STEP_WORK = 2_500_000
 
+
+def _blas_leaves_a_core():
+    """Whether OpenBLAS runs fewer threads than this process has cores. It
+    takes the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that is a positive integer, else every core of the
+    process's affinity mask."""
+    cores = len(os.sched_getaffinity(0))
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads < cores
+    return False
+
+
+# Whether lstm_scan may use the worker at all, decided once at import. With
+# BLAS on every core, the worker oversubscribes them: on 2 cores at 2 BLAS
+# threads, the CLI's production-size retain train + evaluate + explain took
+# 9.25 s with the worker against 8.74 s without it (medians of 5 runs).
+USE_WORKER = _blas_leaves_a_core()
+
 # the one worker thread, started on first use; it runs only _Layer.forward and
-# _Layer.bptt, never a traced or tape function
+# parts of _Layer.bptt, never a traced or tape function, and never waits for
+# itself
 _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_scan")
+
+
+def _worth_the_worker(batch, *weights):
+    """Whether the worker may be used and every layer of ``weights`` (each
+    ``(w_in, w_rec, ...)``) takes at least PARALLEL_STEP_WORK multiply-adds
+    per step, batch * 4*hidden * (hidden + input)."""
+    return USE_WORKER and min(batch * (wi.size + wr.size)
+                              for wi, wr, *_ in weights) >= PARALLEL_STEP_WORK
 
 
 def check_dimensions(config) -> None:
@@ -86,7 +135,7 @@ class _Layer:
     def __init__(self, wi, wr, b, batch, length, taped):
         h4 = len(wi)
         hidden = h4 // 4
-        self.wi, self.wr = wi, wr
+        self.wi, self.wr, self.taped = wi, wr, taped
         self.gate_scale = np.full(h4, 0.5)
         self.gate_scale[2 * hidden:3 * hidden] = 1.0
         self.gate_shift = 1.0 - self.gate_scale
@@ -99,13 +148,14 @@ class _Layer:
         self.rec = np.empty((batch, h4))
         self.ig = np.empty((batch, hidden))
 
-    def work(self):
-        """Multiply-adds per step: batch * 4*hidden * (hidden + input)."""
-        return self.z[0].size * (self.wr.shape[1] + self.wi.shape[1])
-
-    def forward(self, xs):
+    def forward(self, xs, before_step=None, after_step=None):
+        """The step loop over the time-major, scan-order input ``xs``;
+        ``before_step()`` and ``after_step()``, when given, run around each
+        step."""
         z, h, c, hidden = self.z, self.h, self.c, self.h.shape[2]
         for s in range(len(h)):
+            if before_step is not None:
+                before_step()
             a = z[s % len(z)]
             np.matmul(xs[s], self.wi_t, out=a)
             a += self.b_scaled
@@ -123,8 +173,12 @@ class _Layer:
                 np.multiply(i, g, out=c_s)
             np.tanh(c_s, out=h[s])
             h[s] *= o
+            if after_step is not None:
+                after_step()
         # what only the step loop reads need not live on the tape until bptt
         self.wi_t = self.wr_t = self.b_scaled = self.rec = self.ig = None
+        if not self.taped:  # nor need the gates and cells of an untaped run
+            self.z = self.c = None
 
     def loop_buffers(self):
         """dz, dc_dh and the (dh, dc, dc_next) state of a BPTT's step loop."""
@@ -138,12 +192,14 @@ class _Layer:
         shapes = (self.wi.shape, self.wr.shape, (h4,), (length * batch, self.wi.shape[1]))
         return [np.empty(shape) if w else None for shape, w in zip(shapes, want)]
 
-    def bptt(self, gs, xs_flat, want, bufs):
+    def bptt(self, gs, xs_flat, want, bufs, split=False):
         """The gradients of ``grad_buffers(want)`` for the time-major,
         scan-order upstream gradient ``gs``. ``bufs`` is a list of every buffer
         (``loop_buffers`` then ``grad_buffers``), which this empties, or None
         to allocate each as it is needed; dc_dh is freed once the step loop
-        has used it."""
+        has used it. With ``split``, the worker computes the w_in and bias
+        gradients while this thread computes the others; never set it in a
+        job of the worker's own."""
         z, c, h = self.z, self.c, self.h
         length, batch, h4 = z.shape
         hidden = h4 // 4
@@ -187,18 +243,26 @@ class _Layer:
 
         d_w_in, d_w_rec, d_bias, d_seq = grads = grads or self.grad_buffers(want)
         flat = dz.reshape(length * batch, h4)
-        if d_w_in is not None:
-            np.matmul(flat.T, xs_flat, out=d_w_in)
-        if d_w_rec is not None:
-            np.matmul(flat[batch:].T, h[:-1].reshape(-1, hidden), out=d_w_rec)
-        if d_bias is not None:
-            flat.sum(axis=0, out=d_bias)
-        if d_seq is not None:
-            np.matmul(flat, self.wi, out=d_seq)
+
+        def input_side(_):
+            if d_w_in is not None:
+                np.matmul(flat.T, xs_flat, out=d_w_in)
+            if d_bias is not None:
+                flat.sum(axis=0, out=d_bias)
+
+        def recurrent_side(_):
+            if d_w_rec is not None:
+                np.matmul(flat[batch:].T, h[:-1].reshape(-1, hidden), out=d_w_rec)
+            if d_seq is not None:
+                np.matmul(flat, self.wi, out=d_seq)
+
+        # these products feed only gradients, not each other: the same GEMMs
+        # on either thread, so the same bits
+        _run_jobs([(lambda: None, recurrent_side), (lambda: None, input_side)], split)
         return grads
 
 
-def _each_layer(jobs, threaded):
+def _run_jobs(jobs, threaded):
     """``[work(bufs) for (alloc, work) in jobs]``. Unthreaded, the jobs run
     in turn with ``bufs`` None, the last first: for BPTTs that is the order
     in which one op per layer would be replayed, so the buffers are
@@ -218,10 +282,38 @@ def _each_layer(jobs, threaded):
     return [first, *rest.result()]
 
 
-def lstm_scan(tp, p, layers, seq, reverse_time=False):
+def _wavefront(lower, upper, xs):
+    """``lower.forward(xs)`` on this thread and ``upper.forward(lower.h)`` on
+    the worker, which runs step s once ``lower`` has written h[s]. If
+    ``lower`` fails, ``upper`` stops before its next step; the exception is
+    raised as by ``_run_jobs``."""
+    written, failed = threading.Semaphore(0), []
+
+    def run_lower(_):
+        try:
+            lower.forward(xs, after_step=written.release)
+        except BaseException:
+            failed.append(True)
+            written.release(len(lower.h))
+            raise
+
+    def step_ready():
+        written.acquire()
+        if failed:
+            raise futures.CancelledError("the layer below failed")
+
+    _run_jobs([(lambda: None, run_lower),
+               (lambda: None, lambda _: upper.forward(lower.h, before_step=step_ready))],
+              threaded=True)
+
+
+def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
     """Run the LSTM layers named in ``layers`` over one (B, L, input)
-    sequence as one taped op; returns one (B, L, hidden) node per layer,
-    aligned to the original time order regardless of the scan direction.
+    sequence as one taped op. Side by side (the default), every layer reads
+    ``seq`` and there is one (B, L, hidden) node per layer; ``stacked``, the
+    first layer reads ``seq``, each later one the hidden states of the one
+    before, and the result is the top layer's node alone, in a tuple. Outputs
+    are aligned to the original time order regardless of the scan direction.
 
     All buffers are time-major in scan order, so each step reads and writes
     one contiguous block. The sigmoid gate rows of the weights are pre-scaled
@@ -232,58 +324,122 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False):
     pass through time; an untaped run keeps only the hidden states, one step
     of gates and two cell rows.
 
-    The layers do not read each other. With several layers of at least
-    ``PARALLEL_STEP_WORK`` per step, the worker thread runs the forward step
-    loops and later the BPTTs of all but the first, in turn, while the
-    calling thread runs the first; the bits are those of running the layers
-    one after the other. The op's parents are each layer's w_in, w_rec,
-    bias and the sequence, last layer first, so the sequence's gradient sums
-    match one op per layer recorded in the order named.
+    With the worker (module docstring), side by side layers of at least
+    ``PARALLEL_STEP_WORK`` per step run their forward step loops and BPTTs on
+    both threads, two stacked layers their forward step loops as a
+    wavefront; any other BPTT of that size splits its weight-gradient
+    products across both threads. The bits are those of running the layers
+    one after the other. The op's parents are each layer's w_in, w_rec and
+    bias, last layer first, and the sequence: side by side after every
+    layer's weights, stacked once at the end. So the gradient sums match one
+    op per layer recorded in the order named.
     """
     x = T.value_of(seq)
     weights = [[T.value_of(p[f"{name}.{w}"]) for w in ("w_in", "w_rec", "bias")]
                for name in layers]
-    for wi, _, _ in weights:
-        if x.ndim != 3 or x.shape[2] != wi.shape[1]:
+    shape = x.shape
+    for wi, wr, _ in weights:
+        if len(shape) != 3 or shape[2] != wi.shape[1]:
             raise DimensionError(
-                f"LSTM input has shape {x.shape}, expected (B, L, {wi.shape[1]})")
-    batch, length, n_in = x.shape
+                f"LSTM input has shape {shape}, expected (B, L, {wi.shape[1]})")
+        if stacked:
+            shape = (*shape[:2], wr.shape[1])
+    batch, length, _ = x.shape
 
     xs = x.transpose(1, 0, 2)
     if reverse_time:
         xs = xs[::-1]
-    scans = [_Layer(*w, batch, length, tp is not None) for w in weights]
-    threaded = len(scans) > 1 and min(s.work() for s in scans) >= PARALLEL_STEP_WORK
-    _each_layer([(lambda: None, lambda _, s=s: s.forward(xs)) for s in scans], threaded)
-    values = tuple((s.h[::-1] if reverse_time else s.h).transpose(1, 0, 2) for s in scans)
+    threaded = ((len(weights) == 2 if stacked else len(weights) > 1)
+                and _worth_the_worker(batch, *weights))
+    if stacked and not threaded:
+        # each layer allocated once the one below has run, as one op per
+        # layer would
+        scans = []
+        for w in weights:
+            scans.append(_Layer(*w, batch, length, tp is not None))
+            scans[-1].forward(scans[-2].h if len(scans) > 1 else xs)
+    else:
+        scans = [_Layer(*w, batch, length, tp is not None) for w in weights]
+        if stacked:
+            _wavefront(*scans, xs)
+        else:
+            _run_jobs([(lambda: None, lambda _, s=s: s.forward(xs)) for s in scans],
+                      threaded)
+    # the time-major, scan-order input of each layer
+    inputs = [xs, *(s.h for s in scans[:-1])] if stacked else [xs] * len(scans)
 
-    parents = [[p[f"{name}.{w}"] for w in ("w_in", "w_rec", "bias")] + [seq]
-               for name in layers]
+    def time_order(d):
+        """A time-major, scan-order (L*B, n) gradient as (B, L, n) in time order."""
+        d = d.reshape(length, batch, -1)
+        return (d[::-1] if reverse_time else d).transpose(1, 0, 2)
+
+    def scan_order(g):
+        g = g.transpose(1, 0, 2)
+        return g[::-1] if reverse_time else g
+
+    weight_parents = [[p[f"{name}.{w}"] for w in ("w_in", "w_rec", "bias")]
+                      for name in layers]
+    wanted = [[isinstance(w, T.Node) for w in ws] for ws in weight_parents]
+
+    def flat_input(k):
+        return np.ascontiguousarray(inputs[k]).reshape(length * batch, -1)
+
+    if stacked:
+        top = scans[-1].h
+        values = ((top[::-1] if reverse_time else top).transpose(1, 0, 2),)
+        parents = (*(w for ws in reversed(weight_parents) for w in ws), seq)
+        # whether layer k's input needs a gradient: the sequence, or the
+        # weights of a layer below k
+        below = [isinstance(seq, T.Node)]
+        for want in wanted[:-1]:
+            below.append(below[-1] or any(want))
+
+        def vjp(g):
+            """Each layer's (dW_in, dW_rec, dbias), last layer first, then
+            dseq; None for a constant parent. Each layer's BPTT reads the
+            whole dseq of the layer above, as one op per layer would."""
+            grads = []
+            gs = scan_order(g)
+            for k in reversed(range(len(scans))):
+                want = [*wanted[k], below[k]]
+                if not any(want):
+                    grads += [None] * 3
+                    continue
+                s = scans[k]
+                *d_w, gs = s.bptt(gs, flat_input(k) if want[0] else None, want, None,
+                                  split=_worth_the_worker(batch, weights[k]))
+                grads += d_w
+                if gs is not None:
+                    gs = gs.reshape(length, batch, -1)
+            return (*grads, None if gs is None else time_order(gs))
+
+        return T.emit(tp, values, parents, vjp)
+
+    values = tuple((s.h[::-1] if reverse_time else s.h).transpose(1, 0, 2) for s in scans)
+    parents = tuple(x for ws in reversed(weight_parents) for x in (*ws, seq))
 
     def vjp(*adjoints):
         """Each layer's (dW_in, dW_rec, dbias, dseq), last layer first; None
         for a constant parent and for a layer whose output got no adjoint."""
-        todo = [(s, g, [isinstance(x, T.Node) for x in parents[k]])
-                for k, (s, g) in enumerate(zip(scans, adjoints)) if g is not None]
-        xs_flat = (np.ascontiguousarray(xs).reshape(-1, n_in)
-                   if any(want[0] for _, _, want in todo) else None)
+        want_seq = isinstance(seq, T.Node)
+        todo = [(k, g, [*wanted[k], want_seq])
+                for k, g in enumerate(adjoints) if g is not None]
+        pair = threaded and len(todo) > 1
+        xs_flat = flat_input(0) if any(want[0] for _, _, want in todo) else None
 
-        def job(s, g, want):
-            gs = g.transpose(1, 0, 2)
+        def job(k, g, want):
+            s, split = scans[k], not pair and _worth_the_worker(batch, weights[k])
             return (lambda: s.loop_buffers() + s.grad_buffers(want),
-                    lambda bufs: s.bptt(gs[::-1] if reverse_time else gs, xs_flat, want, bufs))
+                    lambda bufs: s.bptt(scan_order(g), xs_flat, want, bufs, split=split))
 
-        done = iter(_each_layer([job(*t) for t in todo], threaded and len(todo) > 1))
+        done = iter(_run_jobs([job(*t) for t in todo], pair))
         grads = []
         for g in adjoints:
             if g is None:
                 grads.append([None] * 4)
                 continue
             *d_w, d_seq = next(done)
-            if d_seq is not None:
-                d_seq = d_seq.reshape(length, batch, n_in)
-                d_seq = (d_seq[::-1] if reverse_time else d_seq).transpose(1, 0, 2)
-            grads.append([*d_w, d_seq])
+            grads.append([*d_w, None if d_seq is None else time_order(d_seq)])
         return tuple(d for layer in reversed(grads) for d in layer)
 
-    return T.emit(tp, values, tuple(x for layer in reversed(parents) for x in layer), vjp)
+    return T.emit(tp, values, parents, vjp)

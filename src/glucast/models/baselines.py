@@ -104,8 +104,7 @@ def lstm_reg_graph(tp, x_batch, p, with_adversary=True, reverse_adversary=True):
     x = T.value_of(x_batch)
     if x.ndim != 3:
         raise DimensionError(f"expected a (B, L, r) batch, got shape {x.shape}")
-    (h1,) = lstm_scan(tp, p, ("layer1",), x_batch)
-    (h2,) = lstm_scan(tp, p, ("layer2",), h1)
+    (h2,) = lstm_scan(tp, p, ("layer1", "layer2"), x_batch, stacked=True)
     hidden = _last_step(h2, tp)                              # (B, n2)
     y_hat = T.add(T.matmul(hidden, p["out_w"], tp), p["out_b"], tp)
     adv_probs = None

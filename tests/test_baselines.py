@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glucast.kernel import Tape
+from glucast.kernel import lstm
 from glucast.kernel import tape as T
 from glucast.models import (
     LstmRegConfig,
@@ -11,7 +12,9 @@ from glucast.models import (
     init_lstm_reg_params,
     init_std_attn_params,
 )
+from glucast.models import baselines
 from glucast.models.baselines import lstm_reg_graph, std_attn_graph
+from glucast.training import backward_with_reversal
 
 from _utils import finite_diff_params, max_rel_err, oracle_lstm, oracle_lstm_cell
 
@@ -158,3 +161,55 @@ def test_lstm_regressor_gradients_match_finite_differences():
         if name.startswith("adv_"):
             continue
         assert max_rel_err(analytic[name], numeric[name]) <= 1e-4, name
+
+
+def step_and_predict_bytes(model, x, y, labels):
+    """The bytes of a training step's gradients and losses and of predict."""
+    grads, *losses = backward_with_reversal(model, x, y, labels, 0.1)
+    return [g.tobytes() for g in grads.values()], losses, model.predict(x).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(5, 4), (96, 128)])
+def test_stacked_regressor_bits_do_not_depend_on_the_worker_or_on_one_op(
+        monkeypatch, hidden):
+    # its two layers are one stacked op; with the worker, a wavefront forward
+    # and split weight-gradient products; all as two one-layer ops in turn
+    model = LstmRegModel.build(LstmRegConfig(3, *hidden, 3), seed=9)
+    rng = np.random.default_rng(35)
+    x, y, labels = rng.normal(size=(9, 6, 3)), rng.normal(size=9), rng.integers(0, 3, 9)
+    calls = []
+    scan = baselines.lstm_scan
+
+    def spy(tp, p, layers, seq, reverse_time=False, stacked=False):
+        recorded = len(tp) if tp is not None else None
+        out = scan(tp, p, layers, seq, reverse_time, stacked)
+        calls.append((layers, stacked, None if tp is None else len(tp) - recorded))
+        return out
+
+    monkeypatch.setattr(baselines, "lstm_scan", spy)
+    monkeypatch.setattr(lstm, "USE_WORKER", False)
+    one_thread = step_and_predict_bytes(model, x, y, labels)
+    # one op on the tape of the training step, and the untaped predict
+    assert set(calls) == {(("layer1", "layer2"), True, 1), (("layer1", "layer2"), True, None)}
+    monkeypatch.setattr(lstm, "USE_WORKER", True)
+    monkeypatch.setattr(lstm, "PARALLEL_STEP_WORK", 0)
+    assert step_and_predict_bytes(model, x, y, labels) == one_thread
+
+    def one_op_per_layer(tp, p, layers, seq, reverse_time=False, stacked=False):
+        for name in layers:
+            (seq,) = scan(tp, p, (name,), seq, reverse_time)
+        return (seq,)
+
+    monkeypatch.setattr(baselines, "lstm_scan", one_op_per_layer)
+    monkeypatch.setattr(lstm, "USE_WORKER", False)
+    assert step_and_predict_bytes(model, x, y, labels) == one_thread
+
+
+def test_std_attention_bits_do_not_depend_on_the_split_weight_gradients(monkeypatch):
+    model = StdAttnModel.build(StdAttnConfig(3, 128), seed=10)
+    rng = np.random.default_rng(36)
+    x, y = rng.normal(size=(50, 6, 3)), rng.normal(size=50)
+    monkeypatch.setattr(lstm, "USE_WORKER", False)
+    one_thread = step_and_predict_bytes(model, x, y, None)
+    monkeypatch.setattr(lstm, "USE_WORKER", True)  # 3.35e6 per step: above the threshold
+    assert step_and_predict_bytes(model, x, y, None) == one_thread

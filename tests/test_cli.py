@@ -553,15 +553,19 @@ def two_var_run(mini_run, tmp_path_factory):
     return root
 
 
+def _drop_insulin_columns(path):
+    """Cut the insulin_* columns from an archive split's CSV."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if not name.startswith("insulin_")]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+
+
 def _drop_insulin(archive):
     """Cut a patient's archive to glucose and CHO: its windows and its sidecar."""
     for split in ("train", "valid", "test"):
-        path = archive / f"{split}.csv"
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        keep = [i for i, name in enumerate(rows[0]) if not name.startswith("insulin_")]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+        _drop_insulin_columns(archive / f"{split}.csv")
     sidecar = archive / "scaling.json"
     doc = json.loads(sidecar.read_text())
     doc["input_mean"], doc["input_std"] = doc["input_mean"][:2], doc["input_std"][:2]
@@ -633,12 +637,7 @@ def test_evaluate_names_the_width_of_test_windows_narrower_than_the_sidecar(
         mini_run, tmp_path, capsys):
     prep = tmp_path / "prep"
     shutil.copytree(mini_run / "prep" / "p02", prep / "p02")
-    path = prep / "p02" / "test.csv"
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    keep = [i for i, name in enumerate(rows[0]) if not name.startswith("insulin_")]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([row[i] for i in keep] for row in rows)
+    _drop_insulin_columns(prep / "p02" / "test.csv")
     assert run("evaluate", "--model", str(mini_run / "run" / "model.json"), "--data",
                str(prep), "--target", "p02", "--out", str(tmp_path / "ev")) == 2
     err = capsys.readouterr().err
@@ -685,6 +684,22 @@ def test_train_rejects_a_source_archive_narrower_than_the_target(mini_run, tmp_p
     assert (f"the target archive {prep / 'p02' / 'scaling.json'} has input_dim = 3, "
             f"but the archive {prep / 'p00' / 'scaling.json'}") in err
     assert "have input_dim = 2" in err and "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_train_names_the_target_split_narrower_than_its_own_sidecar(
+        mini_run, tmp_path, capsys, split):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep", prep)
+    _drop_insulin_columns(prep / "p02" / f"{split}.csv")
+    out = tmp_path / "run"
+    assert run("train", "--data", str(prep), "--target", "p02", "--sources", "p00,p01",
+               "--max-epochs", "1", "--config", str(_mini_cfg(mini_run)),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert (f"{prep / 'p02' / 'scaling.json'} has input_dim = 3, but the archive "
+            f"windows in {prep / 'p02' / f'{split}.csv'} have input_dim = 2") in err
+    assert err.count("scaling.json") == 1 and "Traceback" not in err and not out.exists()
 
 
 # each family's config-key sizes and the model.json config block they give

@@ -337,6 +337,13 @@ def test_lstm_scan_equals_the_whole_sequence_oracle_bit_for_bit(
 
 # --- several layers over one sequence, on one thread or two ------------------
 
+def force_worker(monkeypatch):
+    """Let lstm_scan use the worker for layers of any size, whatever the BLAS
+    thread count."""
+    monkeypatch.setattr(lstm_module, "USE_WORKER", True)
+    monkeypatch.setattr(lstm_module, "PARALLEL_STEP_WORK", 0)
+
+
 def layers_bytes(p, x, weights, reverse_time, node_seq, taped, at_once):
     """The bytes of layers "a" and "b" over x, as one two-layer scan
     (``at_once``) or as two one-layer scans, and, when taped, of every
@@ -388,9 +395,31 @@ def test_a_two_layer_scan_equals_two_one_layer_scans_bit_for_bit(
                                hidden_a, hidden_b)
     args = (p, x, weights, reverse_time, node_seq, taped)
     threshold = 0 if force_worker else lstm_module.PARALLEL_STEP_WORK
-    with mock.patch.object(lstm_module, "PARALLEL_STEP_WORK", threshold):
+    with mock.patch.multiple(lstm_module, USE_WORKER=True, PARALLEL_STEP_WORK=threshold):
         at_once = layers_bytes(*args, at_once=True)
-    assert at_once == layers_bytes(*args, at_once=False)
+    with mock.patch.object(lstm_module, "USE_WORKER", False):
+        assert at_once == layers_bytes(*args, at_once=False)
+
+
+@pytest.mark.parametrize("cores, env, leaves", [
+    (2, {}, False),                                        # OpenBLAS takes every core
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, False),
+    (2, {"OPENBLAS_NUM_THREADS": "8"}, False),
+    (4, {"OPENBLAS_NUM_THREADS": "2"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+    (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+    (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # GOTO comes first
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+])
+def test_the_worker_is_used_only_when_blas_leaves_a_core_free(monkeypatch, cores, env,
+                                                               leaves):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(lstm_module.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert lstm_module._blas_leaves_a_core() is leaves
 
 
 def test_production_size_retain_scans_use_the_worker(monkeypatch):
@@ -403,6 +432,7 @@ def test_production_size_retain_scans_use_the_worker(monkeypatch):
         forward(layer, xs)
 
     monkeypatch.setattr(lstm_module._Layer, "forward", spy)
+    monkeypatch.setattr(lstm_module, "USE_WORKER", True)
     for batch, n_in, hidden in ((50, 64, 128), (512, 16, 24)):
         p, x, _ = two_layers(np.random.default_rng(3), batch, 4, n_in, hidden, hidden)
         lstm_scan(None, p, ("a", "b"), x)
@@ -413,9 +443,10 @@ def test_production_size_retain_scans_use_the_worker(monkeypatch):
 def test_twenty_threaded_runs_give_identical_bits(monkeypatch):
     # 20 runs from four calling threads at once, which share the one worker,
     # with thread switches forced often; each equals the one-thread bits
-    monkeypatch.setattr(lstm_module, "PARALLEL_STEP_WORK", 0)
+    monkeypatch.setattr(lstm_module, "USE_WORKER", False)
     p, x, weights = two_layers(np.random.default_rng(4), 50, 12, 64, 128, 96)
     expect = layers_bytes(p, x, weights, True, True, True, at_once=False)
+    force_worker(monkeypatch)
     runs = []
 
     def caller():
@@ -442,17 +473,17 @@ def test_an_exception_in_either_layer_reaches_the_caller_after_both_end(
         monkeypatch, phase, failing):
     # layer a runs on the calling thread, b on the worker; the one that does
     # not fail is slow, so the exception must wait for it
-    monkeypatch.setattr(lstm_module, "PARALLEL_STEP_WORK", 0)
+    force_worker(monkeypatch)
     p, x, weights = two_layers(np.random.default_rng(5), 3, 4, 2, 2, 3)
     ended = []
     original = getattr(lstm_module._Layer, phase)
 
-    def patched(layer, *args):
+    def patched(layer, *args, **kwargs):
         name = "a" if layer.h.shape[2] == 2 else "b"
         if name == failing:
             raise FloatingPointError(f"layer {name} overflowed")
         time.sleep(0.2)
-        result = original(layer, *args)
+        result = original(layer, *args, **kwargs)
         ended.append(name)
         return result
 
@@ -460,6 +491,243 @@ def test_an_exception_in_either_layer_reaches_the_caller_after_both_end(
     with pytest.raises(FloatingPointError, match=f"^layer {failing} overflowed$"):
         layers_bytes(p, x, weights, False, True, True, at_once=True)
     assert ended == [{"a": "b", "b": "a"}[failing]]
+
+
+# --- two stacked layers, as one op -------------------------------------------
+
+def stacked_bytes(p, x, weights, reverse_time, node_seq, taped, at_once):
+    """The bytes of layer "b" stacked on layer "a" over x, as one stacked
+    scan (``at_once``) or as two one-layer scans, the second over the
+    first's output, and, when taped, of every gradient after one backward
+    pass of a weighted sum of the top layer's output."""
+    nodes = {k: T.Node(v.copy()) for k, v in p.items()}
+    seq = T.Node(x.copy()) if node_seq else x.copy()
+    tp = Tape() if taped else None
+    if at_once:
+        (out,) = lstm_scan(tp, nodes, ("a", "b"), seq, reverse_time, stacked=True)
+    else:
+        (below,) = lstm_scan(tp, nodes, ("a",), seq, reverse_time)
+        (out,) = lstm_scan(tp, nodes, ("b",), below, reverse_time)
+    got = [out.value.tobytes()]
+    if taped:
+        assert len(tp) == (1 if at_once else 2)
+        tp.backward(T.sum_all(T.mul(out, weights, tp), tp))
+        got += [n.grad.tobytes() for n in nodes.values()]
+        got += [seq.grad.tobytes()] if node_seq else []
+    return got
+
+
+def two_stacked_layers(rng, batch, length, n_in, hidden_a, hidden_b):
+    p = {**init_lstm_params("a", n_in, hidden_a, rng),
+         **init_lstm_params("b", hidden_a, hidden_b, rng)}
+    for name in ("a.bias", "b.bias"):
+        p[name][...] = rng.normal(size=p[name].shape)
+    return p, rng.normal(size=(batch, length, n_in)), rng.normal(size=(batch, length, hidden_b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.sampled_from([1, 7, 50]), length=st.sampled_from([1, 2, 6]),
+       n_in=st.sampled_from([3, 16]), hidden_a=st.sampled_from([1, 5, 24]),
+       hidden_b=st.sampled_from([2, 24]), reverse_time=st.booleans(),
+       node_seq=st.booleans(), taped=st.booleans(), force=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(batch=50, length=37, n_in=3, hidden_a=256, hidden_b=256, reverse_time=False,
+         node_seq=False, taped=True, force=False, seed=0)  # the stacked regressor
+@example(batch=50, length=37, n_in=3, hidden_a=256, hidden_b=256, reverse_time=False,
+         node_seq=False, taped=False, force=False, seed=1)
+@example(batch=1, length=37, n_in=3, hidden_a=24, hidden_b=20, reverse_time=True,
+         node_seq=True, taped=True, force=True, seed=2)
+def test_a_stacked_scan_equals_two_one_layer_scans_bit_for_bit(
+        batch, length, n_in, hidden_a, hidden_b, reverse_time, node_seq, taped, force,
+        seed):
+    # with the worker allowed (at its threshold, or for every size) and not
+    p, x, weights = two_stacked_layers(np.random.default_rng(seed), batch, length, n_in,
+                                       hidden_a, hidden_b)
+    args = (p, x, weights, reverse_time, node_seq, taped)
+    with mock.patch.object(lstm_module, "USE_WORKER", False):
+        expect = stacked_bytes(*args, at_once=False)
+        assert stacked_bytes(*args, at_once=True) == expect
+    threshold = 0 if force else lstm_module.PARALLEL_STEP_WORK
+    with mock.patch.multiple(lstm_module, USE_WORKER=True, PARALLEL_STEP_WORK=threshold):
+        assert stacked_bytes(*args, at_once=True) == expect
+
+
+def test_a_stacked_scan_takes_only_the_hidden_width_of_the_layer_below():
+    p, x, _ = two_stacked_layers(np.random.default_rng(10), 2, 3, 4, 5, 6)
+    with pytest.raises(DimensionError, match=r"\(2, 3, 4\), expected \(B, L, 5\)"):
+        lstm_scan(None, p, ("b", "a"), x, stacked=True)
+    with pytest.raises(DimensionError, match=r"\(2, 3, 5\), expected \(B, L, 4\)"):
+        lstm_scan(None, p, ("a", "a"), x, stacked=True)
+
+
+@pytest.mark.parametrize("worker", [False, True])
+@pytest.mark.parametrize("reverse_time", [False, True])
+def test_stacked_scan_gradients_match_finite_differences(monkeypatch, worker, reverse_time):
+    if worker:
+        force_worker(monkeypatch)
+    p, x, weights = two_stacked_layers(np.random.default_rng(11), 2, 4, 2, 3, 2)
+
+    def graph(tp, ns):
+        (out,) = lstm_scan(tp, dict(zip(p, ns)), ("a", "b"), ns[-1], reverse_time,
+                           stacked=True)
+        return T.sum_all(T.mul(out, weights, tp), tp)
+
+    check_op(graph, [a.copy() for a in (*p.values(), x)], rtol=1e-5)
+
+
+def stacked_phase_patch(monkeypatch, failing, fail_at, ended):
+    """Make layer ``failing`` ("a" below, "b" above) of the stacked pair raise
+    in its forward step loop where it would release (a) or start (b) step
+    ``fail_at``, and slow down the other one's steps; each layer appends its
+    name to ``ended`` when its step loop has ended, whichever way."""
+    original = lstm_module._Layer.forward
+
+    def forward(layer, xs, before_step=None, after_step=None):
+        name = "a" if layer.h.shape[2] == 2 else "b"
+        steps = iter(range(10 ** 6))
+
+        def hook(inner):
+            def run():
+                if name == failing and next(steps) == fail_at:
+                    raise FloatingPointError(f"layer {name} overflowed")
+                if name != failing:
+                    time.sleep(0.02)
+                if inner is not None:
+                    inner()
+            return run
+
+        try:
+            if name == "a":
+                return original(layer, xs, before_step, hook(after_step))
+            return original(layer, xs, hook(before_step), after_step)
+        finally:
+            ended.append(name)
+
+    monkeypatch.setattr(lstm_module._Layer, "forward", forward)
+
+
+@pytest.mark.parametrize("fail_at", [0, 2])
+@pytest.mark.parametrize("failing", ["a", "b"])
+def test_an_exception_in_either_stacked_layer_reaches_the_caller_after_both_end(
+        monkeypatch, failing, fail_at):
+    # layer a runs on the calling thread, b on the worker one step behind;
+    # if a fails before it releases step fail_at, b must not wait for it
+    force_worker(monkeypatch)
+    p, x, weights = two_stacked_layers(np.random.default_rng(12), 3, 5, 2, 2, 3)
+    ended = []
+    stacked_phase_patch(monkeypatch, failing, fail_at, ended)
+    for taped in (False, True):
+        ended.clear()
+        with pytest.raises(FloatingPointError, match=f"^layer {failing} overflowed$"):
+            stacked_bytes(p, x, weights, False, True, taped, at_once=True)
+        assert sorted(ended) == ["a", "b"]
+    # the worker is free again: a run without the patch gives the one-thread bits
+    monkeypatch.undo()
+    expect = stacked_bytes(p, x, weights, False, True, True, at_once=False)
+    force_worker(monkeypatch)
+    assert stacked_bytes(p, x, weights, False, True, True, at_once=True) == expect
+
+
+@pytest.mark.parametrize("failing", ["input side", "recurrent side"])
+def test_an_exception_in_either_half_of_a_split_bptt_reaches_the_caller_after_both(
+        monkeypatch, failing):
+    force_worker(monkeypatch)
+    p, x, weights = two_stacked_layers(np.random.default_rng(13), 3, 7, 2, 2, 3)
+    ended = []
+
+    class FailingNumpy(CountingNumpy):
+        def matmul(self, a, b, out=None):
+            # of the first BPTT's weight-gradient products, the input side's
+            # reads all L*B = 21 rows, w_rec's (L-1)*B = 18
+            side = ("input side" if out is not None and out.shape[0] == len(a)
+                    and len(b) == 21 else "recurrent side" if len(b) == 18 else None)
+            if side == failing:
+                raise FloatingPointError(f"{side} overflowed")
+            if side is not None:
+                time.sleep(0.2)
+                ended.append(side)
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(lstm_module, "np", FailingNumpy())
+    with pytest.raises(FloatingPointError, match=f"^{failing} overflowed$"):
+        stacked_bytes(p, x, weights, False, True, True, at_once=True)
+    assert ended == [{"input side": "recurrent side",
+                      "recurrent side": "input side"}[failing]]
+
+
+def test_twenty_threaded_stacked_runs_give_identical_bits(monkeypatch):
+    # as test_twenty_threaded_runs_give_identical_bits, for the wavefront
+    # and the split weight-gradient products
+    monkeypatch.setattr(lstm_module, "USE_WORKER", False)
+    p, x, weights = two_stacked_layers(np.random.default_rng(14), 50, 12, 3, 128, 96)
+    expect = stacked_bytes(p, x, weights, True, True, True, at_once=False)
+    force_worker(monkeypatch)
+    runs = []
+
+    def caller():
+        for _ in range(5):
+            runs.append(stacked_bytes(p, x, weights, True, True, True, at_once=True))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(runs) == 20 and all(run == expect for run in runs)
+
+
+def test_weight_gradients_split_only_outside_worker_jobs(monkeypatch):
+    # above the threshold, a BPTT on the calling thread alone computes
+    # d_w_in on the worker; the BPTTs of retain's threaded pair do not split,
+    # and no job of the worker's submits another (it would wait on itself)
+    monkeypatch.setattr(lstm_module, "USE_WORKER", True)
+    d_w_in_threads, submitters = [], []
+
+    class SpyNumpy(CountingNumpy):
+        def matmul(self, a, b, out=None):
+            if out is not None and out.shape[0] == len(a) and len(b) == batch * length:
+                d_w_in_threads.append((out.shape, threading.current_thread().name))
+            return np.matmul(a, b, out=out)
+
+    submit = lstm_module._WORKER.submit
+
+    def spy_submit(*args):
+        submitters.append(threading.current_thread().name)
+        return submit(*args)
+
+    monkeypatch.setattr(lstm_module, "np", SpyNumpy())
+    monkeypatch.setattr(lstm_module._WORKER, "submit", spy_submit)
+    batch, length = 50, 3
+    rng = np.random.default_rng(15)
+    x, y, labels = rng.normal(size=(batch, length, 3)), rng.normal(size=batch), \
+        rng.integers(0, 2, size=batch)
+    main = threading.current_thread().name
+    for model, expect in (
+            # 256+256: both layers split; 128: stdattn's one layer splits
+            (MODELS["lstm"].build(baselines.LstmRegConfig(3, 256, 256, 2), seed=1),
+             [((1024, 256), "lstm_scan"), ((1024, 3), "lstm_scan")]),
+            (MODELS["stdattn"].build(baselines.StdAttnConfig(3, 128), seed=1),
+             [((512, 3), "lstm_scan")]),
+            # 24+20: below the threshold, nothing moves
+            (MODELS["lstm"].build(baselines.LstmRegConfig(3, 24, 20, 2), seed=1),
+             [((80, 24), main), ((96, 3), main)]),
+            # retain 64/128: beta's whole BPTT on the worker, alpha's here
+            (MODELS["retain"].build(retain.RetainConfig(
+                seq_len=length, embed_dim=64, alpha_hidden=128, beta_hidden=128,
+                n_sources=2), seed=1),
+             [((512, 64), main), ((512, 64), "lstm_scan")])):
+        d_w_in_threads.clear()
+        backward_with_reversal(model, x, y, labels, 0.1)
+        got = [(shape, name.split("_")[0] + ("_scan" if "scan" in name else ""))
+               for shape, name in d_w_in_threads]
+        assert sorted(got) == sorted(expect), model.kind
+    assert submitters and all(name == main for name in submitters)
 
 
 class CountingNumpy:

@@ -354,9 +354,10 @@ def test_retain_bits_do_not_depend_on_the_worker_or_on_one_op(monkeypatch, rever
         return scan(tp, p, layers, seq, reverse_time)
 
     monkeypatch.setattr(retain, "lstm_scan", spy)
-    monkeypatch.setattr(lstm, "PARALLEL_STEP_WORK", 10 ** 18)
+    monkeypatch.setattr(lstm, "USE_WORKER", False)
     one_thread = step_and_inference_bytes(model, x, y, labels)
     assert set(calls) == {("alpha_rnn", "beta_rnn")}
+    monkeypatch.setattr(lstm, "USE_WORKER", True)
     monkeypatch.setattr(lstm, "PARALLEL_STEP_WORK", 0)
     assert step_and_inference_bytes(model, x, y, labels) == one_thread
 
