@@ -12,7 +12,10 @@ free (``USE_WORKER``):
 * side by side, it runs the forward step loops and BPTTs of every layer
   after the first while the calling thread runs the first;
 * stacked two high, it runs layer 2's forward step s as soon as the calling
-  thread's layer 1 has written h1[s] (a wavefront); the BPTTs stay serial.
+  thread's layer 1 has written h1[s] (a wavefront); the BPTTs stay serial;
+* in a BPTT that runs on the calling thread alone, it computes the input
+  side's weight gradients (w_in and bias) while the calling thread computes
+  the w_rec and sequence gradients.
 
 The worker only writes into buffers the calling thread allocated, and the op
 is recorded on the tape from the calling thread only, after both have
@@ -73,7 +76,8 @@ def _blas_leaves_a_core():
 USE_WORKER = _blas_leaves_a_core()
 
 # the one worker thread, started on first use; it runs only _Layer.forward and
-# _Layer.bptt, never a traced or tape function, and never waits for itself
+# parts of _Layer.bptt, never a traced or tape function, and never waits for
+# itself
 _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_scan")
 
 
@@ -189,12 +193,14 @@ class _Layer:
         shapes = (self.wi.shape, self.wr.shape, (h4,), (length * batch, self.wi.shape[1]))
         return [np.empty(shape) if w else None for shape, w in zip(shapes, want)]
 
-    def bptt(self, gs, xs_flat, want, bufs):
+    def bptt(self, gs, xs_flat, want, bufs, split=False):
         """The gradients of ``grad_buffers(want)`` for the time-major,
         scan-order upstream gradient ``gs``. ``bufs`` is a list of every buffer
         (``loop_buffers`` then ``grad_buffers``), which this empties, or None
         to allocate each as it is needed; dc_dh is freed once the step loop
-        has used it."""
+        has used it. With ``split``, the worker computes the w_in and bias
+        gradients while this thread computes the others; never set it in a
+        job of the worker's own."""
         z, c, h = self.z, self.c, self.h
         length, batch, h4 = z.shape
         hidden = h4 // 4
@@ -238,18 +244,26 @@ class _Layer:
 
         d_w_in, d_w_rec, d_bias, d_seq = grads = grads or self.grad_buffers(want)
         flat = dz.reshape(length * batch, h4)
-        if d_w_in is not None:
-            np.matmul(flat.T, xs_flat, out=d_w_in)
-        if d_w_rec is not None:
-            np.matmul(flat[batch:].T, h[:-1].reshape(-1, hidden), out=d_w_rec)
-        if d_bias is not None:
-            flat.sum(axis=0, out=d_bias)
-        if d_seq is not None:
-            np.matmul(flat, self.wi, out=d_seq)
+
+        def input_side(_):
+            if d_w_in is not None:
+                np.matmul(flat.T, xs_flat, out=d_w_in)
+            if d_bias is not None:
+                flat.sum(axis=0, out=d_bias)
+
+        def recurrent_side(_):
+            if d_w_rec is not None:
+                np.matmul(flat[batch:].T, h[:-1].reshape(-1, hidden), out=d_w_rec)
+            if d_seq is not None:
+                np.matmul(flat, self.wi, out=d_seq)
+
+        # these products feed only gradients, not each other: the same GEMMs
+        # on either thread, so the same bits
+        _run_jobs([(lambda: None, recurrent_side), (lambda: None, input_side)], split)
         return grads
 
 
-def _each_layer(jobs, threaded):
+def _run_jobs(jobs, threaded):
     """``[work(bufs) for (alloc, work) in jobs]``. Unthreaded, the jobs run
     in turn with ``bufs`` None, the last first: for BPTTs that is the order
     in which one op per layer would be replayed, so the buffers are
@@ -273,7 +287,7 @@ def _wavefront(lower, upper, xs):
     """``lower.forward(xs)`` on this thread and ``upper.forward(lower.h)`` on
     the worker, which runs step s once ``lower`` has written h[s]. If
     ``lower`` fails, ``upper`` stops before its next step; the exception is
-    raised as by ``_each_layer``."""
+    raised as by ``_run_jobs``."""
     written, failed = threading.Semaphore(0), []
 
     def run_lower(_):
@@ -289,9 +303,9 @@ def _wavefront(lower, upper, xs):
         if failed:
             raise futures.CancelledError("the layer below failed")
 
-    _each_layer([(lambda: None, run_lower),
-                 (lambda: None, lambda _: upper.forward(lower.h, before_step=step_ready))],
-                threaded=True)
+    _run_jobs([(lambda: None, run_lower),
+               (lambda: None, lambda _: upper.forward(lower.h, before_step=step_ready))],
+              threaded=True)
 
 
 def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
@@ -314,7 +328,9 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
     With the worker (module docstring), side by side layers of at least
     ``PARALLEL_STEP_WORK`` per step run their forward step loops and BPTTs on
     both threads, two stacked layers their forward step loops as a
-    wavefront. The bits are those of running the layers one after the other. The op's parents are each layer's w_in, w_rec and
+    wavefront; any other BPTT of that size splits its weight-gradient
+    products across both threads. The bits are those of running the layers
+    one after the other. The op's parents are each layer's w_in, w_rec and
     bias, last layer first, and the sequence: side by side after every
     layer's weights, stacked once at the end. So the gradient sums match one
     op per layer recorded in the order named.
@@ -348,8 +364,8 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
         if stacked:
             _wavefront(*scans, xs)
         else:
-            _each_layer([(lambda: None, lambda _, s=s: s.forward(xs)) for s in scans],
-                        threaded)
+            _run_jobs([(lambda: None, lambda _, s=s: s.forward(xs)) for s in scans],
+                      threaded)
     # the time-major, scan-order input of each layer
     inputs = [xs, *(s.h for s in scans[:-1])] if stacked else [xs] * len(scans)
 
@@ -391,7 +407,8 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
                     grads += [None] * 3
                     continue
                 s = scans[k]
-                *d_w, gs = s.bptt(gs, flat_input(k) if want[0] else None, want, None)
+                *d_w, gs = s.bptt(gs, flat_input(k) if want[0] else None, want, None,
+                                  split=_worth_the_worker(batch, weights[k]))
                 grads += d_w
                 if gs is not None:
                     gs = gs.reshape(length, batch, -1)
@@ -408,14 +425,15 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
         want_seq = isinstance(seq, T.Node)
         todo = [(k, g, [*wanted[k], want_seq])
                 for k, g in enumerate(adjoints) if g is not None]
+        pair = threaded and len(todo) > 1
         xs_flat = flat_input(0) if any(want[0] for _, _, want in todo) else None
 
         def job(k, g, want):
-            s = scans[k]
+            s, split = scans[k], not pair and _worth_the_worker(batch, weights[k])
             return (lambda: s.loop_buffers() + s.grad_buffers(want),
-                    lambda bufs: s.bptt(scan_order(g), xs_flat, want, bufs))
+                    lambda bufs: s.bptt(scan_order(g), xs_flat, want, bufs, split=split))
 
-        done = iter(_each_layer([job(*t) for t in todo], threaded and len(todo) > 1))
+        done = iter(_run_jobs([job(*t) for t in todo], pair))
         grads = []
         for g in adjoints:
             if g is None:

@@ -172,8 +172,8 @@ def step_and_predict_bytes(model, x, y, labels):
 @pytest.mark.parametrize("hidden", [(5, 4), (96, 128)])
 def test_stacked_regressor_bits_do_not_depend_on_the_worker_or_on_one_op(
         monkeypatch, hidden):
-    # its two layers are one stacked op, with the worker a wavefront forward;
-    # all as two one-layer ops in turn
+    # its two layers are one stacked op; with the worker, a wavefront forward
+    # and split weight-gradient products; all as two one-layer ops in turn
     model = LstmRegModel.build(LstmRegConfig(3, *hidden, 3), seed=9)
     rng = np.random.default_rng(35)
     x, y, labels = rng.normal(size=(9, 6, 3)), rng.normal(size=9), rng.integers(0, 3, 9)
@@ -203,3 +203,13 @@ def test_stacked_regressor_bits_do_not_depend_on_the_worker_or_on_one_op(
     monkeypatch.setattr(baselines, "lstm_scan", one_op_per_layer)
     monkeypatch.setattr(lstm, "USE_WORKER", False)
     assert step_and_predict_bytes(model, x, y, labels) == one_thread
+
+
+def test_std_attention_bits_do_not_depend_on_the_split_weight_gradients(monkeypatch):
+    model = StdAttnModel.build(StdAttnConfig(3, 128), seed=10)
+    rng = np.random.default_rng(36)
+    x, y = rng.normal(size=(50, 6, 3)), rng.normal(size=50)
+    monkeypatch.setattr(lstm, "USE_WORKER", False)
+    one_thread = step_and_predict_bytes(model, x, y, None)
+    monkeypatch.setattr(lstm, "USE_WORKER", True)  # 3.35e6 per step: above the threshold
+    assert step_and_predict_bytes(model, x, y, None) == one_thread

@@ -484,12 +484,12 @@ def test_an_exception_in_either_layer_reaches_the_caller_after_both_end(
     ended = []
     original = getattr(lstm_module._Layer, phase)
 
-    def patched(layer, *args):
+    def patched(layer, *args, **kwargs):
         name = "a" if layer.h.shape[2] == 2 else "b"
         if name == failing:
             raise FloatingPointError(f"layer {name} overflowed")
         time.sleep(0.2)
-        result = original(layer, *args)
+        result = original(layer, *args, **kwargs)
         ended.append(name)
         return result
 
@@ -634,8 +634,36 @@ def test_an_exception_in_either_stacked_layer_reaches_the_caller_after_both_end(
     assert stacked_bytes(p, x, weights, False, True, True, at_once=True) == expect
 
 
+@pytest.mark.parametrize("failing", ["input side", "recurrent side"])
+def test_an_exception_in_either_half_of_a_split_bptt_reaches_the_caller_after_both(
+        monkeypatch, failing):
+    force_worker(monkeypatch)
+    p, x, weights = two_stacked_layers(np.random.default_rng(13), 3, 7, 2, 2, 3)
+    ended = []
+
+    class FailingNumpy(CountingNumpy):
+        def matmul(self, a, b, out=None):
+            # of the first BPTT's weight-gradient products, the input side's
+            # reads all L*B = 21 rows, w_rec's (L-1)*B = 18
+            side = ("input side" if out is not None and out.shape[0] == len(a)
+                    and len(b) == 21 else "recurrent side" if len(b) == 18 else None)
+            if side == failing:
+                raise FloatingPointError(f"{side} overflowed")
+            if side is not None:
+                time.sleep(0.2)
+                ended.append(side)
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(lstm_module, "np", FailingNumpy())
+    with pytest.raises(FloatingPointError, match=f"^{failing} overflowed$"):
+        stacked_bytes(p, x, weights, False, True, True, at_once=True)
+    assert ended == [{"input side": "recurrent side",
+                      "recurrent side": "input side"}[failing]]
+
+
 def test_twenty_threaded_stacked_runs_give_identical_bits(monkeypatch):
     # as test_twenty_threaded_runs_give_identical_bits, for the wavefront
+    # and the split weight-gradient products
     monkeypatch.setattr(lstm_module, "USE_WORKER", False)
     p, x, weights = two_stacked_layers(np.random.default_rng(14), 50, 12, 3, 128, 96)
     expect = stacked_bytes(p, x, weights, True, True, True, at_once=False)
@@ -658,6 +686,54 @@ def test_twenty_threaded_stacked_runs_give_identical_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert len(runs) == 20 and all(run == expect for run in runs)
+
+
+def test_weight_gradients_split_only_outside_worker_jobs(monkeypatch):
+    # above the threshold, a BPTT on the calling thread alone computes
+    # d_w_in on the worker; the BPTTs of retain's threaded pair do not split,
+    # and no job of the worker's submits another (it would wait on itself)
+    monkeypatch.setattr(lstm_module, "USE_WORKER", True)
+    d_w_in_threads, submitters = [], []
+
+    class SpyNumpy(CountingNumpy):
+        def matmul(self, a, b, out=None):
+            if out is not None and out.shape[0] == len(a) and len(b) == batch * length:
+                d_w_in_threads.append((out.shape, threading.current_thread().name))
+            return np.matmul(a, b, out=out)
+
+    submit = lstm_module._WORKER.submit
+
+    def spy_submit(*args):
+        submitters.append(threading.current_thread().name)
+        return submit(*args)
+
+    monkeypatch.setattr(lstm_module, "np", SpyNumpy())
+    monkeypatch.setattr(lstm_module._WORKER, "submit", spy_submit)
+    batch, length = 50, 3
+    rng = np.random.default_rng(15)
+    x, y, labels = rng.normal(size=(batch, length, 3)), rng.normal(size=batch), \
+        rng.integers(0, 2, size=batch)
+    main = threading.current_thread().name
+    for model, expect in (
+            # 256+256: both layers split; 128: stdattn's one layer splits
+            (MODELS["lstm"].build(baselines.LstmRegConfig(3, 256, 256, 2), seed=1),
+             [((1024, 256), "lstm_scan"), ((1024, 3), "lstm_scan")]),
+            (MODELS["stdattn"].build(baselines.StdAttnConfig(3, 128), seed=1),
+             [((512, 3), "lstm_scan")]),
+            # 24+20: below the threshold, nothing moves
+            (MODELS["lstm"].build(baselines.LstmRegConfig(3, 24, 20, 2), seed=1),
+             [((80, 24), main), ((96, 3), main)]),
+            # retain 64/128: beta's whole BPTT on the worker, alpha's here
+            (MODELS["retain"].build(retain.RetainConfig(
+                seq_len=length, embed_dim=64, alpha_hidden=128, beta_hidden=128,
+                n_sources=2), seed=1),
+             [((512, 64), main), ((512, 64), "lstm_scan")])):
+        d_w_in_threads.clear()
+        backward_with_reversal(model, x, y, labels, 0.1)
+        got = [(shape, name.split("_")[0] + ("_scan" if "scan" in name else ""))
+               for shape, name in d_w_in_threads]
+        assert sorted(got) == sorted(expect), model.kind
+    assert submitters and all(name == main for name in submitters)
 
 
 class CountingNumpy:

@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --parent REV --change REV --label NAME \\
         [--workloads train-prod,train-small,pipeline] [--pairs 10] \\
         [--first-seed 9301] [--seconds 30] [--claim train-prod:train_samples_per_s] \\
-        [--cli-runs 5] [--work DIR]
+        [--cli-runs 5] [--busy-cpu N] [--work DIR]
 
 Run from the root of the git checkout; writes ``BENCH_<NAME>.json`` there.
 Every run gets a fresh copy of its side's committed files (``git archive``)
@@ -31,6 +31,10 @@ least 9 of 10 pairs and the gap between the medians is larger than the
 parent's interquartile range. Quartiles are ``statistics.quantiles(n=4)``.
 One traced run per side of the claim's workload (``--trace 1``, the first
 seed) records the per-layer counts.
+
+With ``--busy-cpu N``, a process that spins on CPU N alone runs beside every
+measured run (not beside the calibrations or the traced runs), as a busy
+sibling vCPU would.
 
 With ``--cli-runs N``, the CLI's production-size retain ``train`` (1 epoch)
 + ``evaluate`` + ``explain`` on a 3 x 8-day cohort (seed 3) is timed N
@@ -90,6 +94,8 @@ def parse_args(argv):
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--claim", default="train-prod:train_samples_per_s")
     parser.add_argument("--cli-runs", type=int, default=0)
+    parser.add_argument("--busy-cpu", type=int, default=None,
+                        help="spin a process on this CPU beside every measured run")
     parser.add_argument("--work", type=Path, default=None,
                         help="directory for the copies (default: a new temporary one)")
     return parser.parse_args(argv)
@@ -138,10 +144,18 @@ def timed_child(cmd, cwd, env=None):
     return done, wall, cpu, counters
 
 
-def bench_run(copy, workload, seed, seconds, trace=0):
-    done, _, cpu, counters = timed_child(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)], copy)
+def bench_run(copy, workload, seed, seconds, trace=0, busy_cpu=None):
+    spinner = None if busy_cpu is None else subprocess.Popen(
+        [sys.executable, "-c", f"import os; os.sched_setaffinity(0, {{{busy_cpu}}})\n"
+                               "while True: pass"])
+    try:
+        done, _, cpu, counters = timed_child(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)], copy)
+    finally:
+        if spinner is not None:
+            spinner.kill()
+            spinner.wait()
     result = json.loads(done.stdout.strip().splitlines()[-1])
     details = json.loads((copy / ".perfbench_out" /
                           f"{workload}-seed{seed}-trace{trace}.json").read_text())["details"]
@@ -254,6 +268,8 @@ def main(argv=None):
            "parent_commit": revs["parent"], "change_commit": revs["change"],
            "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
            "environment": environment(args.seconds), "workloads": {}}
+    if args.busy_cpu is not None:
+        doc["busy_cpu"] = args.busy_cpu
     out_path = ROOT / f"BENCH_{args.label}.json"
     for w, workload in enumerate(args.workloads.split(",")):
         seeds = [args.first_seed + 100 * w + k for k in range(args.pairs)]
@@ -263,7 +279,8 @@ def main(argv=None):
             pair = {"seed": seed, "first": order[0], "calibration": calibrate()}
             for side in order:
                 copy = snapshot(revs[side], work / side)
-                pair[side] = bench_run(copy, workload, seed, args.seconds)
+                pair[side] = bench_run(copy, workload, seed, args.seconds,
+                                       busy_cpu=args.busy_cpu)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} {pair[side][claim_metric]:.4g}" for side in ("parent", "change")),
