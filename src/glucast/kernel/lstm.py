@@ -5,20 +5,28 @@ with one output per layer. Stacked layers (``stacked=True``: the stacked
 regressor's layer1 and layer2) are one op as well: each layer reads the
 hidden states of the layer below, and only the top layer's output is a node.
 
-A persistent worker thread shares the work of a layer whose steps take at
-least ``PARALLEL_STEP_WORK`` multiply-adds, and only when BLAS leaves a core
-free (``USE_WORKER``):
+Either way the op's parents are every layer's w_in, w_rec and bias, last
+layer first, then the sequence once per layer that reads it, last first, so
+the gradient sums match one op per layer recorded in the order named. One
+backward function serves both: it runs the layers' BPTTs last first, each on
+its upstream gradient, which is the layer's own output adjoint side by side
+and the input gradient of the layer above when stacked.
 
-* side by side, it runs the forward step loops and BPTTs of every layer
-  after the first while the calling thread runs the first;
-* stacked two high, it runs layer 2's forward step s as soon as the calling
-  thread's layer 1 has written h1[s] (a wavefront); the BPTTs stay serial;
-* in a BPTT that runs on the calling thread alone, it computes the input
-  side's weight gradients (w_in and bias) while the calling thread computes
-  the w_rec and sequence gradients.
+A persistent worker thread shares the work of a scan of exactly two layers
+whose steps each take at least ``PARALLEL_STEP_WORK`` multiply-adds, and only
+when BLAS leaves a core free (``USE_WORKER``):
 
-The worker only writes into buffers the calling thread allocated, and the op
-is recorded on the tape from the calling thread only, after both have
+* side by side, it runs the second layer's forward step loop and BPTT while
+  the calling thread runs the first's;
+* stacked, it runs layer 2's forward step s as soon as the calling thread's
+  layer 1 has written h1[s] (a wavefront); the BPTTs stay serial;
+* in a BPTT that runs on the calling thread alone (of any layer of at least
+  that size), it computes the input side's weight gradients (w_in and bias)
+  while the calling thread computes the w_rec and sequence gradients.
+
+Serially, each layer is allocated just before it runs, first to last. The
+worker only writes into buffers the calling thread allocated, and the op is
+recorded on the tape from the calling thread only, after both have
 finished; the bits are those of running everything on one thread. Gate
 layout is fixed: the stacked weight rows hold the input, forget,
 cell-candidate and output gates, in that order. Initial hidden and cell
@@ -245,13 +253,13 @@ class _Layer:
         d_w_in, d_w_rec, d_bias, d_seq = grads = grads or self.grad_buffers(want)
         flat = dz.reshape(length * batch, h4)
 
-        def input_side(_):
+        def input_side():
             if d_w_in is not None:
                 np.matmul(flat.T, xs_flat, out=d_w_in)
             if d_bias is not None:
                 flat.sum(axis=0, out=d_bias)
 
-        def recurrent_side(_):
+        def recurrent_side():
             if d_w_rec is not None:
                 np.matmul(flat[batch:].T, h[:-1].reshape(-1, hidden), out=d_w_rec)
             if d_seq is not None:
@@ -259,53 +267,24 @@ class _Layer:
 
         # these products feed only gradients, not each other: the same GEMMs
         # on either thread, so the same bits
-        _run_jobs([(lambda: None, recurrent_side), (lambda: None, input_side)], split)
+        if split:
+            _both(recurrent_side, input_side)
+        else:
+            input_side()
+            recurrent_side()
         return grads
 
 
-def _run_jobs(jobs, threaded):
-    """``[work(bufs) for (alloc, work) in jobs]``. Unthreaded, the jobs run
-    in turn with ``bufs`` None, the last first: for BPTTs that is the order
-    in which one op per layer would be replayed, so the buffers are
-    allocated and freed in that order too. Threaded, this thread first runs
-    ``alloc()`` for jobs[1:]; then the worker runs those jobs in turn on
-    their buffers while this thread runs jobs[0] with ``bufs`` None; it
-    returns, or raises jobs[0]'s exception (else the worker's), only after
-    both threads have ended."""
-    if not threaded:
-        return [work(None) for _, work in jobs[::-1]][::-1]
-    bufs = [alloc() for alloc, _ in jobs[1:]]
-    rest = _WORKER.submit(lambda: [work(b) for (_, work), b in zip(jobs[1:], bufs)])
+def _both(first, second):
+    """``(first(), second())``, with ``second`` run on the worker while this
+    thread runs ``first``. It returns, or raises first's exception (else
+    second's), only after both have ended."""
+    rest = _WORKER.submit(second)
     try:
-        first = jobs[0][1](None)
+        result = first()
     finally:
         futures.wait((rest,))
-    return [first, *rest.result()]
-
-
-def _wavefront(lower, upper, xs):
-    """``lower.forward(xs)`` on this thread and ``upper.forward(lower.h)`` on
-    the worker, which runs step s once ``lower`` has written h[s]. If
-    ``lower`` fails, ``upper`` stops before its next step; the exception is
-    raised as by ``_run_jobs``."""
-    written, failed = threading.Semaphore(0), []
-
-    def run_lower(_):
-        try:
-            lower.forward(xs, after_step=written.release)
-        except BaseException:
-            failed.append(True)
-            written.release(len(lower.h))
-            raise
-
-    def step_ready():
-        written.acquire()
-        if failed:
-            raise futures.CancelledError("the layer below failed")
-
-    _run_jobs([(lambda: None, run_lower),
-               (lambda: None, lambda _: upper.forward(lower.h, before_step=step_ready))],
-              threaded=True)
+    return result, rest.result()
 
 
 def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
@@ -325,19 +304,14 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
     pass through time; an untaped run keeps only the hidden states, one step
     of gates and two cell rows.
 
-    With the worker (module docstring), side by side layers of at least
-    ``PARALLEL_STEP_WORK`` per step run their forward step loops and BPTTs on
-    both threads, two stacked layers their forward step loops as a
-    wavefront; any other BPTT of that size splits its weight-gradient
-    products across both threads. The bits are those of running the layers
-    one after the other. The op's parents are each layer's w_in, w_rec and
-    bias, last layer first, and the sequence: side by side after every
-    layer's weights, stacked once at the end. So the gradient sums match one
-    op per layer recorded in the order named.
+    The parents, the backward order and the use of the worker (two layers
+    of at least ``PARALLEL_STEP_WORK`` per step) are as in the module
+    docstring. The bits are those of running the layers one after the other.
     """
     x = T.value_of(seq)
-    weights = [[T.value_of(p[f"{name}.{w}"]) for w in ("w_in", "w_rec", "bias")]
-               for name in layers]
+    weight_parents = [[p[f"{name}.{w}"] for w in ("w_in", "w_rec", "bias")]
+                      for name in layers]
+    weights = [[T.value_of(w) for w in ws] for ws in weight_parents]
     shape = x.shape
     for wi, wr, _ in weights:
         if len(shape) != 3 or shape[2] != wi.shape[1]:
@@ -346,28 +320,44 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
         if stacked:
             shape = (*shape[:2], wr.shape[1])
     batch, length, _ = x.shape
+    n = len(weights)
+    reads_seq = 1 if stacked else n  # the first reads_seq layers read seq
 
     xs = x.transpose(1, 0, 2)
     if reverse_time:
         xs = xs[::-1]
-    threaded = ((len(weights) == 2 if stacked else len(weights) > 1)
-                and _worth_the_worker(batch, *weights))
-    if stacked and not threaded:
-        # each layer allocated once the one below has run, as one op per
-        # layer would
-        scans = []
-        for w in weights:
-            scans.append(_Layer(*w, batch, length, tp is not None))
-            scans[-1].forward(scans[-2].h if len(scans) > 1 else xs)
+    scans = []
+
+    def layer_input(k):
+        """Layer k's time-major, scan-order input."""
+        return xs if k < reads_seq else scans[k - 1].h
+
+    threaded = n == 2 and _worth_the_worker(batch, *weights)
+    if threaded:
+        scans += [_Layer(*w, batch, length, tp is not None) for w in weights]
+        # stacked, the worker runs layer 2's step s once this thread's layer 1
+        # has written h[s]; if layer 1 fails, layer 2 stops before its next step
+        written, failed = threading.Semaphore(0), []
+
+        def run_first():
+            try:
+                scans[0].forward(xs, after_step=written.release if stacked else None)
+            except BaseException:
+                failed.append(True)
+                written.release(length)
+                raise
+
+        def step_ready():
+            written.acquire()
+            if failed:
+                raise futures.CancelledError("the layer below failed")
+
+        _both(run_first, lambda: scans[1].forward(
+            layer_input(1), before_step=step_ready if stacked else None))
     else:
-        scans = [_Layer(*w, batch, length, tp is not None) for w in weights]
-        if stacked:
-            _wavefront(*scans, xs)
-        else:
-            _run_jobs([(lambda: None, lambda _, s=s: s.forward(xs)) for s in scans],
-                      threaded)
-    # the time-major, scan-order input of each layer
-    inputs = [xs, *(s.h for s in scans[:-1])] if stacked else [xs] * len(scans)
+        for k, w in enumerate(weights):
+            scans.append(_Layer(*w, batch, length, tp is not None))
+            scans[k].forward(layer_input(k))
 
     def time_order(d):
         """A time-major, scan-order (L*B, n) gradient as (B, L, n) in time order."""
@@ -378,69 +368,42 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
         g = g.transpose(1, 0, 2)
         return g[::-1] if reverse_time else g
 
-    weight_parents = [[p[f"{name}.{w}"] for w in ("w_in", "w_rec", "bias")]
-                      for name in layers]
-    wanted = [[isinstance(w, T.Node) for w in ws] for ws in weight_parents]
-
-    def flat_input(k):
-        return np.ascontiguousarray(inputs[k]).reshape(length * batch, -1)
-
-    if stacked:
-        top = scans[-1].h
-        values = ((top[::-1] if reverse_time else top).transpose(1, 0, 2),)
-        parents = (*(w for ws in reversed(weight_parents) for w in ws), seq)
-        # whether layer k's input needs a gradient: the sequence, or the
-        # weights of a layer below k
-        below = [isinstance(seq, T.Node)]
-        for want in wanted[:-1]:
-            below.append(below[-1] or any(want))
-
-        def vjp(g):
-            """Each layer's (dW_in, dW_rec, dbias), last layer first, then
-            dseq; None for a constant parent. Each layer's BPTT reads the
-            whole dseq of the layer above, as one op per layer would."""
-            grads = []
-            gs = scan_order(g)
-            for k in reversed(range(len(scans))):
-                want = [*wanted[k], below[k]]
-                if not any(want):
-                    grads += [None] * 3
-                    continue
-                s = scans[k]
-                *d_w, gs = s.bptt(gs, flat_input(k) if want[0] else None, want, None,
-                                  split=_worth_the_worker(batch, weights[k]))
-                grads += d_w
-                if gs is not None:
-                    gs = gs.reshape(length, batch, -1)
-            return (*grads, None if gs is None else time_order(gs))
-
-        return T.emit(tp, values, parents, vjp)
-
-    values = tuple((s.h[::-1] if reverse_time else s.h).transpose(1, 0, 2) for s in scans)
-    parents = tuple(x for ws in reversed(weight_parents) for x in (*ws, seq))
+    outs = tuple((s.h[::-1] if reverse_time else s.h).transpose(1, 0, 2) for s in scans)
+    parents = (*(w for ws in reversed(weight_parents) for w in ws), *[seq] * reads_seq)
+    # whether each layer's (w_in, w_rec, bias, input) want a gradient; a
+    # stacked layer's input does when anything of the layer below does
+    wants = [[isinstance(w, T.Node) for w in ws] for ws in weight_parents]
+    for k, want in enumerate(wants):
+        want.append(isinstance(seq, T.Node) if k < reads_seq else any(wants[k - 1]))
 
     def vjp(*adjoints):
-        """Each layer's (dW_in, dW_rec, dbias, dseq), last layer first; None
-        for a constant parent and for a layer whose output got no adjoint."""
-        want_seq = isinstance(seq, T.Node)
-        todo = [(k, g, [*wanted[k], want_seq])
-                for k, g in enumerate(adjoints) if g is not None]
-        pair = threaded and len(todo) > 1
-        xs_flat = flat_input(0) if any(want[0] for _, _, want in todo) else None
+        """Each layer's (dW_in, dW_rec, dbias), last layer first, then the
+        dseq of each layer that reads seq, last first; None for a constant
+        parent and for a layer whose output got no adjoint."""
+        ups = [*[None] * (n - len(adjoints)),
+               *(None if g is None else scan_order(g) for g in adjoints)]
+        runs = [any(wants[k]) and (stacked or ups[k] is not None) for k in range(n)]
+        xs_flat = (np.ascontiguousarray(xs).reshape(length * batch, -1)
+                   if any(runs[k] and wants[k][0] for k in range(reads_seq)) else None)
+        grads = [[None] * 4 for _ in range(n)]
+        if threaded and not stacked and all(runs):
+            # retain's pair: the second layer's BPTT on the worker, into
+            # buffers allocated here
+            bufs = scans[1].loop_buffers() + scans[1].grad_buffers(wants[1])
+            grads = _both(lambda: scans[0].bptt(ups[0], xs_flat, wants[0], None),
+                          lambda: scans[1].bptt(ups[1], xs_flat, wants[1], bufs))
+        else:
+            for k in reversed(range(n)):
+                if not runs[k]:
+                    continue
+                flat_in = (xs_flat if k < reads_seq
+                           else scans[k - 1].h.reshape(length * batch, -1))
+                grads[k] = scans[k].bptt(ups[k], flat_in, wants[k], None,
+                                         split=_worth_the_worker(batch, weights[k]))
+                if k >= reads_seq and wants[k][3]:
+                    ups[k - 1] = grads[k][3].reshape(length, batch, -1)
+        return (*(d for k in reversed(range(n)) for d in grads[k][:3]),
+                *(None if grads[k][3] is None else time_order(grads[k][3])
+                  for k in reversed(range(reads_seq))))
 
-        def job(k, g, want):
-            s, split = scans[k], not pair and _worth_the_worker(batch, weights[k])
-            return (lambda: s.loop_buffers() + s.grad_buffers(want),
-                    lambda bufs: s.bptt(scan_order(g), xs_flat, want, bufs, split=split))
-
-        done = iter(_run_jobs([job(*t) for t in todo], pair))
-        grads = []
-        for g in adjoints:
-            if g is None:
-                grads.append([None] * 4)
-                continue
-            *d_w, d_seq = next(done)
-            grads.append([*d_w, None if d_seq is None else time_order(d_seq)])
-        return tuple(d for layer in reversed(grads) for d in layer)
-
-    return T.emit(tp, values, parents, vjp)
+    return T.emit(tp, outs[-1:] if stacked else outs, parents, vjp)

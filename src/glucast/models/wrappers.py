@@ -41,14 +41,14 @@ TRACE_FIELDS = tuple(f.name for f in fields(retain.ForwardTrace))
 
 
 def check_windows(model, x) -> np.ndarray:
-    """x as a float64 (B >= 1, L, r) array of finite windows that the
+    """x as a float64 (B >= 1, L >= 1, r) array of finite windows that the
     model's window geometry takes; ValueError or DimensionError otherwise."""
     x = check_finite(x, "input windows")
     want = model.window_geometry()
-    if (x.ndim != 3 or not len(x) or x.shape[2] != want["input_dim"]
+    if (x.ndim != 3 or 0 in x.shape[:2] or x.shape[2] != want["input_dim"]
             or x.shape[1] != want.get("seq_len", x.shape[1])):
         raise DimensionError(f"input windows have shape {x.shape}, expected "
-                             f"(B >= 1, {want.get('seq_len', 'L')}, {want['input_dim']})")
+                             f"(B >= 1, {want.get('seq_len', 'L >= 1')}, {want['input_dim']})")
     return x
 
 

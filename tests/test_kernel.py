@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 import time
@@ -345,21 +346,24 @@ def force_worker(monkeypatch):
 
 
 def layers_bytes(p, x, weights, reverse_time, node_seq, taped, at_once):
-    """The bytes of layers "a" and "b" over x, as one two-layer scan
-    (``at_once``) or as two one-layer scans, and, when taped, of every
-    gradient after one backward pass of a weighted sum of both outputs."""
+    """The bytes of layers "a", "b" (and "c" with a third entry of
+    ``weights``) over x, as one scan of them all (``at_once``) or as one
+    one-layer scan each, and, when taped, of every gradient after one
+    backward pass of a weighted sum of all outputs."""
+    names = tuple("abc"[:len(weights)])
     nodes = {k: T.Node(v.copy()) for k, v in p.items()}
     seq = T.Node(x.copy()) if node_seq else x.copy()
     tp = Tape() if taped else None
     if at_once:
-        outs = lstm_scan(tp, nodes, ("a", "b"), seq, reverse_time)
+        outs = lstm_scan(tp, nodes, names, seq, reverse_time)
     else:
-        outs = (*lstm_scan(tp, nodes, ("a",), seq, reverse_time),
-                *lstm_scan(tp, nodes, ("b",), seq, reverse_time))
+        outs = [out for name in names for out in lstm_scan(tp, nodes, (name,), seq,
+                                                            reverse_time)]
     got = [out.value.tobytes() for out in outs]
     if taped:
-        loss = T.add(T.sum_all(T.mul(outs[0], weights[0], tp), tp),
-                     T.sum_all(T.mul(outs[1], weights[1], tp), tp), tp)
+        loss = functools.reduce(lambda a, b: T.add(a, b, tp),
+                                (T.sum_all(T.mul(out, w, tp), tp)
+                                 for out, w in zip(outs, weights)))
         tp.backward(loss)
         got += [n.grad.tobytes() for n in nodes.values()]
         got += [seq.grad.tobytes()] if node_seq else []
@@ -401,6 +405,35 @@ def test_a_two_layer_scan_equals_two_one_layer_scans_bit_for_bit(
         assert at_once == layers_bytes(*args, at_once=False)
 
 
+def test_three_side_by_side_layers_run_in_turn_on_the_calling_thread(monkeypatch):
+    # the worker serves exactly two layers; three run one after the other,
+    # and each BPTT splits its weight-gradient products as a one-layer
+    # scan's does, so the worker gets the same jobs as from three such scans
+    force_worker(monkeypatch)
+    rng = np.random.default_rng(16)
+    p, x, weights = two_layers(rng, 7, 5, 3, 4, 5)
+    p.update(init_lstm_params("c", 3, 6, rng))
+    p["c.bias"][...] = rng.normal(size=p["c.bias"].shape)
+    weights.append(rng.normal(size=(7, 5, 6)))
+    submits = []
+    submit = lstm_module._WORKER.submit
+
+    def spy_submit(*args):
+        submits.append(threading.current_thread().name)
+        return submit(*args)
+
+    monkeypatch.setattr(lstm_module._WORKER, "submit", spy_submit)
+    for taped in (False, True):
+        args = (p, x, weights, False, True, taped)
+        submits.clear()
+        at_once = layers_bytes(*args, at_once=True)
+        at_once_submits = list(submits)
+        submits.clear()
+        assert at_once == layers_bytes(*args, at_once=False)
+        main = threading.current_thread().name
+        assert at_once_submits == submits == ([main] * 3 if taped else [])
+
+
 @pytest.mark.parametrize("cores, env, leaves", [
     (2, {}, False),                                        # OpenBLAS takes every core
     (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
@@ -433,9 +466,9 @@ def test_production_size_retain_scans_use_the_worker(monkeypatch):
     names = []
     forward = lstm_module._Layer.forward
 
-    def spy(layer, xs):
+    def spy(layer, xs, **hooks):
         names.append(threading.current_thread().name)
-        forward(layer, xs)
+        forward(layer, xs, **hooks)
 
     monkeypatch.setattr(lstm_module._Layer, "forward", spy)
     monkeypatch.setattr(lstm_module, "USE_WORKER", True)

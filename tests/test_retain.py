@@ -8,7 +8,7 @@ from glucast.kernel import tape as T
 from glucast.models import MODELS, RetainModel, baselines, retain
 from glucast.models.retain import RetainConfig, build_graph, init_retain_params
 from glucast.models.wrappers import TRACE_CHUNK, TRACE_FIELDS
-from glucast.training import backward_with_reversal
+from glucast.training import PatientSplits, TrainConfig, backward_with_reversal, finetune
 
 from _utils import finite_diff_params, max_rel_err, oracle_lstm
 
@@ -399,6 +399,13 @@ def test_every_family_checks_windows_and_returns_named_nodes(kind):
     if kind == "retain":  # the only family whose config fixes the window length
         with pytest.raises(DimensionError, match=r"\(B >= 1, 6, 3\)"):
             model.predict(rng.normal(size=(4, 7, 3)))
+    # windows of no steps fail at the check, in prediction and in training
+    no_steps, y = x[:, :0], rng.normal(size=len(x))
+    expected = r"\(B >= 1, 6, 3\)" if kind == "retain" else r"\(B >= 1, L >= 1, 3\)"
+    with pytest.raises(DimensionError, match=expected):
+        model.predict(no_steps)
+    with pytest.raises(DimensionError, match=expected):
+        finetune(model, PatientSplits(no_steps, y, no_steps, y), TrainConfig(max_epochs=1))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --label NAME \\
         [--workloads train-prod,train-small,pipeline] [--pairs 10] \\
-        [--first-seed 9301] [--seconds 30] [--claim train-prod:train_samples_per_s] \\
+        [--first-seed 9301] [--seconds 30] [--claim train-prod:train_samples_per_s|none] \\
         [--cli-runs 5] [--busy-cpu N] [--work DIR]
 
 Run from the root of the git checkout; writes ``BENCH_<NAME>.json`` there.
@@ -30,7 +30,18 @@ The claim (``--claim WORKLOAD:METRIC``) holds when the change is better in at
 least 9 of 10 pairs and the gap between the medians is larger than the
 parent's interquartile range. Quartiles are ``statistics.quantiles(n=4)``.
 One traced run per side of the claim's workload (``--trace 1``, the first
-seed) records the per-layer counts.
+seed) records the per-layer counts. With ``--claim none`` there is no claim,
+no ``holds`` and no traced run.
+
+Every end-to-end metric of ``BENCHMARK.json`` gets a verdict on every
+workload, against the metric's bound there (a share of the parent's median):
+
+* ``unresolved`` when the parent's interquartile range, as a share of its
+  median, exceeds the bound, unless every change run reads better than every
+  parent run;
+* else ``worse`` when the change's median is worse than the parent's by more
+  than the bound;
+* else ``unchanged``.
 
 With ``--busy-cpu N``, a process that spins on CPU N alone runs beside every
 measured run (not beside the calibrations or the traced runs), as a busy
@@ -184,7 +195,15 @@ def calibrate():
             "two_process_ratio": sum(rates) / alone}
 
 
-def summarize(pairs, metric, better):
+def end_to_end():
+    """{metric: (better, bound)} of BENCHMARK.json's end-to-end metrics."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def summarize(pairs, metric, better, bound=None):
+    """Medians, quartiles and pairs won of one metric; with the metric's
+    ``bound``, also its verdict (module docstring)."""
     values = {side: [p[side][metric] for p in pairs] for side in ("parent", "change")}
     stats = {}
     for side, vs in values.items():
@@ -192,9 +211,22 @@ def summarize(pairs, metric, better):
         stats[side] = {"q1": q1, "median": median, "q3": q3}
     won = sum((c < p) if better == "lower" else (c > p)
               for p, c in zip(values["parent"], values["change"]))
-    return {"better": better, **stats, "change_won_pairs": won, "pairs": len(pairs),
-            "median_gap": stats["change"]["median"] - stats["parent"]["median"],
-            "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"]}
+    out = {"better": better, **stats, "change_won_pairs": won, "pairs": len(pairs),
+           "median_gap": stats["change"]["median"] - stats["parent"]["median"],
+           "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"]}
+    if bound is not None:
+        base = stats["parent"]["median"]
+        if better == "lower":
+            all_better = max(values["change"]) < min(values["parent"])
+            worsening = out["median_gap"] / base
+        else:
+            all_better = min(values["change"]) > max(values["parent"])
+            worsening = -out["median_gap"] / base
+        out.update(bound=bound, parent_relative_iqr=out["parent_iqr"] / base,
+                   relative_worsening=worsening)
+        out["verdict"] = ("unresolved" if out["parent_relative_iqr"] > bound and not all_better
+                          else "worse" if out["relative_worsening"] > bound else "unchanged")
+    return out
 
 
 def cli_timing(copies, runs, work):
@@ -258,12 +290,21 @@ def main(argv=None):
     args = parse_args(argv)
     work = args.work or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    claim_workload, claim_metric = args.claim.split(":")
-    doc = {"label": args.label,
-           "claim": {"workload": claim_workload, "metric": claim_metric,
-                     "rule": "change better in at least 9 of 10 alternating pairs, and the "
-                             "gap between medians larger than the parent's interquartile "
-                             "range"},
+    bounds = end_to_end()
+    metrics = {**METRICS, **{m: better for m, (better, _) in bounds.items()}}
+    claim_workload, claim_metric = (args.claim.split(":") if args.claim != "none"
+                                    else (None, "train_samples_per_s"))
+    claim = None if claim_workload is None else {
+        "workload": claim_workload, "metric": claim_metric,
+        "rule": "change better in at least 9 of 10 alternating pairs, and the gap between "
+                "medians larger than the parent's interquartile range"}
+    doc = {"label": args.label, "claim": claim,
+           "no_regression_rule": "per workload and end-to-end metric of BENCHMARK.json: "
+                                 "unresolved when the parent's interquartile range over its "
+                                 "median exceeds the bound and not every change run reads "
+                                 "better than every parent run; else worse when the change's "
+                                 "median is worse than the parent's by more than the bound "
+                                 "(a share of the parent's median); else unchanged",
            "method": METHOD.format(pairs=args.pairs, seconds=args.seconds),
            "parent_commit": revs["parent"], "change_commit": revs["change"],
            "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
@@ -286,7 +327,9 @@ def main(argv=None):
                 f"{side} {pair[side][claim_metric]:.4g}" for side in ("parent", "change")),
                 file=sys.stderr)
         entry = {"seeds": seeds, "pairs": pairs,
-                 "summary": {m: summarize(pairs, m, better) for m, better in METRICS.items()}}
+                 "summary": {m: summarize(pairs, m, better, bounds.get(m, (None, None))[1])
+                             for m, better in metrics.items()}}
+        entry["verdicts"] = {m: entry["summary"][m]["verdict"] for m in bounds}
         if workload == claim_workload:
             entry["traced_counts"] = {}
             for side in ("parent", "change"):
