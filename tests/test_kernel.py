@@ -423,6 +423,7 @@ def test_three_side_by_side_layers_run_in_turn_on_the_calling_thread(monkeypatch
         return submit(*args)
 
     monkeypatch.setattr(lstm_module._WORKER, "submit", spy_submit)
+    main = threading.current_thread().name
     for taped in (False, True):
         args = (p, x, weights, False, True, taped)
         submits.clear()
@@ -430,7 +431,6 @@ def test_three_side_by_side_layers_run_in_turn_on_the_calling_thread(monkeypatch
         at_once_submits = list(submits)
         submits.clear()
         assert at_once == layers_bytes(*args, at_once=False)
-        main = threading.current_thread().name
         assert at_once_submits == submits == ([main] * 3 if taped else [])
 
 
