@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,8 @@ _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "a finite number >= 0")
 # where a value enters, from a config file or a flag
 CONFIG_KEYS = {
     "model": ("retain", (lambda v: v in MODELS, "one of " + ", ".join(MODELS))),
-    "seq_len": (37, _AT_LEAST_1),
+    # recover_missing keeps no window of fewer than 2 glucose readings
+    "seq_len": (37, (lambda v: v >= 2, "at least 2")),
     "embed_dim": (64, _AT_LEAST_1),
     "alpha_hidden": (128, _AT_LEAST_1),
     "beta_hidden": (128, _AT_LEAST_1),
@@ -111,6 +112,16 @@ CONFIG_DEFAULTS = {key: default for key, (default, _) in CONFIG_KEYS.items()}
 # dataclass field -> the config key it is read from, where the names differ
 FIELD_KEYS = {"lam": "lambda", "hidden": "stdattn_hidden",
               "hidden1": "lstm_hidden1", "hidden2": "lstm_hidden2"}
+
+# the config keys each command also takes as flags, --<key with dashes>: a
+# flag's value is parsed and checked as the key's value in a config file is
+FLAGS = {
+    "synth": ("patients", "days", "seed", "noise_std", "missing_rate"),
+    "preprocess": (),
+    "train": ("model", "max_epochs", "seed"),
+    "evaluate": (),
+    "explain": (),
+}
 
 
 def _coerce(key, text, where=""):
@@ -210,36 +221,22 @@ def _build_model(cfg, **derived):
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config, {"patients": args.patients, "days": args.days,
-                                    "seed": args.seed, "noise_std": args.noise_std,
-                                    "missing_rate": args.missing_rate})
+def cmd_synth(args, cfg) -> int:
     out = _ensure_out_dir(args.out)
     profiles = default_cohort(cfg["patients"], cfg["seed"],
                               noise_std=cfg["noise_std"],
                               missing_rate=cfg["missing_rate"])
-    manifest = []
     for profile in profiles:
         series = generate_patient(profile, cfg["days"])
         write_series_csv(series, out / f"{profile.patient_id}.csv")
-        manifest.append({
-            "patient_id": profile.patient_id, "basal": profile.basal,
-            "cho_sensitivity": profile.cho_sensitivity,
-            "insulin_sensitivity": profile.insulin_sensitivity,
-            "meal_schedule": [list(m) for m in profile.meal_schedule],
-            "bolus_schedule": [list(b) for b in profile.bolus_schedule],
-            "noise_std": profile.noise_std, "seed": profile.seed,
-            "missing_rate": profile.missing_rate,
-        })
     with open(out / "profiles.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump([asdict(profile) for profile in profiles], fh, indent=1)
     echo_config(cfg, out, "synth")
     print(f"wrote {len(profiles)} patient series to {out}")
     return EXIT_OK
 
 
-def cmd_preprocess(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
+def cmd_preprocess(args, cfg) -> int:
     data = Path(args.data)
     if not data.is_dir():
         raise FileNotFoundError(f"raw data directory {data} does not exist")
@@ -266,13 +263,14 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, {"model": args.model, "seed": args.seed,
-                                    "max_epochs": args.max_epochs})
+def cmd_train(args, cfg) -> int:
+    source_ids = [p for p in args.sources.split(",") if p]
+    if len(source_ids) == 1 or len(set(source_ids)) < len(source_ids):
+        raise ConfigError(f"--sources {args.sources}: source training needs at least "
+                          "2 source patients, each named once")
     data = Path(args.data)
     if not data.is_dir():
         raise FileNotFoundError(f"archive directory {data} does not exist")
-    source_ids = [p for p in (args.sources or "").split(",") if p]
     patient_ids = [*source_ids, args.target]
     try:
         archives = [read_patient_archive(data, pid) for pid in patient_ids]
@@ -328,12 +326,16 @@ def _load_target_test(data_dir, target, model, model_path):
     return meta, test, scaling
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, {})
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise FileNotFoundError(f"model file {model_path} does not exist")
-    model = load_model(model_path)
+def _read_model(args):
+    """The path and the model of the --model file."""
+    path = Path(args.model)
+    if not path.is_file():
+        raise FileNotFoundError(f"model file {path} does not exist")
+    return path, load_model(path)
+
+
+def cmd_evaluate(args, cfg) -> int:
+    model_path, model = _read_model(args)
     _, test, scaling = _load_target_test(args.data, args.target, model, model_path)
     truth = {np.datetime64(t, "m"): float(v)
              for t, v in zip(test.target_t, scaling.invert_target(test.y))}
@@ -373,14 +375,10 @@ def _write_matrix_csv(path, matrix, period_minutes, suffix="", footer=()):
             writer.writerow([label, repr(value)] + [""] * (n_vars - 1))
 
 
-def cmd_explain(args) -> int:
-    cfg = load_config(args.config, {})
+def cmd_explain(args, cfg) -> int:
     if args.horizon < 0:
         raise ConfigError(f"--horizon must be at least 0 minutes, got {args.horizon}")
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise FileNotFoundError(f"model file {model_path} does not exist")
-    model = load_model(model_path)
+    model_path, model = _read_model(args)
     if not model.attributable:
         print("error: model is not attributable (per-input contributions need "
               "the two-level-attention model)", file=sys.stderr)
@@ -441,62 +439,45 @@ def build_parser() -> argparse.ArgumentParser:
         prog="glucast",
         description="Interpretable attention-based glucose forecasting pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="flat key = value file")
+    common.add_argument("--out", required=True)
+    scored = argparse.ArgumentParser(add_help=False)  # what evaluate and explain read
+    scored.add_argument("--model", required=True, help="model JSON file")
+    scored.add_argument("--data", required=True, help="directory of sample archives")
+    scored.add_argument("--target", required=True)
 
-    p = sub.add_parser("synth", help="generate a deterministic synthetic cohort")
-    p.add_argument("--patients", type=int, default=None)
-    p.add_argument("--days", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise-std", dest="noise_std", type=float, default=None)
-    p.add_argument("--missing-rate", dest="missing_rate", type=float, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    def command(name, func, help, parents=()):
+        p = sub.add_parser(name, help=help, parents=[common, *parents])
+        for key in FLAGS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=CONFIG_KEYS[key][1][1])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("preprocess", help="raw patient CSVs -> sample archives")
+    command("synth", cmd_synth, "generate a deterministic synthetic cohort")
+    p = command("preprocess", cmd_preprocess, "raw patient CSVs -> sample archives")
     p.add_argument("--data", required=True, help="directory of patient CSVs")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("train", help="source training plus target finetuning")
+    p = command("train", cmd_train, "source training plus target finetuning")
     p.add_argument("--data", required=True, help="directory of sample archives")
     p.add_argument("--target", required=True)
     p.add_argument("--sources", default="", help="comma-separated patient ids")
-    p.add_argument("--model", default=None, help="one of " + ", ".join(MODELS))
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="RMSE, MAPE, and CG-EGA on the test split")
-    p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("explain", help="contribution tables for a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True)
+    command("evaluate", cmd_evaluate, "RMSE, MAPE, and CG-EGA on the test split",
+            [scored])
+    p = command("explain", cmd_explain, "contribution tables for a trained model",
+                [scored])
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--event", choices=("cho", "insulin"), default=None)
     p.add_argument("--horizon", type=int, default=60,
                    help="minutes after the event to profile")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_explain)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        flags = {key: getattr(args, key) for key in FLAGS[args.command]}
+        return args.func(args, load_config(args.config, flags))
     except (OSError, IngestionError) as exc:  # a missing or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -107,8 +107,7 @@ def _parse_block(path, header, first_line, lines, seq_len, n_vars):
     return values[:, :-1].reshape(len(rows), n_vars, seq_len), values[:, -1], t
 
 
-def read_sample_csv(path, seq_len, provenance, period_minutes, ph_steps,
-                    scaling=None) -> SampleSet:
+def read_sample_csv(path, seq_len, provenance, period_minutes, ph_steps) -> SampleSet:
     xs, ys, ts = [], [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -134,7 +133,7 @@ def read_sample_csv(path, seq_len, provenance, period_minutes, ph_steps,
     # window i is the transpose of its row's (r, L) block: x keeps the row's
     # variable-major memory order
     return SampleSet(x=np.concatenate(xs).transpose(0, 2, 1), y=np.concatenate(ys),
-                     t=t, target_t=t + horizon, provenance=provenance, scaling=scaling)
+                     t=t, target_t=t + horizon, provenance=provenance)
 
 
 def write_scaling_json(scaling: Scaling, path, seq_len, ph_steps, period_minutes,
@@ -232,7 +231,7 @@ def read_archive_split(root, split, scaling, meta) -> SampleSet:
     path = Path(root) / f"{split}.csv"
     samples = read_sample_csv(path, seq_len=meta["seq_len"], provenance=split,
                               period_minutes=meta["period_minutes"],
-                              ph_steps=meta["ph_steps"], scaling=scaling)
+                              ph_steps=meta["ph_steps"])
     width = len(scaling.input_mean)
     if samples.x.shape[2] != width:
         raise ConfigError(f"{Path(root) / 'scaling.json'} has input_dim = {width}, but "

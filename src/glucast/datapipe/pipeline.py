@@ -68,14 +68,13 @@ class Scaling:
 
 @dataclass
 class SampleSet:
-    """Windows with their targets, standardized once scaling is attached."""
+    """Windows with their targets, standardized once ``standardize`` returns them."""
 
     x: np.ndarray           # (N, L, 3), C-contiguous; NaN glucose before recovery
     y: np.ndarray           # (N,) glucose at the horizon (NaN = unknown)
     t: np.ndarray           # (N,) datetime64[m] window ends
     target_t: np.ndarray    # (N,) datetime64[m] target timestamps
     provenance: str         # unsplit | train | valid | test
-    scaling: Scaling | None = None
 
     def __len__(self):
         return self.y.shape[0]
@@ -266,7 +265,7 @@ def standardize(train: SampleSet, valid: SampleSet, test: SampleSet):
     scaling = Scaling(input_mean=input_mean, input_std=input_std,
                       target_mean=target_mean, target_std=target_std)
     sets = tuple(replace(s, x=scaling.apply_inputs(s.x), y=scaling.apply_target(s.y),
-                         provenance=name, scaling=scaling)
+                         provenance=name)
                  for s, name in ((train, "train"), (valid, "valid"), (test, "test")))
     return (*sets, scaling)
 

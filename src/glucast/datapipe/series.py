@@ -156,8 +156,8 @@ def _raise_row_error(path, text):
         raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def read_series_csv(path, patient_id=None) -> GlucoseSeries:
-    """One patient's series; the patient id defaults to the file's stem.
+def read_series_csv(path) -> GlucoseSeries:
+    """One patient's series; the patient id is the file's stem.
 
     A malformed line raises IngestionError naming the file, the 1-based line
     and the column: a wrong field count, a bad timestamp (one with a UTC
@@ -185,8 +185,8 @@ def read_series_csv(path, patient_id=None) -> GlucoseSeries:
             np.fromiter(map(_FloatMemo(missing).__getitem__, column),
                         dtype=np.float64, count=len(column))
             for column, missing in zip(fields, _MISSING))
-        return GlucoseSeries(patient_id=path.stem if patient_id is None else patient_id,
-                             t=t, glucose=glucose, cho=cho, insulin=insulin)
+        return GlucoseSeries(patient_id=path.stem, t=t, glucose=glucose, cho=cho,
+                             insulin=insulin)
     except (ValueError, csv.Error) as exc:
         _raise_row_error(path, text)
         raise IngestionError(f"{path}: {exc}") from None

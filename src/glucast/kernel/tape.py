@@ -80,7 +80,7 @@ class Tape:
         constant, or for no contribution)."""
         self._ops.append((outs, parents, vjp))
 
-    def backward(self, root, seed=None):
+    def backward(self, root):
         """Accumulate d(root)/d(node) into every node reachable from root.
 
         The adjoints of recorded op outputs are reset first, so a graph can be
@@ -92,9 +92,7 @@ class Tape:
         for outs, _, _ in self._ops:
             for out in outs:
                 out.grad = None
-        if seed is None:
-            seed = np.ones_like(root.value)
-        root.grad = np.array(seed, dtype=np.float64)
+        root.grad = np.ones_like(root.value, dtype=np.float64)
         for outs, parents, vjp in reversed(self._ops):
             adjoints = [out.grad for out in outs]
             if all(g is None for g in adjoints):

@@ -28,6 +28,7 @@ DEFAULT_BOLUSES = ((7 * 60 + 45, 4.5), (12 * 60 + 45, 7.0), (19 * 60 + 15, 8.0))
 
 @dataclass
 class PatientProfile:
+    patient_id: str = "synth"
     basal: float = 120.0              # mg/dL resting level
     cho_sensitivity: float = 2.2      # mg/dL per gram
     insulin_sensitivity: float = 18.0  # mg/dL per unit
@@ -36,7 +37,6 @@ class PatientProfile:
     noise_std: float = 2.0
     seed: int = 0
     missing_rate: float = 0.0         # fraction of glucose readings dropped
-    patient_id: str = "synth"
 
     def __post_init__(self):
         if self.cho_sensitivity <= 0 or self.insulin_sensitivity <= 0:

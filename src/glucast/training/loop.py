@@ -12,6 +12,7 @@ shuffling, and therefore the whole trajectory.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.patience_source, self.patience_finetune) < 1:
             raise ValueError("batch_size and patiences must be positive")
-        if self.lr_source <= 0 or self.lr_finetune <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not (0 < self.lr_source < math.inf and 0 < self.lr_finetune < math.inf):
+            raise ValueError("learning rates must be finite and positive")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and non-negative")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
 

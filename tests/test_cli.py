@@ -109,7 +109,7 @@ def test_config_names_file_line_and_key_of_a_geometry_value_below_one(
         tmp_path, capsys, key, value):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"seed = 4\n# a comment\n{key} = {value}\n")
-    where = f"{cfg_file} line 3: config key {key!r}: must be at least 1"
+    where = f"{cfg_file} line 3: config key {key!r}: must be {cli.CONFIG_KEYS[key][1][1]}"
     with pytest.raises(ConfigError, match=re.escape(where)):
         load_config(cfg_file)
     raw = tmp_path / "raw"
@@ -188,7 +188,6 @@ def test_config_value_outside_its_domain_is_named_where_it_enters(tmp_path, caps
     ("synth", "--seed", "seed", "-1"),
     ("synth", "--noise-std", "noise_std", "-1"),
     ("synth", "--missing-rate", "missing_rate", "1.0"),
-    ("preprocess", "--seed", "seed", "-3"),
     ("train", "--max-epochs", "max_epochs", "-1"),
     ("train", "--seed", "seed", "-1"),
     ("train", "--model", "model", "rnn"),
@@ -202,6 +201,58 @@ def test_flag_outside_its_domain_exits_2_naming_the_key(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert f"config key {key!r}: must be" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_every_flag_sets_a_config_key():
+    assert set(cli.FLAGS) == {"synth", "preprocess", "train", "evaluate", "explain"}
+    assert all(key in cli.CONFIG_KEYS for keys in cli.FLAGS.values() for key in keys)
+
+
+@pytest.mark.parametrize("command, flag, key, value", [
+    ("synth", "--seed", "seed", "abc"),
+    ("synth", "--noise-std", "noise_std", "1,5"),
+    ("train", "--max-epochs", "max_epochs", "1.5"),
+])
+def test_flag_of_the_wrong_type_exits_2_naming_the_key(tmp_path, capsys, command, flag,
+                                                       key, value):
+    inputs = {"synth": [], "train": ["--data", str(tmp_path), "--target", "p00"]}[command]
+    out = tmp_path / "out"
+    assert run(command, *inputs, flag, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: expected" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_preprocess_takes_no_seed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("preprocess", "--data", str(tmp_path), "--seed", "3", "--out", str(tmp_path))
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+
+
+# a value for each flag's key other than its default, some in a form other
+# than the one effective.cfg echoes
+FLAG_VALUES = {"patients": "2", "days": "01", "seed": "5", "noise_std": "1e0",
+               "missing_rate": ".25", "model": "stdattn", "max_epochs": "1"}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, keys in
+                                          cli.FLAGS.items() for key in keys])
+def test_flag_writes_the_effective_cfg_of_its_key_in_a_config_file(mini_run, tmp_path,
+                                                                    command, key):
+    base = tmp_path / "base.cfg"
+    base.write_text(_mini_cfg(mini_run).read_text() + "max_epochs = 0\n")
+    with_key = tmp_path / "key.cfg"
+    with_key.write_text(base.read_text() + f"{key} = {FLAG_VALUES[key]}\n")
+    inputs = {"synth": ["--days", "1"] if key != "days" else [],
+              "train": ["--data", str(mini_run / "prep"), "--target", "p00"]}[command]
+    flag = f"--{key.replace('_', '-')}={FLAG_VALUES[key]}"
+    assert run(command, *inputs, flag, "--config", str(base),
+               "--out", str(tmp_path / "flag")) == 0
+    assert run(command, *inputs, "--config", str(with_key),
+               "--out", str(tmp_path / "file")) == 0
+    echoed = [(tmp_path / side / "effective.cfg").read_text() for side in ("flag", "file")]
+    assert echoed[0] == echoed[1]
+    assert f"\n{key} = {cli.CONFIG_DEFAULTS[key]}\n" not in echoed[0]
 
 
 def test_default_and_example_configs_are_the_same_values():
@@ -233,6 +284,20 @@ def test_synth_deterministic_rerun(tmp_path):
 def test_synth_rejects_zero_patients(tmp_path):
     assert run("synth", "--patients", "0", "--days", "3",
                "--out", str(tmp_path / "x")) == 2
+
+
+def test_preprocess_rejects_windows_of_one_step_naming_the_config_line(tmp_path,
+                                                                      capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--patients", "1", "--days", "8", "--out", str(raw)) == 0
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# one-step windows\nseq_len = 1\n")
+    out = tmp_path / "prep"
+    assert run("preprocess", "--data", str(raw), "--config", str(cfg_file),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_file} line 2: config key 'seq_len': must be at least 2" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_preprocess_missing_dir_exit_3(tmp_path):
@@ -362,6 +427,17 @@ def test_train_single_source_is_usage_error(mini_run):
                "--sources", "p00", "--model", "retain", "--max-epochs", "1",
                "--config", str(_mini_cfg(mini_run)),
                "--out", str(mini_run / "zz2")) == 2
+
+
+@pytest.mark.parametrize("sources", ["p00", "p00,p01,p00"])
+def test_train_rejects_one_source_or_a_repeated_one_before_reading(tmp_path, capsys,
+                                                                   sources):
+    out = tmp_path / "run"
+    assert run("train", "--data", str(tmp_path / "missing"), "--target", "p02",
+               "--sources", sources, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"--sources {sources}: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_evaluate_writes_metrics_and_cgega(mini_run):
@@ -859,6 +935,16 @@ def test_explain_non_attributable_model_exit_5(mini_run, tmp_path):
     assert run("explain", "--model", str(out / "model.json"),
                "--data", str(mini_run / "prep"), "--target", "p00",
                "--out", str(tmp_path / "nope")) == 5
+
+
+def test_explain_of_a_non_attributable_model_exits_5_before_reading_the_archive(
+        tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model(StdAttnModel.create(input_dim=3, hidden=4, seed=0), model)
+    assert run("explain", "--model", str(model), "--data", str(tmp_path / "missing"),
+               "--target", "p00", "--out", str(tmp_path / "ex")) == 5
+    assert "not attributable" in capsys.readouterr().err
+    assert not (tmp_path / "ex").exists()
 
 
 # --- every input kind, corrupted ------------------------------------------------

@@ -287,10 +287,11 @@ def test_lstm_scan_is_one_tape_op_and_replays_bit_identically():
     tp = Tape()
     out = lstm_graph(tp, nodes, weights, reverse_time=True)
     grads = []
-    for seed in (1.0, 1.0, 2.0):
-        for n in nodes:
-            n.grad = None
-        tp.backward(out, seed=np.array(seed))
+    for fresh in (True, True, False):  # the third replay adds to the second
+        if fresh:
+            for n in nodes:
+                n.grad = None
+        tp.backward(out)
         grads.append([n.grad for n in nodes])
     for first, second, doubled in zip(*grads):
         assert np.array_equal(first, second)

@@ -129,9 +129,9 @@ def test_retain_step_records_few_tape_ops(monkeypatch):
     sizes = []
     replay = Tape.backward
 
-    def counting(tape, root, seed=None):
+    def counting(tape, root):
         sizes.append(len(tape))
-        return replay(tape, root, seed)
+        return replay(tape, root)
 
     monkeypatch.setattr(Tape, "backward", counting)
     x, y, labels = toy_batch(seed=3)
@@ -217,6 +217,16 @@ def test_train_source_needs_two_patients():
     model = RetainModel.create(CFG, seed=0)
     with pytest.raises(ValueError):
         train_source(model, [patient(1)], TrainConfig(max_epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", float("nan")), ("lam", float("inf")), ("lr_source", float("inf")),
+    ("lr_source", float("nan")), ("lr_finetune", float("inf")),
+    ("lr_finetune", float("nan")),
+])
+def test_train_config_rejects_a_rate_or_weight_that_is_not_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(**{field: value})
 
 
 def test_max_epochs_zero_returns_initial_params():
