@@ -29,9 +29,8 @@ from .datapipe import (
     VARIABLES,
     SplitSpec,
     preprocess_series,
-    read_archive_split,
-    read_patient_archive,
-    read_scaling_json,
+    read_archive,
+    read_patient_archive,  # no command calls it: perfbench/tracer.py binds it here
     read_series_csv,
     write_patient_archive,
     write_series_csv,
@@ -202,12 +201,6 @@ def _from_config(cls, cfg, **derived):
     return cls(**{f.name: settings[FIELD_KEYS.get(f.name, f.name)] for f in fields(cls)})
 
 
-def _splits_from_archive(archive) -> PatientSplits:
-    return PatientSplits(train_x=archive["train"].x, train_y=archive["train"].y,
-                         valid_x=archive["valid"].x, valid_y=archive["valid"].y,
-                         patient_id=archive["meta"]["patient_id"])
-
-
 def _build_model(cfg, **derived):
     """A fresh model of the family cfg["model"] names, its config read by
     ``_from_config``."""
@@ -231,7 +224,6 @@ def cmd_synth(args, cfg) -> int:
         write_series_csv(series, out / f"{profile.patient_id}.csv")
     with open(out / "profiles.json", "w", encoding="utf-8") as fh:
         json.dump([asdict(profile) for profile in profiles], fh, indent=1)
-    echo_config(cfg, out, "synth")
     print(f"wrote {len(profiles)} patient series to {out}")
     return EXIT_OK
 
@@ -259,7 +251,6 @@ def cmd_preprocess(args, cfg) -> int:
                               period_minutes=cfg["period_minutes"])
         print(f"{series.patient_id}: train={len(train)} valid={len(valid)} "
               f"test={len(test)}")
-    echo_config(cfg, out, "preprocess")
     return EXIT_OK
 
 
@@ -268,22 +259,27 @@ def cmd_train(args, cfg) -> int:
     if len(source_ids) == 1 or len(set(source_ids)) < len(source_ids):
         raise ConfigError(f"--sources {args.sources}: source training needs at least "
                           "2 source patients, each named once")
+    if args.target in source_ids:
+        raise ConfigError(f"--sources {args.sources}: names the --target {args.target}, "
+                          "whose splits are for finetuning only")
     data = Path(args.data)
     if not data.is_dir():
         raise FileNotFoundError(f"archive directory {data} does not exist")
     patient_ids = [*source_ids, args.target]
     try:
-        archives = [read_patient_archive(data, pid) for pid in patient_ids]
+        archives = [read_archive(data / pid, "train", "valid") for pid in patient_ids]
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"missing preprocessed archive: {exc}") from exc
     # no config key sets the input width: it is the target archive's
     model = _build_model(cfg, n_sources=max(len(source_ids), 1),
-                         input_dim=len(archives[-1]["scaling"].input_mean))
+                         input_dim=len(archives[-1][0].input_mean))
     owners = {"seq_len": "the model config",
               "input_dim": f"the target archive {data / args.target / 'scaling.json'}"}
-    for pid, archive in zip(patient_ids, archives):
-        _check_geometry(model, owners, data / pid, archive["scaling"], archive["meta"])
-    *sources, target = map(_splits_from_archive, archives)
+    for pid, (scaling, meta, _, _) in zip(patient_ids, archives):
+        _check_geometry(model, owners, data / pid, scaling, meta)
+    *sources, target = (PatientSplits(train_x=train.x, train_y=train.y, valid_x=valid.x,
+                                      valid_y=valid.y, patient_id=meta["patient_id"])
+                        for _, meta, train, valid in archives)
 
     out = _ensure_out_dir(args.out)
     train_cfg = _from_config(TrainConfig, cfg)
@@ -295,7 +291,6 @@ def cmd_train(args, cfg) -> int:
 
     save_model(model, out / "model.json")
     write_history_csv(history, out / "history.csv")
-    echo_config(cfg, out, "train")
     final = history[-1]["valid_mse"] if history else float("nan")
     print(f"trained {cfg['model']} on target {args.target} "
           f"({len(source_ids)} sources); final valid MSE {final:.6f}")
@@ -319,8 +314,7 @@ def _load_target_test(data_dir, target, model, model_path):
     """The target's test split (train.csv and valid.csv are not read), after
     checking that the model takes the archive's windows."""
     root = Path(data_dir) / target
-    scaling, meta = read_scaling_json(root / "scaling.json")
-    test = read_archive_split(root, "test", scaling, meta)
+    scaling, meta, test = read_archive(root, "test")
     owners = dict.fromkeys(model.window_geometry(), f"model {model_path}")
     _check_geometry(model, owners, root, scaling, meta)
     return meta, test, scaling
@@ -354,7 +348,6 @@ def cmd_evaluate(args, cfg) -> int:
         json.dump(metrics, fh, indent=1)
     write_report_json(report, out / "cgega.json")
     write_points_csv(series, report, out / "points.csv")
-    echo_config(cfg, out, "evaluate")
     print(f"RMSE {metrics['rmse_mgdl']:.2f} mg/dL, MAPE {metrics['mape_pct']:.2f}%, "
           f"AP {report.overall['AP']:.3f}")
     return EXIT_OK
@@ -427,7 +420,6 @@ def cmd_explain(args, cfg) -> int:
             warnings.warn(f"no {args.event} events in the test windows; "
                           "event table is empty")
 
-    echo_config(cfg, out, "explain")
     print(f"explained {len(test)} test samples into {out}")
     return EXIT_OK
 
@@ -477,7 +469,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         flags = {key: getattr(args, key) for key in FLAGS[args.command]}
-        return args.func(args, load_config(args.config, flags))
+        cfg = load_config(args.config, flags)
+        code = args.func(args, cfg)
+        if code == EXIT_OK:  # a command that fails leaves no echo
+            echo_config(cfg, args.out, args.command)
+        return code
     except (OSError, IngestionError) as exc:  # a missing or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

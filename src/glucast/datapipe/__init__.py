@@ -2,6 +2,7 @@
 
 from .archive import (
     VARIABLES,
+    read_archive,
     read_archive_split,
     read_patient_archive,
     read_sample_csv,
@@ -35,5 +36,5 @@ __all__ = [
     "SEQ_LEN", "PH_STEPS", "PERIOD_MINUTES",
     "write_sample_csv", "read_sample_csv", "write_scaling_json",
     "read_scaling_json", "write_patient_archive", "read_patient_archive",
-    "read_archive_split", "VARIABLES",
+    "read_archive", "read_archive_split", "VARIABLES",
 ]

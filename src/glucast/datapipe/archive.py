@@ -107,7 +107,7 @@ def _parse_block(path, header, first_line, lines, seq_len, n_vars):
     return values[:, :-1].reshape(len(rows), n_vars, seq_len), values[:, -1], t
 
 
-def read_sample_csv(path, seq_len, provenance, period_minutes, ph_steps) -> SampleSet:
+def read_sample_csv(path, seq_len, period_minutes, ph_steps) -> SampleSet:
     xs, ys, ts = [], [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -133,7 +133,7 @@ def read_sample_csv(path, seq_len, provenance, period_minutes, ph_steps) -> Samp
     # window i is the transpose of its row's (r, L) block: x keeps the row's
     # variable-major memory order
     return SampleSet(x=np.concatenate(xs).transpose(0, 2, 1), y=np.concatenate(ys),
-                     t=t, target_t=t + horizon, provenance=provenance)
+                     t=t, target_t=t + horizon)
 
 
 def write_scaling_json(scaling: Scaling, path, seq_len, ph_steps, period_minutes,
@@ -229,7 +229,7 @@ def read_archive_split(root, split, scaling, meta) -> SampleSet:
     ConfigError names the split's file when its windows are of another width
     than the sidecar's (their length is the header's, checked on reading)."""
     path = Path(root) / f"{split}.csv"
-    samples = read_sample_csv(path, seq_len=meta["seq_len"], provenance=split,
+    samples = read_sample_csv(path, seq_len=meta["seq_len"],
                               period_minutes=meta["period_minutes"],
                               ph_steps=meta["ph_steps"])
     width = len(scaling.input_mean)
@@ -240,10 +240,15 @@ def read_archive_split(root, split, scaling, meta) -> SampleSet:
     return samples
 
 
+def read_archive(root, *splits):
+    """The scaling and metadata of the patient archive in directory ``root``,
+    then a SampleSet per split named: no other file of the archive is read."""
+    scaling, meta = read_scaling_json(Path(root) / "scaling.json")
+    return scaling, meta, *(read_archive_split(root, s, scaling, meta) for s in splits)
+
+
 def read_patient_archive(directory, patient_id):
-    """Load one patient's archive back into SampleSets."""
-    root = Path(directory) / patient_id
-    scaling, meta = read_scaling_json(root / "scaling.json")
-    archive = {split: read_archive_split(root, split, scaling, meta)
-               for split in ("train", "valid", "test")}
-    return {**archive, "scaling": scaling, "meta": meta}
+    """One patient's whole archive: its three splits by name, "scaling" and "meta"."""
+    names = ("train", "valid", "test")
+    scaling, meta, *sets = read_archive(Path(directory) / patient_id, *names)
+    return {**dict(zip(names, sets)), "scaling": scaling, "meta": meta}

@@ -74,17 +74,15 @@ class SampleSet:
     y: np.ndarray           # (N,) glucose at the horizon (NaN = unknown)
     t: np.ndarray           # (N,) datetime64[m] window ends
     target_t: np.ndarray    # (N,) datetime64[m] target timestamps
-    provenance: str         # unsplit | train | valid | test
 
     def __len__(self):
         return self.y.shape[0]
 
 
-def _select(samples: SampleSet, index, provenance=None) -> SampleSet:
+def _select(samples: SampleSet, index) -> SampleSet:
     """The windows a mask or an index array picks, copied into a new set."""
     return replace(samples, x=samples.x[index], y=samples.y[index],
-                   t=samples.t[index], target_t=samples.target_t[index],
-                   provenance=provenance or samples.provenance)
+                   t=samples.t[index], target_t=samples.target_t[index])
 
 
 def clean_spikes(series: GlucoseSeries, threshold=SPIKE_THRESHOLD) -> GlucoseSeries:
@@ -162,8 +160,7 @@ def build_samples(series: GlucoseSeries, seq_len=SEQ_LEN, ph_steps=PH_STEPS,
     ends = np.arange(seq_len - 1, seq_len - 1 + n_windows)
     t = series.t[ends]
     return SampleSet(x=x, y=series.glucose[ends + ph_steps], t=t,
-                     target_t=t + np.timedelta64(ph_steps * period_minutes, "m"),
-                     provenance="unsplit")
+                     target_t=t + np.timedelta64(ph_steps * period_minutes, "m"))
 
 
 def _fill_gaps(g):
@@ -224,9 +221,9 @@ def split(samples: SampleSet, spec: SplitSpec):
     late = samples.target_t > cutoff
     rest = np.flatnonzero(~late)
     n_train = len(rest) - int(round(len(rest) * spec.valid_fraction))
-    train = _select(samples, rest[:n_train], "train")
-    valid = _select(samples, rest[n_train:], "valid")
-    test = _select(samples, late, "test")
+    train = _select(samples, rest[:n_train])
+    valid = _select(samples, rest[n_train:])
+    test = _select(samples, late)
     if min(len(train), len(valid), len(test)) < 3:
         raise ConfigError(
             f"splits too small: train={len(train)} valid={len(valid)} test={len(test)}")
@@ -264,9 +261,8 @@ def standardize(train: SampleSet, valid: SampleSet, test: SampleSet):
 
     scaling = Scaling(input_mean=input_mean, input_std=input_std,
                       target_mean=target_mean, target_std=target_std)
-    sets = tuple(replace(s, x=scaling.apply_inputs(s.x), y=scaling.apply_target(s.y),
-                         provenance=name)
-                 for s, name in ((train, "train"), (valid, "valid"), (test, "test")))
+    sets = tuple(replace(s, x=scaling.apply_inputs(s.x), y=scaling.apply_target(s.y))
+                 for s in (train, valid, test))
     return (*sets, scaling)
 
 

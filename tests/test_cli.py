@@ -1,11 +1,14 @@
+import ast
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import re
 import shutil
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +18,9 @@ from hypothesis import strategies as st
 
 from glucast import cli
 from glucast.cli import CONFIG_DEFAULTS, load_config, main
-from glucast.datapipe import GlucoseSeries, SplitSpec, write_series_csv
+from glucast.datapipe import GlucoseSeries, SplitSpec, preprocess_series, write_series_csv
 from glucast.errors import ConfigError
-from glucast.models import LstmRegModel, StdAttnModel, save_model
+from glucast.models import LstmRegModel, RetainConfig, StdAttnModel, save_model
 from glucast.synthdata import default_cohort, generate_patient
 from glucast.training import TrainConfig
 
@@ -260,6 +263,23 @@ def test_default_and_example_configs_are_the_same_values():
     assert load_config(example) == load_config() == CONFIG_DEFAULTS
 
 
+def test_config_defaults_are_the_library_defaults():
+    # the benchmark's train-small and train-prod take the library's defaults,
+    # the CLI and the pipeline workload CONFIG_KEYS': each key both set agrees
+    pairs = [(cls.__name__, cli.FIELD_KEYS.get(f.name, f.name), f.default)
+             for cls in (RetainConfig, TrainConfig, SplitSpec) for f in fields(cls)]
+    pairs += [(func.__name__, name, param.default)
+              for func in (preprocess_series, default_cohort)
+              for name, param in inspect.signature(func).parameters.items()
+              if param.default is not param.empty]
+    pairs = [(owner, key, default) for owner, key, default in pairs
+             if key in CONFIG_DEFAULTS]
+    assert len(pairs) == 21
+    assert [(owner, key, default) for owner, key, default in pairs
+            if (type(default), default) != (type(CONFIG_DEFAULTS[key]),
+                                            CONFIG_DEFAULTS[key])] == []
+
+
 def test_config_names_a_file_that_is_not_utf8(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_bytes(b"seed = 4\n\xff\xfe = 1\n")
@@ -429,7 +449,7 @@ def test_train_single_source_is_usage_error(mini_run):
                "--out", str(mini_run / "zz2")) == 2
 
 
-@pytest.mark.parametrize("sources", ["p00", "p00,p01,p00"])
+@pytest.mark.parametrize("sources", ["p00", "p00,p01,p00", "p00,p02"])
 def test_train_rejects_one_source_or_a_repeated_one_before_reading(tmp_path, capsys,
                                                                    sources):
     out = tmp_path / "run"
@@ -437,7 +457,35 @@ def test_train_rejects_one_source_or_a_repeated_one_before_reading(tmp_path, cap
                "--sources", sources, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"--sources {sources}: " in err and "Traceback" not in err
+    assert ("--target p02" in err) == ("p02" in sources)
     assert not out.exists()
+
+
+def test_train_reads_no_test_split_and_evaluate_names_the_missing_one(mini_run,
+                                                                      tmp_path, capsys):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep", prep)
+    for path in prep.glob("*/test.csv"):
+        path.unlink()
+    out = tmp_path / "run"
+    assert run("train", "--data", str(prep), "--target", "p02",
+               "--sources", "p00,p01", "--model", "retain",
+               "--max-epochs", "2", "--seed", "3",
+               "--config", str(_mini_cfg(mini_run)), "--out", str(out)) == 0
+    for name in ("model.json", "history.csv"):
+        assert (out / name).read_bytes() == (mini_run / "run" / name).read_bytes()
+    capsys.readouterr()
+    assert run("evaluate", "--model", str(out / "model.json"), "--data", str(prep),
+               "--target", "p02", "--out", str(tmp_path / "ev")) == 3
+    err = capsys.readouterr().err
+    assert str(prep / "p02" / "test.csv") in err and "Traceback" not in err
+
+
+def test_no_command_reads_an_archive_through_read_patient_archive():
+    # the name stays imported into cli only for the benchmark tracer to bind
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "read_patient_archive"]
 
 
 def test_evaluate_writes_metrics_and_cgega(mini_run):
@@ -577,14 +625,13 @@ def _read_matrix(path):
 
 def test_explain_aggregate_matches_offline_recomputation(mini_run):
     out = mini_run / "explain"
-    from glucast.datapipe import read_patient_archive
+    from glucast.datapipe import read_archive
     from glucast.models import (contributions, load_model,
                                 normalized_contributions, aggregate_attributions,
                                 event_conditioned_attributions)
     from glucast.models.attribution import event_mask_from_windows
     model = load_model(mini_run / "run" / "model.json")
-    archive = read_patient_archive(mini_run / "prep", "p02")
-    test, scaling = archive["test"], archive["scaling"]
+    scaling, meta, test = read_archive(mini_run / "prep" / "p02", "test")
     atts = []
     for x in test.x:
         trace = model.forward(x)
@@ -595,7 +642,7 @@ def test_explain_aggregate_matches_offline_recomputation(mini_run):
 
     mask = event_mask_from_windows(test.x, scaling, 1)
     profile = event_conditioned_attributions(
-        mask, atts, 60, archive["meta"]["period_minutes"])
+        mask, atts, 60, meta["period_minutes"])
     expect = np.array([np.full(3, np.nan) if mean is None else mean.sum(axis=0)
                        for mean in profile.means])
     got = _read_matrix(out / "event_cho.csv")

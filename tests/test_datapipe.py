@@ -20,6 +20,7 @@ from glucast.datapipe import (
     build_samples,
     clean_spikes,
     preprocess_series,
+    read_archive,
     read_archive_split,
     read_patient_archive,
     read_sample_csv,
@@ -367,8 +368,7 @@ def window(gvalues, target=130.0):
     inputs[0, :, 0] = gvalues
     return SampleSet(x=inputs, y=np.array([target]),
                      t=np.array(["2026-01-05T03:00"], dtype="datetime64[m]"),
-                     target_t=np.array(["2026-01-05T03:30"], dtype="datetime64[m]"),
-                     provenance="unsplit")
+                     target_t=np.array(["2026-01-05T03:30"], dtype="datetime64[m]"))
 
 
 def test_recover_interior_midpoint():
@@ -408,8 +408,7 @@ def make_samples(n, start_minute=0):
         x[i] = rng.normal(loc=[120, 10, 1], scale=[25, 5, 0.5], size=(4, 3))
         y[i] = rng.normal(120, 25)
     t = minutes(*range(start_minute, start_minute + 5 * n, 5))
-    return SampleSet(x=x, y=y, t=t, target_t=t + np.timedelta64(30, "m"),
-                     provenance="unsplit")
+    return SampleSet(x=x, y=y, t=t, target_t=t + np.timedelta64(30, "m"))
 
 
 def subset(samples, mask):
@@ -571,8 +570,7 @@ def test_recover_missing_matches_the_per_window_loop_bit_for_bit(data, length, n
     x[:, :, 1] = 7.0
     y = np.array(data.draw(st.lists(GLUCOSE_VALUES, min_size=n, max_size=n), label="y"))
     t = minutes(*range(0, 5 * n, 5))
-    samples = SampleSet(x=x.copy(), y=y, t=t, target_t=t + np.timedelta64(30, "m"),
-                        provenance="unsplit")
+    samples = SampleSet(x=x.copy(), y=y, t=t, target_t=t + np.timedelta64(30, "m"))
     out = recover_missing(samples)
     kept, windows = oracle_recover_missing(x, y)
     assert out.x.shape == windows.shape and out.x.tobytes() == windows.tobytes()
@@ -602,9 +600,11 @@ def test_patient_archive_round_trip(tmp_path):
     (tmp_path / "p07" / "valid.csv").unlink()
     sidecar = read_scaling_json(tmp_path / "p07" / "scaling.json")
     alone = read_archive_split(tmp_path / "p07", "test", *sidecar)
-    assert alone.provenance == "test"
+    _, meta, read = read_archive(tmp_path / "p07", "test")
+    assert meta == back["meta"]
     for name in ("x", "y", "t", "target_t"):
         assert np.array_equal(getattr(alone, name), getattr(back["test"], name))
+        assert np.array_equal(getattr(read, name), getattr(back["test"], name))
 
 
 def special_sample_set(n=BLOCK_ROWS + 6):
@@ -618,8 +618,7 @@ def special_sample_set(n=BLOCK_ROWS + 6):
     y = rng.normal(size=n)
     y[:3] = [-0.0, 5e-324, -1e-05]
     t = minutes(*range(0, 5 * n, 5))
-    return SampleSet(x=x, y=y, t=t, target_t=t + np.timedelta64(30, "m"),
-                     provenance="test")
+    return SampleSet(x=x, y=y, t=t, target_t=t + np.timedelta64(30, "m"))
 
 
 def csv_writer_bytes(sample_set):
@@ -645,8 +644,7 @@ def test_sample_csv_golden_bytes_and_bit_exact_round_trip(tmp_path):
     write_sample_csv(s, path)
     assert path.read_bytes() == csv_writer_bytes(s)
 
-    back = read_sample_csv(path, seq_len=2, provenance="test", period_minutes=5,
-                           ph_steps=6)
+    back = read_sample_csv(path, seq_len=2, period_minutes=5, ph_steps=6)
     for name in ("x", "y", "t", "target_t"):
         assert getattr(back, name).tobytes() == getattr(s, name).tobytes(), name
     assert np.signbit(back.x[0, 0, 0]) and np.signbit(back.y[0])
@@ -681,7 +679,7 @@ def test_sample_csv_memory_stays_within_a_small_multiple_of_the_arrays(tmp_path)
     assert write_peak <= array_bytes(train)
     # The reader holds the parsed blocks and their concatenation, plus one
     # block of tokens.
-    back, read_peak = traced_peak(read_sample_csv, path, 37, "train", 5, 6)
+    back, read_peak = traced_peak(read_sample_csv, path, 37, 5, 6)
     assert read_peak <= 3 * array_bytes(back)
 
 
@@ -727,7 +725,7 @@ def test_read_sample_csv_names_file_line_and_column_of_a_bad_row(tmp_path, edit,
     path = tmp_path / "test.csv"
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
     with pytest.raises(IngestionError) as info:
-        read_sample_csv(path, 2, "test", 5, 6)
+        read_sample_csv(path, 2, 5, 6)
     message = str(info.value)
     assert message.startswith(f"{path}: ")
     if line is None:
@@ -743,7 +741,7 @@ def test_read_sample_csv_rejects_non_utf8(tmp_path):
     data = ARCHIVE_TEXT.encode()
     path.write_bytes(data[:400] + b"\xff\xfe" + data[400:])
     with pytest.raises(IngestionError, match="not UTF-8"):
-        read_sample_csv(path, 2, "test", 5, 6)
+        read_sample_csv(path, 2, 5, 6)
 
 
 # --- fuzzing the archive reader ---------------------------------------------------
@@ -812,8 +810,8 @@ def test_read_sample_csv_fuzz_returns_oracle_windows_or_ingestion_error(data):
         expected = oracle_read(text)
         if expected is None:
             with pytest.raises(IngestionError, match=str(path)):
-                read_sample_csv(path, 2, "test", 5, 6)
+                read_sample_csv(path, 2, 5, 6)
         else:
-            back = read_sample_csv(path, 2, "test", 5, 6)
+            back = read_sample_csv(path, 2, 5, 6)
             for have, want in zip((back.x, back.y, back.t), expected):
                 assert have.shape == want.shape and have.tobytes() == want.tobytes()

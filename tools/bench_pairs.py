@@ -50,7 +50,10 @@ sibling vCPU would.
 With ``--cli-runs N``, the CLI's production-size retain ``train`` (1 epoch)
 + ``evaluate`` + ``explain`` on a 3 x 8-day cohort (seed 3) is timed N
 alternating times per side at the default BLAS thread count (no
-``*_NUM_THREADS`` variable set), wall and CPU seconds.
+``*_NUM_THREADS`` variable set), wall and CPU seconds. Each run also records
+``outputs_identical``: whether the files the two sides' three commands wrote
+(under ``<work>/cli-data/<side>-<k>/``) are the same names with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -229,6 +232,11 @@ def summarize(pairs, metric, better, bound=None):
     return out
 
 
+def tree_bytes(root):
+    """{path relative to root: bytes} of every file under ``root``."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def cli_timing(copies, runs, work):
     """Alternating timings of the CLI's production retain train + evaluate +
     explain at the default BLAS thread count."""
@@ -260,12 +268,15 @@ def cli_timing(copies, runs, work):
                 _, w, c, _ = cli(side, *argv)
                 wall, cpu = wall + w, cpu + c
             row[side] = {"wall_s": wall, "cpu_s": cpu}
+        row["outputs_identical"] = (tree_bytes(data / f"parent-{k}")
+                                    == tree_bytes(data / f"change-{k}"))
         timings.append(row)
     return {"method": "glucast train --model retain --max-epochs 1 --seed 3 (sources "
                       "p00,p01, target p02) + evaluate + explain --sample 2 --event cho, "
                       "on synth --patients 3 --days 8 --seed 3, production defaults, no "
                       "*_NUM_THREADS variable set; wall and child CPU seconds of the three "
-                      "commands",
+                      "commands, and whether the two sides wrote the same files byte for "
+                      "byte (outputs_identical)",
             "blas_threads_default": len(os.sched_getaffinity(0)),
             "runs": timings,
             "median": {side: {m: statistics.median(r[side][m] for r in timings)
