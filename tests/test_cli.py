@@ -264,8 +264,8 @@ def test_default_and_example_configs_are_the_same_values():
 
 
 def test_config_defaults_are_the_library_defaults():
-    # the benchmark's train-small and train-prod take the library's defaults,
-    # the CLI and the pipeline workload CONFIG_KEYS': each key both set agrees
+    # the train-small and train-prod workloads run on the library's defaults,
+    # the CLI and the pipeline workload on CONFIG_KEYS: each key both set agrees
     pairs = [(cls.__name__, cli.FIELD_KEYS.get(f.name, f.name), f.default)
              for cls in (RetainConfig, TrainConfig, SplitSpec) for f in fields(cls)]
     pairs += [(func.__name__, name, param.default)
