@@ -148,13 +148,15 @@ def _coerce(key, text, where=""):
 
 def load_config(path=None, overrides=None) -> dict:
     """Defaults, overlaid by a flat key=value file, overlaid by CLI flags.
-    ConfigError names the file and the line of a bad line in the file."""
+    ConfigError names the file and the line of a bad line in the file, and
+    both lines of a key the file sets twice."""
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        set_on = {}  # key -> the line that set it
         for line_no, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -165,6 +167,10 @@ def load_config(path=None, overrides=None) -> dict:
             if key not in cfg:
                 raise ConfigError(f"{path} line {line_no}: unknown config key {key!r}")
             cfg[key] = _coerce(key, value, f"{path} line {line_no}: ")
+            if key in set_on:
+                raise ConfigError(f"{path} lines {set_on[key]} and {line_no}: config "
+                                  f"key {key!r} is set twice")
+            set_on[key] = line_no
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -331,11 +337,24 @@ def _read_model(args):
 def cmd_evaluate(args, cfg) -> int:
     model_path, model = _read_model(args)
     _, test, scaling = _load_target_test(args.data, args.target, model, model_path)
-    truth = {np.datetime64(t, "m"): float(v)
-             for t, v in zip(test.target_t, scaling.invert_target(test.y))}
+    # the error grid reads consecutive points in time order: the rows must
+    # come in it, as preprocess writes them
+    late = np.flatnonzero(np.diff(test.target_t) <= np.timedelta64(0, "m"))
+    if late.size:
+        row = late[0] + 1  # on line row + 2, after the header
+        raise IngestionError(
+            f"{Path(args.data) / args.target / 'test.csv'}: line {row + 2}, column "
+            f"'timestamp': {test.t[row]} does not come after the previous row's "
+            f"({test.t[row - 1]})")
 
     preds = model.predict(test.x)
-    series = reconstruct(list(zip(test.target_t, preds)), scaling, truth)
+    low = np.flatnonzero(scaling.invert_target(preds) <= 0)
+    if low.size:
+        raise EvaluationError(
+            f"model {model_path} predicts glucose at or below 0 mg/dL for {low.size} "
+            f"of the {len(preds)} test windows of {args.target}, the first for "
+            f"{test.target_t[low[0]]}")
+    series = reconstruct(test.target_t, test.y, preds, scaling)
     report = cg_ega_report(series)
     metrics = {"rmse_mgdl": rmse(series), "mape_pct": mape(series),
                "n_test": len(series), "overall_cg_ega": report.overall}

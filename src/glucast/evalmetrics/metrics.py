@@ -1,13 +1,12 @@
 """Post-processing and statistical accuracy metrics.
 
-Predictions emerge from the model standardized and in sample order; before
-any evaluation they are rescaled to mg/dL, sorted by target timestamp, and
-deduplicated into a prediction series aligned with the reference readings.
+Predictions emerge from the model standardized and in sample order, which
+is target-time order; before any evaluation they and the reference readings
+are rescaled to mg/dL into one prediction series.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,36 +36,12 @@ class PredictionSeries:
         return self.t.shape[0]
 
 
-def reconstruct(predictions, scaling, truth) -> PredictionSeries:
-    """Rescale standardized predictions and reorder them into a series.
-
-    predictions: iterable of (timestamp, standardized prediction).
-    truth: mapping timestamp -> reference mg/dL; a prediction at a timestamp
-    absent from the mapping is an error. Duplicate timestamps collapse to
-    the last write, with a warning.
-    """
-    seen = {}
-    duplicates = 0
-    for t, y_std in predictions:
-        t = np.datetime64(t, "m")
-        if t in seen:
-            duplicates += 1
-        seen[t] = float(scaling.invert_target(y_std))
-    if duplicates:
-        warnings.warn(f"{duplicates} duplicate prediction timestamp(s); "
-                      "keeping the last value", stacklevel=2)
-    if not seen:
-        raise ValueError("no predictions to reconstruct")
-    unknown = [t for t in seen if t not in truth]
-    if unknown:
-        raise ValueError(f"predictions at unknown timestamps: {unknown[:3]}"
-                         f"{'...' if len(unknown) > 3 else ''}")
-    order = np.sort(np.array(list(seen), dtype="datetime64[m]"))
-    return PredictionSeries(
-        t=order,
-        y_true=np.array([truth[t] for t in order]),
-        y_pred=np.array([seen[t] for t in order]),
-    )
+def reconstruct(t, y_std, pred_std, scaling) -> PredictionSeries:
+    """The series of targets ``y_std`` and predictions ``pred_std``, both
+    standardized and aligned row by row with the target times ``t`` (already
+    in increasing order), rescaled to mg/dL."""
+    return PredictionSeries(t, scaling.invert_target(y_std),
+                            scaling.invert_target(pred_std))
 
 
 def rmse(series: PredictionSeries) -> float:

@@ -245,7 +245,8 @@ def softmax(a, tape=None):
     if av.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(av)):
-        raise ValueError("softmax input contains NaN or Inf entries")
+        # the scores of a model whose training diverged, not a caller's error
+        raise FloatingPointError("softmax input contains NaN or Inf entries")
     shifted = av - av.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = np.maximum(e / e.sum(axis=-1, keepdims=True), 5e-324)

@@ -138,17 +138,19 @@ def _optimize(model, train_x, train_y, train_labels, valid_x, valid_y,
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
         batch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            labels = train_labels[idx] if train_labels is not None else None
-            grads, total, _, _ = backward_with_reversal(
-                model, train_x[idx], train_y[idx], labels, lam)
-            if not np.isfinite(total):
-                raise TrainingError(f"{phase}: loss diverged at epoch {epoch}")
-            adam_step(params, grads, opt, lr)
-            batch_losses.append(total)
-
-        v_mse, v_ce = _validation_scores(model, valid_x, valid_y, valid_labels, lam)
+        try:
+            for lo in range(0, n, cfg.batch_size):
+                idx = order[lo:lo + cfg.batch_size]
+                labels = train_labels[idx] if train_labels is not None else None
+                grads, total, _, _ = backward_with_reversal(
+                    model, train_x[idx], train_y[idx], labels, lam)
+                if not np.isfinite(total):
+                    raise FloatingPointError(f"training loss {total}")
+                adam_step(params, grads, opt, lr)
+                batch_losses.append(total)
+            v_mse, v_ce = _validation_scores(model, valid_x, valid_y, valid_labels, lam)
+        except FloatingPointError as exc:  # a loss or a softmax of non-finite values
+            raise TrainingError(f"{phase}: loss diverged at epoch {epoch}") from exc
         history.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
                         "valid_mse": v_mse, "valid_ce": v_ce, "lr": lr,
                         "phase": phase})

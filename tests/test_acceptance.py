@@ -324,15 +324,12 @@ def test_criterion_7_end_to_end_learning(cohort_run):
     test_set = cohort_run["test"]
     scaling = cohort_run["scaling"]
 
-    truth = {t: float(v) for t, v in
-             zip(test_set.target_t, scaling.invert_target(test_set.y))}
-    series = reconstruct(list(zip(test_set.target_t, model.predict(test_set.x))),
-                         scaling, truth)
+    series = reconstruct(test_set.target_t, test_set.y, model.predict(test_set.x),
+                         scaling)
     model_rmse = rmse(series)
 
     mean_pred = np.full_like(test_set.y, cohort_run["train"].y.mean())
-    baseline = rmse(reconstruct(list(zip(test_set.target_t, mean_pred)),
-                                scaling, truth))
+    baseline = rmse(reconstruct(test_set.target_t, test_set.y, mean_pred, scaling))
     ap = cg_ega_report(series).overall["AP"]
     elapsed = cohort_run["elapsed"]
 

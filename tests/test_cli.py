@@ -81,6 +81,18 @@ def test_config_file_overrides_and_rejects_unknown_keys(tmp_path):
         load_config(worse)
 
 
+def test_config_key_set_twice_in_a_file_exits_2_naming_both_lines(tmp_path, capsys):
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("seed = 4\n# the same key again\nseed = 5\n")
+    assert run("synth", "--config", str(cfg_file), "--out", str(tmp_path / "raw")) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_file} lines 1 and 3: config key 'seed' is set twice" in err
+    assert not (tmp_path / "raw").exists()
+    # a flag still overrides a key the file sets once
+    cfg_file.write_text("seed = 4\n")
+    assert load_config(cfg_file, {"seed": 5})["seed"] == 5
+
+
 def test_config_boolean_coercion(tmp_path):
     cfg_file = tmp_path / "b.cfg"
     cfg_file.write_text("reverse_time = true\n")
@@ -242,10 +254,12 @@ FLAG_VALUES = {"patients": "2", "days": "01", "seed": "5", "noise_std": "1e0",
                                           cli.FLAGS.items() for key in keys])
 def test_flag_writes_the_effective_cfg_of_its_key_in_a_config_file(mini_run, tmp_path,
                                                                     command, key):
+    mini = _mini_cfg(mini_run).read_text()
     base = tmp_path / "base.cfg"
-    base.write_text(_mini_cfg(mini_run).read_text() + "max_epochs = 0\n")
-    with_key = tmp_path / "key.cfg"
-    with_key.write_text(base.read_text() + f"{key} = {FLAG_VALUES[key]}\n")
+    base.write_text(mini + "max_epochs = 0\n")
+    with_key = tmp_path / "key.cfg"  # a file sets each key once
+    with_key.write_text(mini + "".join(f"{k} = {v}\n" for k, v in
+                                       {"max_epochs": 0, key: FLAG_VALUES[key]}.items()))
     inputs = {"synth": ["--days", "1"] if key != "days" else [],
               "train": ["--data", str(mini_run / "prep"), "--target", "p00"]}[command]
     flag = f"--{key.replace('_', '-')}={FLAG_VALUES[key]}"
@@ -516,11 +530,22 @@ def _corrupt(line_no, column, token):
     return edit
 
 
+def _swap(line_no):
+    """An edit of test.csv that swaps one line (1-based) with the next."""
+    def edit(lines):
+        lines[line_no - 1], lines[line_no] = lines[line_no], lines[line_no - 1]
+    return edit
+
+
 @pytest.mark.parametrize("edit, where", [
     pytest.param(_corrupt(5, 40, "abc"), "line 5, column 'cho_2'", id="token"),
     pytest.param(_corrupt(12, -1, "inf"), "line 12, column 'target'", id="inf-target"),
     pytest.param(lambda lines: lines.__delitem__(slice(1, None)), "no sample rows",
                  id="header-only"),
+    # the error grid reads the rows in time order: evaluate sorts nothing
+    pytest.param(_swap(5), "line 6, column 'timestamp'", id="swapped-rows"),
+    pytest.param(lambda lines: lines.insert(7, lines[6]), "line 8, column 'timestamp'",
+                 id="repeated-row"),
 ])
 def test_evaluate_rejects_corrupted_test_csv_exit_3(mini_run, tmp_path, capsys,
                                                     edit, where):
@@ -591,6 +616,34 @@ def test_evaluate_rejects_non_finite_metrics_exit_4(mini_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(model) in err and "non-finite" in err
     assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_rejects_predictions_at_or_below_zero_exit_4(mini_run, tmp_path,
+                                                              capsys):
+    doc = json.loads((mini_run / "run" / "model.json").read_text())
+    doc["params"]["out_b"] = -100.0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert run("evaluate", "--model", str(model), "--data", str(mini_run / "prep"),
+               "--target", "p02", "--out", str(tmp_path / "ev")) == 4
+    err = capsys.readouterr().err
+    assert f"model {model} predicts glucose at or below 0 mg/dL" in err
+    assert "windows of p02" in err and "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_train_whose_scores_overflow_exits_4_naming_phase_and_epoch(mini_run, tmp_path,
+                                                                   capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("embed_dim = 4\nalpha_hidden = 4\nbeta_hidden = 4\n"
+                   "lr_source = 1e200\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("train", "--data", str(mini_run / "prep"), "--target", "p02",
+                   "--sources", "p00,p01", "--max-epochs", "2", "--seed", "3",
+                   "--config", str(cfg), "--out", str(tmp_path / "run")) == 4
+    err = capsys.readouterr().err
+    assert "error: source: loss diverged at epoch 1\n" in err and "Traceback" not in err
+    assert not list((tmp_path / "run").iterdir())  # made before training, left empty
 
 
 def test_explain_sample_reconstructs_prediction(mini_run):

@@ -33,10 +33,6 @@ def make_series(y_true, y_pred, step=5):
                             y_pred=np.asarray(y_pred, dtype=float))
 
 
-IDENTITY = Scaling(input_mean=np.zeros(3), input_std=np.ones(3),
-                   target_mean=0.0, target_std=1.0)
-
-
 # --- reconstruct -------------------------------------------------------------
 
 def stamps(*offsets):
@@ -44,40 +40,11 @@ def stamps(*offsets):
             for o in offsets]
 
 
-def test_reconstruct_identity_scaling_sorts():
-    t0, t1, t2 = stamps(0, 5, 10)
-    truth = {t0: 100.0, t1: 110.0, t2: 120.0}
-    series = reconstruct([(t2, 125.0), (t0, 95.0), (t1, 112.0)], IDENTITY, truth)
-    assert np.array_equal(series.t, np.array([t0, t1, t2]))
-    assert np.array_equal(series.y_pred, [95.0, 112.0, 125.0])
-    assert np.array_equal(series.y_true, [100.0, 110.0, 120.0])
-
-
 def test_reconstruct_affine_scaling():
     scaling = Scaling(np.zeros(3), np.ones(3), target_mean=100.0, target_std=10.0)
-    (t0,) = stamps(0)
-    series = reconstruct([(t0, 0.5)], scaling, {t0: 104.0})
+    series = reconstruct(stamps(0), [0.4], [0.5], scaling)
     assert series.y_pred[0] == pytest.approx(105.0)
-
-
-def test_reconstruct_duplicate_later_wins_and_unknown_errors():
-    t0, t1 = stamps(0, 5)
-    truth = {t0: 100.0, t1: 110.0}
-    with pytest.warns(UserWarning):
-        series = reconstruct([(t0, 90.0), (t0, 95.0), (t1, 111.0)], IDENTITY, truth)
-    assert series.y_pred[0] == 95.0
-    with pytest.raises(ValueError):
-        reconstruct([(stamps(30)[0], 100.0)], IDENTITY, truth)
-
-
-def test_reconstruct_order_independence():
-    ts = stamps(0, 5, 10, 15)
-    truth = {t: 100.0 + i for i, t in enumerate(ts)}
-    preds = [(t, 100.0 + 2 * i) for i, t in enumerate(ts)]
-    shuffled = [preds[2], preds[0], preds[3], preds[1]]
-    a = reconstruct(preds, IDENTITY, truth)
-    b = reconstruct(shuffled, IDENTITY, truth)
-    assert np.array_equal(a.y_pred, b.y_pred) and np.array_equal(a.t, b.t)
+    assert series.y_true[0] == pytest.approx(104.0)
 
 
 # --- rmse / mape -------------------------------------------------------------
@@ -129,8 +96,7 @@ def test_mean_predictor_rmse_equals_target_std():
     scaling = Scaling(np.zeros(3), np.ones(3), target_mean=float(raw.mean()),
                       target_std=float(raw.std()))
     ts = stamps(*range(0, 5 * 400, 5))
-    truth = dict(zip(ts, raw))
-    series = reconstruct([(t, 0.0) for t in ts], scaling, truth)
+    series = reconstruct(ts, scaling.apply_target(raw), np.zeros(400), scaling)
     assert rmse(series) == pytest.approx(float(raw.std()), rel=1e-12)
 
 
@@ -140,8 +106,8 @@ def test_reconstruct_inverts_target_standardization():
     scaling = Scaling(np.zeros(3), np.ones(3), target_mean=float(raw.mean()),
                       target_std=float(raw.std()))
     ts = stamps(0, 5, 10, 15)
-    truth = dict(zip(ts, raw))
-    series = reconstruct(list(zip(ts, scaling.apply_target(raw))), scaling, truth)
+    series = reconstruct(ts, scaling.apply_target(raw), scaling.apply_target(raw),
+                         scaling)
     assert np.allclose(series.y_pred, raw, atol=1e-12)
     assert np.allclose(series.y_pred, series.y_true, atol=1e-12)
 

@@ -81,6 +81,13 @@ def test_softmax_empty_vector():
         T.softmax(np.empty(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_of_non_finite_scores_is_a_floating_point_error(bad):
+    # the scores of a diverged model: training reports it as divergence
+    with pytest.raises(FloatingPointError, match="NaN or Inf"):
+        T.softmax(np.array([[0.0, 1.0], [bad, 0.0]]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40),
        st.floats(min_value=-1e3, max_value=1e3))

@@ -21,6 +21,10 @@ each run records:
   switches, and each CPU's user, system, idle and steal ticks over the run
   (``/proc/stat``, every process on the machine).
 
+The file also records each side's ``src_lines``: the lines (as ``wc -l``
+counts them) of every ``*.py`` file under the ``src/`` of its copy, so a
+change's line count sits beside its timings.
+
 Before each pair, a calibration runs a 1-thread 512x512 GEMM loop in one
 process alone and then in two processes at once. Their ``two_process_ratio``
 (aggregate rate over the lone rate; 2.0 on two free cores) tells a pair run
@@ -128,6 +132,11 @@ def snapshot(rev, dest):
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return dest
+
+
+def src_lines(copy):
+    """Lines of every ``*.py`` file under ``copy / "src"``, as ``wc -l`` counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (copy / "src").rglob("*.py"))
 
 
 def cpu_ticks():
@@ -319,6 +328,8 @@ def main(argv=None):
            "method": METHOD.format(pairs=args.pairs, seconds=args.seconds),
            "parent_commit": revs["parent"], "change_commit": revs["change"],
            "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
+           "src_lines": {side: src_lines(snapshot(rev, work / side))
+                         for side, rev in revs.items()},
            "environment": environment(args.seconds), "workloads": {}}
     if args.busy_cpu is not None:
         doc["busy_cpu"] = args.busy_cpu
