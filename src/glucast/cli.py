@@ -26,6 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .datapipe import (
+    PERIOD_MINUTES,
+    PH_STEPS,
+    SPIKE_THRESHOLD,
     VARIABLES,
     SplitSpec,
     preprocess_series,
@@ -36,6 +39,8 @@ from .datapipe import (
     write_series_csv,
 )
 from .errors import (
+    AT_LEAST_1,
+    POSITIVE,
     ConfigError,
     EvaluationError,
     GlucastError,
@@ -60,7 +65,7 @@ from .models import (
     save_model,
 )
 from .models.attribution import event_mask_from_windows
-from .synthdata import default_cohort, generate_patient
+from .synthdata import PatientProfile, default_cohort, generate_patient
 from .training import PatientSplits, TrainConfig, finetune, train_source, write_history_csv
 
 EXIT_OK = 0
@@ -69,48 +74,28 @@ EXIT_MISSING_INPUT = 3
 EXIT_NUMERIC = 4
 EXIT_CAPABILITY = 5
 
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-_AT_LEAST_0 = (lambda v: v >= 0, "at least 0")
-_POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
-_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "a finite number >= 0")
-
-# every tunable, as key: (default, domain). The default fixes the type; the
-# domain is (test, description) of the values beyond that type, checked
-# where a value enters, from a config file or a flag
-CONFIG_KEYS = {
-    "model": ("retain", (lambda v: v in MODELS, "one of " + ", ".join(MODELS))),
-    # recover_missing keeps no window of fewer than 2 glucose readings
-    "seq_len": (37, (lambda v: v >= 2, "at least 2")),
-    "embed_dim": (64, _AT_LEAST_1),
-    "alpha_hidden": (128, _AT_LEAST_1),
-    "beta_hidden": (128, _AT_LEAST_1),
-    "reverse_time": (False, (lambda v: isinstance(v, bool), "true or false")),
-    "stdattn_hidden": (128, _AT_LEAST_1),
-    "lstm_hidden1": (256, _AT_LEAST_1),
-    "lstm_hidden2": (256, _AT_LEAST_1),
-    "batch_size": (50, _AT_LEAST_1),
-    "lr_source": (1e-3, _POSITIVE),
-    "lr_finetune": (1e-4, _POSITIVE),
-    "patience_source": (100, _AT_LEAST_1),
-    "patience_finetune": (25, _AT_LEAST_1),
-    "lambda": (10.0 ** -2.5, _NON_NEGATIVE),
-    "max_epochs": (500, _AT_LEAST_0),
-    "seed": (0, _AT_LEAST_0),
-    "test_days": (5, _AT_LEAST_1),
-    "valid_fraction": (0.2, (lambda v: 0 < v < 1, "in (0, 1)")),
-    "ph_steps": (6, _AT_LEAST_1),
-    "period_minutes": (5, _AT_LEAST_1),
-    "spike_threshold": (50.0, _POSITIVE),
-    "patients": (6, _AT_LEAST_1),
-    "days": (21, _AT_LEAST_1),
-    "noise_std": (2.0, _NON_NEGATIVE),
-    "missing_rate": (0.0, (lambda v: 0 <= v < 1, "in [0, 1)")),
-}
-CONFIG_DEFAULTS = {key: default for key, (default, _) in CONFIG_KEYS.items()}
-
 # dataclass field -> the config key it is read from, where the names differ
 FIELD_KEYS = {"lam": "lambda", "hidden": "stdattn_hidden",
               "hidden1": "lstm_hidden1", "hidden2": "lstm_hidden2"}
+
+# every tunable, as key: (default, domain). The default fixes the type; the
+# domain is (test, description) of the values beyond that type, checked where
+# a value enters. A key that sets a library dataclass field is that field's
+# default and domain, checked there again; the inputs set input_dim and n_sources.
+CONFIG_KEYS = {
+    "model": ("retain", (lambda v: v in MODELS, "one of " + ", ".join(MODELS))),
+    **{FIELD_KEYS.get(f.name, f.name): (f.default, f.metadata["domain"])
+       for cls in (*(family.config_type for family in MODELS.values()), TrainConfig,
+                   SplitSpec, PatientProfile)
+       for f in fields(cls) if "domain" in f.metadata
+       and f.name not in ("input_dim", "n_sources")},
+    "ph_steps": (PH_STEPS, AT_LEAST_1),
+    "period_minutes": (PERIOD_MINUTES, AT_LEAST_1),
+    "spike_threshold": (SPIKE_THRESHOLD, POSITIVE),
+    "patients": (6, AT_LEAST_1),
+    "days": (21, AT_LEAST_1),
+}
+CONFIG_DEFAULTS = {key: default for key, (default, _) in CONFIG_KEYS.items()}
 
 # the config keys each command also takes as flags, --<key with dashes>: a
 # flag's value is parsed and checked as the key's value in a config file is
@@ -337,15 +322,19 @@ def _read_model(args):
 def cmd_evaluate(args, cfg) -> int:
     model_path, model = _read_model(args)
     _, test, scaling = _load_target_test(args.data, args.target, model, model_path)
+    path = Path(args.data) / args.target / "test.csv"  # row i is on line i + 2
     # the error grid reads consecutive points in time order: the rows must
     # come in it, as preprocess writes them
     late = np.flatnonzero(np.diff(test.target_t) <= np.timedelta64(0, "m"))
     if late.size:
-        row = late[0] + 1  # on line row + 2, after the header
+        row = late[0] + 1
         raise IngestionError(
-            f"{Path(args.data) / args.target / 'test.csv'}: line {row + 2}, column "
-            f"'timestamp': {test.t[row]} does not come after the previous row's "
-            f"({test.t[row - 1]})")
+            f"{path}: line {row + 2}, column 'timestamp': {test.t[row]} does not come "
+            f"after the previous row's ({test.t[row - 1]})")
+    low = np.flatnonzero(scaling.invert_target(test.y) <= 0)
+    if low.size:
+        raise IngestionError(f"{path}: line {low[0] + 2}, column 'target': {test.y[low[0]]} "
+                             "is glucose at or below 0 mg/dL")
 
     preds = model.predict(test.x)
     low = np.flatnonzero(scaling.invert_target(preds) <= 0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ConfigError
+from ..errors import AT_LEAST_1, ConfigError, check_fields, tunable
 from .series import GlucoseSeries
 
 SPIKE_THRESHOLD = 50.0   # mg/dL jump-and-return within one sample
@@ -27,14 +27,10 @@ STD_FLOOR = 1e-8
 
 @dataclass
 class SplitSpec:
-    test_days: int = 5
-    valid_fraction: float = 0.2
+    test_days: int = tunable(5, AT_LEAST_1)
+    valid_fraction: float = tunable(0.2, (lambda v: 0 < v < 1, "in (0, 1)"))
 
-    def __post_init__(self):
-        if self.test_days < 1:
-            raise ConfigError("test_days must be at least 1")
-        if not 0.0 < self.valid_fraction < 1.0:
-            raise ConfigError("valid_fraction must lie strictly between 0 and 1")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of config fields."""
+
+import math
+import numbers
+from dataclasses import field, fields
 
 
 class GlucastError(Exception):
@@ -15,6 +19,35 @@ class IngestionError(GlucastError, ValueError):
 
 class ConfigError(GlucastError, ValueError):
     """A configuration value or combination is invalid."""
+
+
+# domains: (test, description) of the values a field takes beyond its type
+AT_LEAST_0 = (lambda v: v >= 0, "at least 0")
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
+NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "a finite number >= 0")
+
+
+def tunable(default, domain):
+    """A field of this default (MISSING for none), checked by check_fields."""
+    return field(default=default, metadata={"domain": domain})
+
+
+_TYPES = {"bool": (bool, "true or false"), "int": (numbers.Integral, "an integer"),
+          "float": (numbers.Real, "a real number")}
+
+
+def check_fields(obj) -> None:
+    """ConfigError naming the first ``tunable`` field of the dataclass ``obj``
+    not of its type (only a bool field takes a bool) or outside its domain."""
+    for f in (f for f in fields(obj) if "domain" in f.metadata):
+        value = getattr(obj, f.name)
+        types, kind = _TYPES[getattr(f.type, "__name__", f.type)]
+        test, description = f.metadata["domain"]
+        if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if not test(value):
+            raise ConfigError(f"{f.name} must be {description}, got {value!r}")
 
 
 class ConsistencyError(GlucastError, ValueError):

@@ -1,6 +1,6 @@
 """Dense numeric primitives with reverse-mode gradient support."""
 
-from .lstm import check_dimensions, glorot, init_lstm_params, lstm_scan
+from .lstm import glorot, init_lstm_params, lstm_scan
 from .tape import (
     Node,
     Tape,
@@ -29,5 +29,5 @@ __all__ = [
     "add", "sub", "mul", "neg", "scale", "matmul", "transpose", "reshape",
     "tanh", "log", "clip_min", "softmax", "sum_all", "sum_axis",
     "mean_all", "gather_rows", "grad_reverse",
-    "glorot", "init_lstm_params", "lstm_scan", "check_dimensions",
+    "glorot", "init_lstm_params", "lstm_scan",
 ]

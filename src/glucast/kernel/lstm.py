@@ -32,22 +32,18 @@ layout is fixed: the stacked weight rows hold the input, forget,
 cell-candidate and output gates, in that order. Initial hidden and cell
 states are zero vectors. A layer's parameters are three entries of its
 model's flat name -> array dict: ``<layer>.w_in`` (4*hidden, input),
-``<layer>.w_rec`` (4*hidden, hidden) and ``<layer>.bias`` (4*hidden,). Also
-here, for every model family built on these layers: the dimension check of
-a config dataclass.
+``<layer>.w_rec`` (4*hidden, hidden) and ``<layer>.bias`` (4*hidden,).
 """
 
 from __future__ import annotations
 
-import numbers
 import os
 import threading
 from concurrent import futures
-from dataclasses import fields
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import DimensionError
 from . import tape as T
 
 # Above this many multiply-adds per step in every layer of a scan, batch *
@@ -95,19 +91,6 @@ def _worth_the_worker(batch, *weights):
     per step, batch * 4*hidden * (hidden + input)."""
     return USE_WORKER and min(batch * (wi.size + wr.size)
                               for wi, wr, *_ in weights) >= PARALLEL_STEP_WORK
-
-
-def check_dimensions(config) -> None:
-    """Raise ConfigError naming the first field of a model config dataclass
-    that is not an integer of at least 1 (a bool field must be a bool)."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type in ("bool", bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
-        elif (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-              or value < 1):
-            raise ConfigError(f"{f.name} must be an integer of at least 1, got {value!r}")
 
 
 def glorot(rng, rows, cols):

@@ -9,12 +9,12 @@ sizes are two layers of 256 units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from ..errors import DimensionError
-from ..kernel import check_dimensions, glorot, init_lstm_params, lstm_scan
+from ..errors import AT_LEAST_1, DimensionError, check_fields, tunable
+from ..kernel import glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
 LSTM_REG_L2 = 1e-4  # weight penalty used when training the stacked regressor
@@ -24,11 +24,10 @@ LSTM_REG_L2 = 1e-4  # weight penalty used when training the stacked regressor
 class StdAttnConfig:
     """Sizes of the single-level attention baseline (in saved key order)."""
 
-    input_dim: int
-    hidden: int
+    input_dim: int = tunable(MISSING, AT_LEAST_1)
+    hidden: int = tunable(128, AT_LEAST_1)
 
-    def __post_init__(self):
-        check_dimensions(self)
+    __post_init__ = check_fields
 
 
 def init_std_attn_params(config: StdAttnConfig, rng) -> dict:
@@ -46,13 +45,12 @@ def init_std_attn_params(config: StdAttnConfig, rng) -> dict:
 class LstmRegConfig:
     """Sizes of the stacked regressor (in saved key order)."""
 
-    input_dim: int
-    hidden1: int
-    hidden2: int
-    n_sources: int
+    input_dim: int = tunable(MISSING, AT_LEAST_1)
+    hidden1: int = tunable(256, AT_LEAST_1)
+    hidden2: int = tunable(256, AT_LEAST_1)
+    n_sources: int = tunable(1, AT_LEAST_1)
 
-    def __post_init__(self):
-        check_dimensions(self)
+    __post_init__ = check_fields
 
 
 def init_lstm_reg_params(config: LstmRegConfig, rng) -> dict:

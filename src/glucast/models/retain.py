@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ConsistencyError, DimensionError
-from ..kernel import check_dimensions, glorot, init_lstm_params, lstm_scan
+from ..errors import AT_LEAST_1, ConsistencyError, DimensionError, check_fields, tunable
+from ..kernel import glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
 
@@ -32,18 +32,16 @@ class RetainConfig:
     37-step windows (3 h at 5 min), 3 input signals, 64-dim embeddings and
     single-layer 128-unit LSTMs for both attention networks."""
 
-    seq_len: int = 37
-    input_dim: int = 3
-    embed_dim: int = 64
-    alpha_hidden: int = 128
-    beta_hidden: int = 128
-    n_sources: int = 1
-    reverse_time: bool = False
+    # recover_missing keeps no window of fewer than 2 glucose readings
+    seq_len: int = tunable(37, (lambda v: v >= 2, "at least 2"))
+    input_dim: int = tunable(3, AT_LEAST_1)
+    embed_dim: int = tunable(64, AT_LEAST_1)
+    alpha_hidden: int = tunable(128, AT_LEAST_1)
+    beta_hidden: int = tunable(128, AT_LEAST_1)
+    n_sources: int = tunable(1, AT_LEAST_1)
+    reverse_time: bool = tunable(False, (lambda v: isinstance(v, bool), "true or false"))
 
-    def __post_init__(self):
-        check_dimensions(self)
-        if self.seq_len < 2:
-            raise ConfigError(f"seq_len must be at least 2, got {self.seq_len}")
+    __post_init__ = check_fields
 
 
 def init_retain_params(config: RetainConfig, rng) -> dict:

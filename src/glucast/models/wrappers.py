@@ -149,7 +149,8 @@ class LstmRegModel(_Model):
     l2_weight = baselines.LSTM_REG_L2
 
     @classmethod
-    def create(cls, input_dim, n_sources, seed, hidden1=256, hidden2=256) -> "LstmRegModel":
+    def create(cls, input_dim, n_sources, seed, hidden1=baselines.LstmRegConfig.hidden1,
+               hidden2=baselines.LstmRegConfig.hidden2) -> "LstmRegModel":
         return cls.build(
             baselines.LstmRegConfig(input_dim, hidden1, hidden2, n_sources), seed)
 

@@ -11,11 +11,12 @@ checks have signal to find.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datapipe import GlucoseSeries
+from .errors import NON_NEGATIVE, check_fields, tunable
 
 START = np.datetime64("2026-01-05T00:00", "m")
 STEPS_PER_DAY = 288  # 5-minute grid
@@ -34,17 +35,16 @@ class PatientProfile:
     insulin_sensitivity: float = 18.0  # mg/dL per unit
     meal_schedule: tuple = DEFAULT_MEALS      # (minute of day, grams)
     bolus_schedule: tuple = DEFAULT_BOLUSES   # (minute of day, units)
-    noise_std: float = 2.0
+    noise_std: float = tunable(2.0, NON_NEGATIVE)
     seed: int = 0
-    missing_rate: float = 0.0         # fraction of glucose readings dropped
+    missing_rate: float = tunable(0.0, (lambda v: 0 <= v < 1, "in [0, 1)"))  # readings dropped
 
     def __post_init__(self):
+        check_fields(self)
         if self.cho_sensitivity <= 0 or self.insulin_sensitivity <= 0:
             raise ValueError("sensitivities must be positive")
         if not 80.0 <= self.basal <= 160.0:
             raise ValueError("basal glucose must lie in [80, 160] mg/dL")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ValueError("missing_rate must lie in [0, 1)")
 
 
 def _lag_kernel(peak_steps, length):
@@ -113,7 +113,8 @@ def generate_patient(profile: PatientProfile, days: int) -> GlucoseSeries:
                          cho=cho, insulin=insulin)
 
 
-def default_cohort(n_patients, seed, noise_std=2.0, missing_rate=0.0) -> list:
+def default_cohort(n_patients, seed, noise_std=PatientProfile.noise_std,
+                   missing_rate=PatientProfile.missing_rate) -> list:
     """Profiles with per-patient physiology so a classifier has signal."""
     rng = np.random.default_rng(seed)
     profiles = []

@@ -12,12 +12,19 @@ shuffling, and therefore the whole trajectory.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import (
+    AT_LEAST_0,
+    AT_LEAST_1,
+    NON_NEGATIVE,
+    POSITIVE,
+    TrainingError,
+    check_fields,
+    tunable,
+)
 from ..kernel import tape as T
 from ..models.wrappers import check_windows, restore, snapshot, untaped_pass
 from .adam import AdamState, adam_step
@@ -26,24 +33,16 @@ from .loss import cross_entropy, cross_entropy_node, mse_node
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 50
-    lr_source: float = 1e-3
-    lr_finetune: float = 1e-4
-    patience_source: int = 100
-    patience_finetune: int = 25
-    lam: float = 10.0 ** -2.5
-    max_epochs: int = 500
-    seed: int = 0
+    batch_size: int = tunable(50, AT_LEAST_1)
+    lr_source: float = tunable(1e-3, POSITIVE)
+    lr_finetune: float = tunable(1e-4, POSITIVE)
+    patience_source: int = tunable(100, AT_LEAST_1)
+    patience_finetune: int = tunable(25, AT_LEAST_1)
+    lam: float = tunable(10.0 ** -2.5, NON_NEGATIVE)
+    max_epochs: int = tunable(500, AT_LEAST_0)
+    seed: int = tunable(0, AT_LEAST_0)
 
-    def __post_init__(self):
-        if min(self.batch_size, self.patience_source, self.patience_finetune) < 1:
-            raise ValueError("batch_size and patiences must be positive")
-        if not (0 < self.lr_source < math.inf and 0 < self.lr_finetune < math.inf):
-            raise ValueError("learning rates must be finite and positive")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lam must be finite and non-negative")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be non-negative")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -8,7 +8,7 @@ import json
 import re
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,15 @@ from glucast import cli
 from glucast.cli import CONFIG_DEFAULTS, load_config, main
 from glucast.datapipe import GlucoseSeries, SplitSpec, preprocess_series, write_series_csv
 from glucast.errors import ConfigError
-from glucast.models import LstmRegModel, RetainConfig, StdAttnModel, save_model
-from glucast.synthdata import default_cohort, generate_patient
+from glucast.models import (
+    LstmRegConfig,
+    LstmRegModel,
+    RetainConfig,
+    StdAttnConfig,
+    StdAttnModel,
+    save_model,
+)
+from glucast.synthdata import PatientProfile, default_cohort, generate_patient
 from glucast.training import TrainConfig
 
 
@@ -178,6 +185,31 @@ def _typed(key, text):
     return type(default)(text) if isinstance(default, (int, float)) else text
 
 
+# each config key that sets a library dataclass field: (the dataclass, the field)
+KEY_FIELDS = {
+    **{key: (RetainConfig, key) for key in ("seq_len", "embed_dim", "alpha_hidden",
+                                            "beta_hidden", "reverse_time")},
+    "stdattn_hidden": (StdAttnConfig, "hidden"),
+    "lstm_hidden1": (LstmRegConfig, "hidden1"),
+    "lstm_hidden2": (LstmRegConfig, "hidden2"),
+    **{key: (TrainConfig, key) for key in ("batch_size", "lr_source", "lr_finetune",
+                                           "patience_source", "patience_finetune",
+                                           "max_epochs", "seed")},
+    "lambda": (TrainConfig, "lam"),
+    "test_days": (SplitSpec, "test_days"),
+    "valid_fraction": (SplitSpec, "valid_fraction"),
+    "noise_std": (PatientProfile, "noise_std"),
+    "missing_rate": (PatientProfile, "missing_rate"),
+}
+
+
+def _library_config(cls, name, value):
+    """The dataclass ``cls`` with field ``name`` set to ``value``, and each
+    field without a default to 3."""
+    required = {f.name: 3 for f in fields(cls) if f.default is MISSING}
+    return cls(**{**required, name: value})
+
+
 @pytest.mark.parametrize("key", OUT_OF_DOMAIN)
 def test_config_value_outside_its_domain_is_named_where_it_enters(tmp_path, capsys, key):
     assert set(OUT_OF_DOMAIN) == set(CONFIG_DEFAULTS)
@@ -189,6 +221,10 @@ def test_config_value_outside_its_domain_is_named_where_it_enters(tmp_path, caps
             load_config(cfg_file)
         with pytest.raises(ConfigError, match=re.escape(f"config key {key!r}: ")):
             load_config(None, {key: _typed(key, bad)})
+        if key in KEY_FIELDS:  # the library's own dataclass rejects it too
+            cls, name = KEY_FIELDS[key]
+            with pytest.raises(ConfigError, match=f"^{name} must be "):
+                _library_config(cls, name, _typed(key, bad))
         out = tmp_path / "s"
         assert run("synth", "--patients", "1", "--days", "1", "--config", str(cfg_file),
                    "--out", str(out)) == 2
@@ -275,6 +311,29 @@ def test_flag_writes_the_effective_cfg_of_its_key_in_a_config_file(mini_run, tmp
 def test_default_and_example_configs_are_the_same_values():
     example = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
     assert load_config(example) == load_config() == CONFIG_DEFAULTS
+    lines = [line.split("#", 1)[0] for line in example.read_text().splitlines()]
+    keys = [line.split("=", 1)[0].strip() for line in lines if line.strip()]
+    assert sorted(keys) == sorted(CONFIG_DEFAULTS)  # every key, each once
+
+
+def test_each_field_key_is_declared_once_on_its_field():
+    assert len(KEY_FIELDS) == 20
+    for key, (cls, name) in KEY_FIELDS.items():
+        (field,) = [f for f in fields(cls) if f.name == name]
+        default, domain = cli.CONFIG_KEYS[key]
+        assert (default, domain) == (field.default, field.metadata["domain"]), key
+        assert domain is field.metadata["domain"], key
+
+
+@pytest.mark.parametrize("cls, name, value, message", [
+    (TrainConfig, "batch_size", 2.5, "an integer, got 2.5"),
+    (TrainConfig, "max_epochs", True, "an integer, got True"),
+    (RetainConfig, "reverse_time", 1, "true or false, got 1"),
+    (PatientProfile, "noise_std", float("nan"), "a finite number >= 0, got nan"),
+], ids=["int-float", "int-bool", "bool-int", "float-nan"])
+def test_library_config_of_the_wrong_type_is_named(cls, name, value, message):
+    with pytest.raises(ConfigError, match=f"^{name} must be {re.escape(message)}$"):
+        _library_config(cls, name, value)
 
 
 def test_config_defaults_are_the_library_defaults():
@@ -546,6 +605,8 @@ def _swap(line_no):
     pytest.param(_swap(5), "line 6, column 'timestamp'", id="swapped-rows"),
     pytest.param(lambda lines: lines.insert(7, lines[6]), "line 8, column 'timestamp'",
                  id="repeated-row"),
+    pytest.param(_corrupt(5, -1, "-100"), "line 5, column 'target'",
+                 id="non-positive-target"),
 ])
 def test_evaluate_rejects_corrupted_test_csv_exit_3(mini_run, tmp_path, capsys,
                                                     edit, where):
