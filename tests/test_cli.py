@@ -321,16 +321,15 @@ def test_each_field_key_is_declared_once_on_its_field():
     for key, (cls, name) in KEY_FIELDS.items():
         (field,) = [f for f in fields(cls) if f.name == name]
         default, domain = cli.CONFIG_KEYS[key]
-        assert (default, domain) == (field.default, field.metadata["domain"]), key
-        assert domain is field.metadata["domain"], key
+        assert default == field.default and domain is field.metadata["domain"], key
 
 
+# values outside a field's domain, noise_std = nan among them, are in OUT_OF_DOMAIN
 @pytest.mark.parametrize("cls, name, value, message", [
     (TrainConfig, "batch_size", 2.5, "an integer, got 2.5"),
     (TrainConfig, "max_epochs", True, "an integer, got True"),
     (RetainConfig, "reverse_time", 1, "true or false, got 1"),
-    (PatientProfile, "noise_std", float("nan"), "a finite number >= 0, got nan"),
-], ids=["int-float", "int-bool", "bool-int", "float-nan"])
+], ids=["int-float", "int-bool", "bool-int"])
 def test_library_config_of_the_wrong_type_is_named(cls, name, value, message):
     with pytest.raises(ConfigError, match=f"^{name} must be {re.escape(message)}$"):
         _library_config(cls, name, value)
