@@ -323,8 +323,11 @@ def cmd_evaluate(args, cfg) -> int:
     model_path, model = _read_model(args)
     _, test, scaling = _load_target_test(args.data, args.target, model, model_path)
     path = Path(args.data) / args.target / "test.csv"  # row i is on line i + 2
-    # the error grid reads consecutive points in time order: the rows must
-    # come in it, as preprocess writes them
+    # the error grid reads consecutive points in time order: there must be
+    # two, and the rows must come in it, as preprocess writes them
+    if len(test.y) < 2:
+        raise IngestionError(f"{path}: {len(test.y)} sample row, but the error grid "
+                             "needs at least 2")
     late = np.flatnonzero(np.diff(test.target_t) <= np.timedelta64(0, "m"))
     if late.size:
         row = late[0] + 1

@@ -19,10 +19,15 @@ when BLAS leaves a core free (``USE_WORKER``):
 * side by side, it runs the second layer's forward step loop and BPTT while
   the calling thread runs the first's;
 * stacked, it runs layer 2's forward step s as soon as the calling thread's
-  layer 1 has written h1[s] (a wavefront); the BPTTs stay serial;
+  layer 1 has written h1[s] (a wavefront); the two BPTTs run in turn;
 * in a BPTT that runs on the calling thread alone (of any layer of at least
-  that size), it computes the input side's weight gradients (w_in and bias)
-  while the calling thread computes the w_rec and sequence gradients.
+  that size), it computes the weight gradients (w_in, w_rec and bias) block
+  by block, each block as soon as the step loop has finalized its rows,
+  while the calling thread runs the step loop and the sequence gradient.
+
+Every weight gradient is a sum of fixed row blocks (``tape.block_products``)
+whichever thread computes it, and the sequence gradient is one product per
+step, so the bits depend neither on the worker nor on the BLAS thread count.
 
 Serially, each layer is allocated just before it runs, first to last. The
 worker only writes into buffers the calling thread allocated, and the op is
@@ -179,19 +184,25 @@ class _Layer:
 
     def grad_buffers(self, want):
         """The gradients of the parents flagged in ``want`` (w_in, w_rec,
-        bias, seq), None where not wanted."""
+        bias, seq), None where not wanted, then the ``block_products`` stack
+        that the w_in and w_rec gradients use in turn."""
         length, batch, h4 = self.z.shape
-        shapes = (self.wi.shape, self.wr.shape, (h4,), (length * batch, self.wi.shape[1]))
-        return [np.empty(shape) if w else None for shape, w in zip(shapes, want)]
+        rows, n_in, hidden = length * batch, self.wi.shape[1], self.wr.shape[1]
+        shapes = (self.wi.shape, self.wr.shape, (h4,), (rows, n_in))
+        room = max(T.stack_size(n, h4, m) if w else 0
+                   for n, m, w in ((rows, n_in, want[0]), (rows - batch, hidden, want[1])))
+        return [np.empty(shape) if w else None for shape, w in zip(shapes, want)] + \
+            [np.empty(room)]
 
-    def bptt(self, gs, xs_flat, want, bufs, split=False):
+    def bptt(self, gs, xs_flat, want, bufs, stream=False):
         """The gradients of ``grad_buffers(want)`` for the time-major,
         scan-order upstream gradient ``gs``. ``bufs`` is a list of every buffer
         (``loop_buffers`` then ``grad_buffers``), which this empties, or None
-        to allocate each as it is needed; dc_dh is freed once the step loop
-        has used it. With ``split``, the worker computes the w_in and bias
-        gradients while this thread computes the others; never set it in a
-        job of the worker's own."""
+        to allocate each as it is needed. With ``stream``, the worker runs
+        ``weight_grads`` one step behind the step loop, into buffers
+        allocated before it; never set it in a job of the worker's own.
+        Without, dc_dh is freed once the step loop has used it, before the
+        gradients are allocated."""
         z, c, h = self.z, self.c, self.h
         length, batch, h4 = z.shape
         hidden = h4 // 4
@@ -201,7 +212,7 @@ class _Layer:
         # step's cell and hidden adjoints; fill the d_* factors for all steps
         # in the one gate-sized buffer, and dc_dh in a cell-sized one
         if bufs is None:
-            bufs = self.loop_buffers()
+            bufs = self.loop_buffers() + (self.grad_buffers(want) if stream else [])
         dz, dc_dh, (dh, dc, dc_next), *grads = bufs
         bufs.clear()  # so that the caller's list keeps no buffer alive
         np.subtract(1.0, z, out=dz)
@@ -219,43 +230,82 @@ class _Layer:
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
 
-        for s in range(length - 1, -1, -1):
-            if s + 1 < length:
-                np.matmul(dz[s + 1], self.wr, out=dh)
-                dh += gs[s]
-            else:
-                dh[...] = gs[s]
-            np.multiply(dh, dc_dh[s], out=dc)
-            if s + 1 < length:
-                dc += dc_next
-            d[s, :, :3] *= dc[:, None, :]
-            d[s, :, 3] *= dh
-            np.multiply(dc, f[s], out=dc_next)
-        del dc_dh  # not alive through the weight-gradient GEMMs below
+        def step_loop(after_step=None):
+            nonlocal dh, dc
+            for s in range(length - 1, -1, -1):
+                if s + 1 < length:
+                    np.matmul(dz[s + 1], self.wr, out=dh)
+                    dh += gs[s]
+                else:
+                    dh[...] = gs[s]
+                np.multiply(dh, dc_dh[s], out=dc)
+                if s + 1 < length:
+                    dc += dc_next
+                d[s, :, :3] *= dc[:, None, :]
+                d[s, :, 3] *= dh
+                np.multiply(dc, f[s], out=dc_next)
+                if after_step is not None:
+                    after_step()
 
-        d_w_in, d_w_rec, d_bias, d_seq = grads = grads or self.grad_buffers(want)
+        def seq_grad():
+            # one product per step, batched: a step's rows do not depend on
+            # the others', so a per-step backward wavefront keeps these bits
+            if grads[3] is not None:
+                np.matmul(dz, self.wi, out=grads[3].reshape(length, batch, -1))
+
         flat = dz.reshape(length * batch, h4)
-
-        def input_side():
-            if d_w_in is not None:
-                np.matmul(flat.T, xs_flat, out=d_w_in)
-            if d_bias is not None:
-                flat.sum(axis=0, out=d_bias)
-
-        def recurrent_side():
-            if d_w_rec is not None:
-                np.matmul(flat[batch:].T, h[:-1].reshape(-1, hidden), out=d_w_rec)
-            if d_seq is not None:
-                np.matmul(flat, self.wi, out=d_seq)
-
-        # these products feed only gradients, not each other: the same GEMMs
-        # on either thread, so the same bits
-        if split:
-            _both(recurrent_side, input_side)
+        if stream:
+            _wavefront(lambda done: (step_loop(done), seq_grad()),
+                       lambda ready: self.weight_grads(flat, xs_flat, grads, ready), length)
         else:
-            input_side()
-            recurrent_side()
-        return grads
+            step_loop()
+            del dc_dh  # not alive through the gradient products below
+            grads = grads or self.grad_buffers(want)
+            seq_grad()
+            self.weight_grads(flat, xs_flat, grads)
+        return grads[:4]
+
+    def weight_grads(self, flat, xs_flat, grads, ready=None):
+        """The w_in, w_rec and bias gradients into ``grads`` (``grad_buffers``)
+        from the BPTT's factors ``flat`` ((L*B, 4H), scan order) and the
+        layer's input ``xs_flat``. With ``ready``, as the worker's job beside
+        the step loop: each ready() returns once the loop has finished one
+        more step, the last first, and the products run one block at a time,
+        each as soon as its rows are final."""
+        length, batch, hidden = self.h.shape
+        d_w_in, d_w_rec, d_bias, _, stack = grads
+        finished = 0
+
+        def wait_for(row):  # until the rows from flat[row] on are final
+            nonlocal finished
+            while ready is not None and finished < length - row // batch:
+                ready()
+                finished += 1
+
+        def job(offset, a, b, out):  # yields the first flat row of each product
+            for row in T.block_products(a, b, out,
+                                        stack if ready is None else stack[:out.size]):
+                yield offset + row
+
+        waiting = {}  # each job with products to run: the next one's first row
+
+        def advance(products):  # run the next product
+            row = next(products, None)
+            if row is not None:
+                waiting[products] = row
+
+        for offset, a, b, out in ((0, flat, xs_flat, d_w_in),
+                                  (batch, flat[batch:], self.h[:-1].reshape(-1, hidden),
+                                   d_w_rec)):
+            if out is not None:
+                advance(job(offset, a, b, out))
+        while waiting:
+            products = max(waiting, key=waiting.get)  # the one final first
+            wait_for(waiting.pop(products))
+            advance(products)
+        if d_bias is not None:
+            wait_for(0)
+            flat.sum(axis=0, out=d_bias)
 
 
 def _both(first, second):
@@ -268,6 +318,30 @@ def _both(first, second):
     finally:
         futures.wait((rest,))
     return result, rest.result()
+
+
+def _wavefront(lead, follow, length):
+    """``_both`` of a step loop on this thread and a worker job that follows
+    it: ``lead(done)`` calls ``done()`` after each of its ``length`` steps,
+    and ``follow(ready)`` calls ``ready()`` before it reads a further step,
+    which waits for that step. If ``lead`` fails, ``ready()`` raises, so
+    ``follow`` stops there."""
+    finished, failed = threading.Semaphore(0), []
+
+    def run_lead():
+        try:
+            lead(finished.release)
+        except BaseException:
+            failed.append(True)
+            finished.release(length)
+            raise
+
+    def ready():
+        finished.acquire()
+        if failed:
+            raise futures.CancelledError("the calling thread's step loop failed")
+
+    return _both(run_lead, lambda: follow(ready))
 
 
 def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
@@ -318,25 +392,14 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
     threaded = n == 2 and _worth_the_worker(batch, *weights)
     if threaded:
         scans += [_Layer(*w, batch, length, tp is not None) for w in weights]
-        # stacked, the worker runs layer 2's step s once this thread's layer 1
-        # has written h[s]; if layer 1 fails, layer 2 stops before its next step
-        written, failed = threading.Semaphore(0), []
-
-        def run_first():
-            try:
-                scans[0].forward(xs, after_step=written.release if stacked else None)
-            except BaseException:
-                failed.append(True)
-                written.release(length)
-                raise
-
-        def step_ready():
-            written.acquire()
-            if failed:
-                raise futures.CancelledError("the layer below failed")
-
-        _both(run_first, lambda: scans[1].forward(
-            layer_input(1), before_step=step_ready if stacked else None))
+        if stacked:
+            # the worker runs layer 2's step s once this thread's layer 1 has
+            # written h[s]
+            _wavefront(lambda done: scans[0].forward(xs, after_step=done),
+                       lambda ready: scans[1].forward(scans[0].h, before_step=ready),
+                       length)
+        else:
+            _both(lambda: scans[0].forward(xs), lambda: scans[1].forward(xs))
     else:
         for k, w in enumerate(weights):
             scans.append(_Layer(*w, batch, length, tp is not None))
@@ -382,7 +445,7 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
                 flat_in = (xs_flat if k < reads_seq
                            else scans[k - 1].h.reshape(length * batch, -1))
                 grads[k] = scans[k].bptt(ups[k], flat_in, wants[k], None,
-                                         split=_worth_the_worker(batch, weights[k]))
+                                         stream=_worth_the_worker(batch, weights[k]))
                 if k >= reads_seq and wants[k][3]:
                     ups[k - 1] = grads[k][3].reshape(length, batch, -1)
         return (*(d for k in reversed(range(n)) for d in grads[k][:3]),

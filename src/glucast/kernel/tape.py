@@ -20,6 +20,10 @@ Values are immutable once emitted and the ops are pure, so evaluation is
 safe from multiple threads. Ops are recorded, and a Tape is replayed, only
 from the calling thread: an op that hands part of its work to another
 thread waits for it before it records or returns.
+
+A weight gradient sums over the rows of a batch; it is computed by
+``weight_grad`` as a sum of fixed row blocks, so its bits do not depend on
+how many threads BLAS runs.
 """
 
 from __future__ import annotations
@@ -51,7 +55,74 @@ __all__ = [
     "mean_all",
     "gather_rows",
     "grad_reverse",
+    "GRAD_BLOCK_ROWS",
+    "block_products",
+    "stack_size",
+    "weight_grad",
 ]
+
+# A weight gradient a.T @ b sums over the rows of a batch (B*L = 1850 in a
+# BPTT at batch 50). OpenBLAS splits a long summed axis across its threads,
+# so a whole product's last bits depend on the thread count. Products over
+# blocks of 50, 100 or 200 rows gave the same bits at 1 and 2 threads on
+# every shape tried; blocks of 400 did not.
+GRAD_BLOCK_ROWS = 100
+# block_products multiplies as many full blocks at once, in one batched
+# matmul, as this many bytes of products hold (at least one): all of a 16/24
+# BPTT's blocks in one call, one block of a 256-unit layer (2 MiB) at a time.
+GRAD_STACK_BYTES = 2 ** 20
+
+
+def block_products(a, b, out, stack):
+    """A generator that writes ``a.T @ b`` into ``out`` for (N, m) ``a`` and
+    (N, n) ``b``: the products of the row blocks 0-99, 100-199, ... (the last
+    one short) added from the last block to the first, the order in which a
+    BPTT finalizes its rows. ``stack`` is a flat buffer (see ``stack_size``):
+    as many full blocks as its room holds are multiplied by one batched
+    matmul, which gives the bits of one call per block. Before each product
+    it yields the first row that product reads, so a caller may wait until
+    the rows from there on are final."""
+    rows, m, n = len(a), a.shape[1], b.shape[1]
+    full, short = divmod(rows, GRAD_BLOCK_ROWS)
+    top = full * GRAD_BLOCK_ROWS
+    if short:
+        yield top
+        np.matmul(a[top:].T, b[top:], out=out)
+    elif not full:
+        out[...] = 0.0
+    started = bool(short)
+    while full:
+        k = min(len(stack) // (m * n), full)
+        lo = top - k * GRAD_BLOCK_ROWS
+        yield lo
+        prods = np.matmul(a[lo:top].reshape(k, GRAD_BLOCK_ROWS, m).transpose(0, 2, 1),
+                          b[lo:top].reshape(k, GRAD_BLOCK_ROWS, n),
+                          out=stack[:k * m * n].reshape(k, m, n))
+        for prod in prods[::-1]:
+            if started:
+                out += prod
+            else:
+                out[...] = prod
+                started = True
+        full, top = full - k, lo
+
+
+def stack_size(rows, m, n):
+    """The room, in float64s, of a ``block_products`` stack over ``rows``
+    rows of (N, m) and (N, n) operands: as many full blocks' products as
+    GRAD_STACK_BYTES holds (at least one), and no more than there are."""
+    per_call = max(1, GRAD_STACK_BYTES // (8 * m * n))
+    return min(per_call, rows // GRAD_BLOCK_ROWS) * m * n
+
+
+def weight_grad(a, b):
+    """``a.T @ b`` for (N, m) ``a`` and (N, n) or (N,) ``b``, summed over the
+    N rows as ``block_products`` does."""
+    b2 = b[:, None] if b.ndim == 1 else b
+    out = np.empty((a.shape[1], b2.shape[1]))
+    for _ in block_products(a, b2, out, np.empty(stack_size(len(a), *out.shape))):
+        pass
+    return out.reshape(a.shape[1:] + b.shape[1:])
 
 
 class Node:
@@ -191,10 +262,10 @@ def matmul(a, b, tape=None):
 
     if av.ndim == 2 and bv.ndim == 2:
         da = lambda g: g @ bv.T
-        db = lambda g: av.T @ g
+        db = lambda g: weight_grad(av, g)
     elif av.ndim == 2 and bv.ndim == 1:
         da = lambda g: np.outer(g, bv)
-        db = lambda g: av.T @ g
+        db = lambda g: weight_grad(av, g)
     elif av.ndim == 1 and bv.ndim == 2:
         da = lambda g: bv @ g
         db = lambda g: np.outer(av, g)

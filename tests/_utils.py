@@ -72,11 +72,28 @@ def oracle_lstm(x, w_in, w_rec, bias, reverse_time=False):
     return out
 
 
+def oracle_block_sum(a, b, rows=100):
+    """``a.T @ b`` as the products of the ``rows``-row blocks of the rows of
+    ``a`` and ``b`` (0-99, 100-199, ..., the last one short), one matmul per
+    block, added from the last block to the first."""
+    starts = range(0, len(a), rows)
+    if not starts:
+        return np.zeros((a.shape[1], b.shape[1]))
+    products = [a[k:k + rows].T @ b[k:k + rows] for k in starts]
+    total = products[-1]
+    for product in products[-2::-1]:
+        total = total + product
+    return total
+
+
 def oracle_lstm_scan(tp, p, layers, seq, reverse_time=False):
     """The fused LSTM op of one layer as it was with whole-sequence buffers:
     the input projection of all steps in one batched matmul, and the BPTT
     factors of all steps built from gate- and cell-sized temporaries. Same
-    signature and node protocol as ``kernel.lstm_scan``, for one layer."""
+    signature and node protocol as ``kernel.lstm_scan``, for one layer. Its
+    sums over rows are those of the kernel, which the bits depend on: the
+    weight gradients are block sums, the sequence gradient one product per
+    step."""
     (name,) = layers
     parents = (p[f"{name}.w_in"], p[f"{name}.w_rec"], p[f"{name}.bias"], seq)
     wi, wr, b, x = map(T.value_of, parents)
@@ -141,11 +158,11 @@ def oracle_lstm_scan(tp, p, layers, seq, reverse_time=False):
             dc_next = dc * f[s]
 
         flat = dz.reshape(length * batch, h4)
-        d_w_in = flat.T @ np.ascontiguousarray(xs).reshape(-1, n_in)
-        d_w_rec = flat[batch:].T @ h[:-1].reshape(-1, hidden)
+        d_w_in = oracle_block_sum(flat, np.ascontiguousarray(xs).reshape(-1, n_in))
+        d_w_rec = oracle_block_sum(flat[batch:], h[:-1].reshape(-1, hidden))
         d_seq = None
         if isinstance(seq, T.Node):
-            d_seq = (flat @ wi).reshape(length, batch, n_in)
+            d_seq = np.stack([dz[s].reshape(batch, h4) @ wi for s in range(length)])
             d_seq = (d_seq[::-1] if reverse_time else d_seq).transpose(1, 0, 2)
         grads = (d_w_in, d_w_rec, flat.sum(axis=0), d_seq)
         return tuple(d if isinstance(x, T.Node) else None for x, d in zip(parents, grads))

@@ -173,7 +173,7 @@ def step_and_predict_bytes(model, x, y, labels):
 def test_stacked_regressor_bits_do_not_depend_on_the_worker_or_on_one_op(
         monkeypatch, hidden):
     # its two layers are one stacked op; with the worker, a wavefront forward
-    # and split weight-gradient products; all as two one-layer ops in turn
+    # and streamed weight-gradient blocks; all as two one-layer ops in turn
     model = LstmRegModel.build(LstmRegConfig(3, *hidden, 3), seed=9)
     rng = np.random.default_rng(35)
     x, y, labels = rng.normal(size=(9, 6, 3)), rng.normal(size=9), rng.integers(0, 3, 9)
@@ -205,11 +205,20 @@ def test_stacked_regressor_bits_do_not_depend_on_the_worker_or_on_one_op(
     assert step_and_predict_bytes(model, x, y, labels) == one_thread
 
 
-def test_std_attention_bits_do_not_depend_on_the_split_weight_gradients(monkeypatch):
+def test_std_attention_bits_do_not_depend_on_the_streamed_weight_gradients(monkeypatch):
     model = StdAttnModel.build(StdAttnConfig(3, 128), seed=10)
     rng = np.random.default_rng(36)
     x, y = rng.normal(size=(50, 6, 3)), rng.normal(size=50)
     monkeypatch.setattr(lstm, "USE_WORKER", False)
     one_thread = step_and_predict_bytes(model, x, y, None)
+    streamed = []
+    weight_grads = lstm._Layer.weight_grads
+
+    def spy(layer, flat, xs_flat, grads, ready=None):
+        streamed.append(ready is not None)
+        return weight_grads(layer, flat, xs_flat, grads, ready)
+
+    monkeypatch.setattr(lstm._Layer, "weight_grads", spy)
     monkeypatch.setattr(lstm, "USE_WORKER", True)  # 3.35e6 per step: above the threshold
     assert step_and_predict_bytes(model, x, y, None) == one_thread
+    assert streamed == [True]

@@ -5,8 +5,11 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -497,6 +500,64 @@ def test_train_outputs_and_determinism(mini_run):
     assert (rerun / "history.csv").read_bytes() == (out / "history.csv").read_bytes()
 
 
+# a glucast process: argv[1] "streamed" lets every LSTM layer use the worker
+# (at one BLAS thread: the two-layer scans and the streamed weight gradients)
+GLUCAST_CHILD = ("import sys\n"
+                 "from glucast import cli\n"
+                 "from glucast.kernel import lstm\n"
+                 "if sys.argv[1] == 'streamed':\n"
+                 "    lstm.PARALLEL_STEP_WORK = 0\n"
+                 "sys.exit(cli.main(sys.argv[2:]))\n")
+
+
+def _pipeline_bytes(prep, out, threads, mode):
+    """{path: bytes} of what train, evaluate (each family) and explain (retain)
+    write at the acceptance size in child processes at ``threads`` BLAS
+    threads."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    cfg = out / "small.cfg"
+    out.mkdir()
+    cfg.write_text("embed_dim = 16\nalpha_hidden = 24\nbeta_hidden = 24\n"
+                   "stdattn_hidden = 24\nlstm_hidden1 = 24\nlstm_hidden2 = 24\n")
+
+    def glucast(*argv):
+        done = subprocess.run([sys.executable, "-c", GLUCAST_CHILD, mode, *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-2000:]
+
+    for model in ("retain", "stdattn", "lstm"):
+        glucast("train", "--data", prep, "--target", "p02", "--sources", "p00,p01",
+                "--model", model, "--max-epochs", 1, "--seed", 3, "--config", cfg,
+                "--out", out / model / "run")
+        glucast("evaluate", "--model", out / model / "run" / "model.json", "--data", prep,
+                "--target", "p02", "--out", out / model / "eval")
+    glucast("explain", "--model", out / "retain" / "run" / "model.json", "--data", prep,
+            "--target", "p02", "--sample", 2, "--event", "cho",
+            "--out", out / "retain" / "explain")
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_every_output_is_the_same_at_one_and_two_blas_threads(mini_run, tmp_path):
+    # each weight gradient sums fixed row blocks, so no bit depends on how
+    # BLAS splits a product across its threads, or on the worker: at one
+    # thread the "streamed" children run every BPTT that can on both cores,
+    # at two threads (on two cores) everything on the calling thread
+    prep = mini_run / "prep"
+    expect = _pipeline_bytes(prep, tmp_path / "plain-1", 1, "plain")
+    assert all(Path(model, step, name) in expect for model in ("retain", "stdattn", "lstm")
+               for step, name in (("run", "model.json"), ("eval", "points.csv")))
+    assert Path("retain", "explain", "attribution_mean.csv") in expect
+    for threads, mode in ((2, "plain"), (1, "streamed"), (2, "streamed")):
+        got = _pipeline_bytes(prep, tmp_path / f"{mode}-{threads}", threads, mode)
+        assert sorted(got) == sorted(expect)
+        differ = [str(name) for name in expect if got[name] != expect[name]]
+        assert not differ, f"{mode} at {threads} BLAS thread(s): {differ} differ"
+
+
 def test_train_without_sources_skips_source_phase(mini_run):
     out = mini_run / "solo"
     assert run("train", "--data", str(mini_run / "prep"), "--target", "p00",
@@ -600,6 +661,9 @@ def _swap(line_no):
     pytest.param(_corrupt(12, -1, "inf"), "line 12, column 'target'", id="inf-target"),
     pytest.param(lambda lines: lines.__delitem__(slice(1, None)), "no sample rows",
                  id="header-only"),
+    # CG-EGA needs two points
+    pytest.param(lambda lines: lines.__delitem__(slice(2, None)), "1 sample row",
+                 id="one-row"),
     # the error grid reads the rows in time order: evaluate sorts nothing
     pytest.param(_swap(5), "line 6, column 'timestamp'", id="swapped-rows"),
     pytest.param(lambda lines: lines.insert(7, lines[6]), "line 8, column 'timestamp'",

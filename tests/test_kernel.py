@@ -18,8 +18,8 @@ from glucast.models import MODELS, baselines, retain
 from glucast.training import backward_with_reversal
 from glucast.training.loss import cross_entropy_node, mse_node
 
-from _utils import (finite_diff_params, max_rel_err, oracle_backward, oracle_lstm,
-                    oracle_lstm_cell, oracle_lstm_scan)
+from _utils import (finite_diff_params, max_rel_err, oracle_backward, oracle_block_sum,
+                    oracle_lstm, oracle_lstm_cell, oracle_lstm_scan)
 
 
 def check_op(build_node, arrays, rtol=1e-6):
@@ -52,6 +52,37 @@ def test_matmul_zeros():
 def test_matmul_hand_expansion():
     out = T.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]])).value
     assert np.array_equal(out, np.array([[17.0], [39.0]]))
+
+
+# below one block, an exact multiple of it, a short last block (a BPTT's
+# B*L rows at batch 50), and none
+@pytest.mark.parametrize("rows", [37, 300, 1850, 0])
+@pytest.mark.parametrize("shape", [(96, 16), (1024, 3), (128, None)])
+def test_weight_gradients_are_sums_of_fixed_row_blocks(rows, shape):
+    rng = np.random.default_rng(rows)
+    m, n = shape
+    a = rng.normal(size=(rows, m))
+    b = rng.normal(size=(rows,) if n is None else (rows, n))
+    b2 = b[:, None] if n is None else b
+    expect = oracle_block_sum(a, b2)
+    got = T.weight_grad(a, b)
+    assert got.shape == (a.T @ b).shape
+    assert got.tobytes() == expect.reshape(got.shape).tobytes()
+    whole = a.T @ b
+    assert np.max(np.abs(got - whole), initial=0.0) <= 1e-12 * np.max(np.abs(whole),
+                                                                      initial=0.0)
+    # one batched matmul per stack of blocks gives the bits of one per block,
+    # whatever the stack holds, and each product waits for rows from the
+    # last block's to the first's
+    full, short = divmod(rows, T.GRAD_BLOCK_ROWS)
+    for per_call in (1, 2, max(full, 1)):
+        out = np.empty_like(expect)
+        stack = np.empty(per_call * m * b2.shape[1])
+        waits = list(T.block_products(a, b2, out, stack))
+        assert out.tobytes() == expect.tobytes()
+        starts = [full * T.GRAD_BLOCK_ROWS] if short else []
+        starts += [T.GRAD_BLOCK_ROWS * k for k in range(full - per_call, -per_call, -per_call)]
+        assert waits == [max(start, 0) for start in starts]
 
 
 def test_matmul_shape_mismatch_names_shapes():
@@ -415,8 +446,8 @@ def test_a_two_layer_scan_equals_two_one_layer_scans_bit_for_bit(
 
 def test_three_side_by_side_layers_run_in_turn_on_the_calling_thread(monkeypatch):
     # the worker serves exactly two layers; three run one after the other,
-    # and each BPTT splits its weight-gradient products as a one-layer
-    # scan's does, so the worker gets the same jobs as from three such scans
+    # and each BPTT streams its weight-gradient blocks as a one-layer scan's
+    # does, so the worker gets the same jobs as from three such scans
     force_worker(monkeypatch)
     rng = np.random.default_rng(16)
     p, x, weights = two_layers(rng, 7, 5, 3, 4, 5)
@@ -675,36 +706,59 @@ def test_an_exception_in_either_stacked_layer_reaches_the_caller_after_both_end(
     assert stacked_bytes(p, x, weights, False, True, True, at_once=True) == expect
 
 
-@pytest.mark.parametrize("failing", ["input side", "recurrent side"])
-def test_an_exception_in_either_half_of_a_split_bptt_reaches_the_caller_after_both(
+@pytest.mark.parametrize("failing", ["step loop", "weight blocks"])
+def test_an_exception_in_either_thread_of_a_streamed_bptt_reaches_the_caller_after_both(
         monkeypatch, failing):
+    # the calling thread runs the step loop, the worker the weight gradients'
+    # block products one step behind (L*B = 140 rows: a short block of rows
+    # 100-139, then rows 0-99); the one that does not fail is slow, so the
+    # exception must wait for it
     force_worker(monkeypatch)
-    p, x, weights = two_stacked_layers(np.random.default_rng(13), 3, 7, 2, 2, 3)
-    ended = []
+    p, x, weights = two_stacked_layers(np.random.default_rng(13), 20, 7, 2, 2, 3)
+    ended, steps = [], []
 
     class FailingNumpy(CountingNumpy):
         def matmul(self, a, b, out=None):
-            # of the first BPTT's weight-gradient products, the input side's
-            # reads all L*B = 21 rows, w_rec's (L-1)*B = 18
-            side = ("input side" if out is not None and out.shape[0] == len(a)
-                    and len(b) == 21 else "recurrent side" if len(b) == 18 else None)
-            if side == failing:
-                raise FloatingPointError(f"{side} overflowed")
-            if side is not None:
-                time.sleep(0.2)
-                ended.append(side)
+            # the top layer's BPTT steps: (B, 4H) @ (4H, H) = (20, 12) @ (12, 3)
+            if a.shape == (20, 12) and b.shape == (12, 3):
+                steps.append(len(steps))
+                if failing == "step loop" and len(steps) == 3:
+                    raise FloatingPointError("step loop overflowed")
+                if failing == "weight blocks":
+                    time.sleep(0.05)
+                    if len(steps) == 6:  # L - 1 = 6 of them: the loop has ended
+                        ended.append("step loop")
             return np.matmul(a, b, out=out)
 
+    products, weight_grads = T.block_products, lstm_module._Layer.weight_grads
+
+    def failing_products(a, b, out, stack):
+        for row in products(a, b, out, stack):
+            yield row
+            if failing == "weight blocks":
+                raise FloatingPointError("weight blocks overflowed")
+
+    def slow_weight_grads(layer, *args):
+        try:
+            return weight_grads(layer, *args)
+        finally:
+            if failing == "step loop":
+                time.sleep(0.2)
+            ended.append("weight blocks")
+
     monkeypatch.setattr(lstm_module, "np", FailingNumpy())
+    monkeypatch.setattr(T, "block_products", failing_products)
+    monkeypatch.setattr(lstm_module._Layer, "weight_grads", slow_weight_grads)
     with pytest.raises(FloatingPointError, match=f"^{failing} overflowed$"):
         stacked_bytes(p, x, weights, False, True, True, at_once=True)
-    assert ended == [{"input side": "recurrent side",
-                      "recurrent side": "input side"}[failing]]
+    # the worker fails after the short block, with five steps of the loop to go
+    assert ended == (["weight blocks", "step loop"] if failing == "weight blocks"
+                     else ["weight blocks"])
 
 
 def test_twenty_threaded_stacked_runs_give_identical_bits(monkeypatch):
     # as test_twenty_threaded_runs_give_identical_bits, for the wavefront
-    # and the split weight-gradient products
+    # and the streamed weight-gradient blocks
     monkeypatch.setattr(lstm_module, "USE_WORKER", False)
     p, x, weights = two_stacked_layers(np.random.default_rng(14), 50, 12, 3, 128, 96)
     expect = stacked_bytes(p, x, weights, True, True, True, at_once=False)
@@ -729,18 +783,18 @@ def test_twenty_threaded_stacked_runs_give_identical_bits(monkeypatch):
     assert len(runs) == 20 and all(run == expect for run in runs)
 
 
-def test_weight_gradients_split_only_outside_worker_jobs(monkeypatch):
-    # above the threshold, a BPTT on the calling thread alone computes
-    # d_w_in on the worker; the BPTTs of retain's threaded pair do not split,
-    # and no job of the worker's submits another (it would wait on itself)
+def test_weight_gradients_stream_only_outside_worker_jobs(monkeypatch):
+    # above the threshold, a BPTT on the calling thread alone streams its
+    # weight gradients to the worker; the BPTTs of retain's threaded pair do
+    # not stream, and no job of the worker's submits another (it would wait
+    # on itself)
     monkeypatch.setattr(lstm_module, "USE_WORKER", True)
-    d_w_in_threads, submitters = [], []
+    jobs, submitters = [], []
+    weight_grads = lstm_module._Layer.weight_grads
 
-    class SpyNumpy(CountingNumpy):
-        def matmul(self, a, b, out=None):
-            if out is not None and out.shape[0] == len(a) and len(b) == batch * length:
-                d_w_in_threads.append((out.shape, threading.current_thread().name))
-            return np.matmul(a, b, out=out)
+    def spy_weight_grads(layer, flat, xs_flat, grads, ready=None):
+        jobs.append((layer.wi.shape, threading.current_thread().name, ready is not None))
+        return weight_grads(layer, flat, xs_flat, grads, ready)
 
     submit = lstm_module._WORKER.submit
 
@@ -748,7 +802,7 @@ def test_weight_gradients_split_only_outside_worker_jobs(monkeypatch):
         submitters.append(threading.current_thread().name)
         return submit(*args)
 
-    monkeypatch.setattr(lstm_module, "np", SpyNumpy())
+    monkeypatch.setattr(lstm_module._Layer, "weight_grads", spy_weight_grads)
     monkeypatch.setattr(lstm_module._WORKER, "submit", spy_submit)
     batch, length = 50, 3
     rng = np.random.default_rng(15)
@@ -756,23 +810,23 @@ def test_weight_gradients_split_only_outside_worker_jobs(monkeypatch):
         rng.integers(0, 2, size=batch)
     main = threading.current_thread().name
     for model, expect in (
-            # 256+256: both layers split; 128: stdattn's one layer splits
+            # 256+256: both layers stream; 128: stdattn's one layer streams
             (MODELS["lstm"].build(baselines.LstmRegConfig(3, 256, 256, 2), seed=1),
-             [((1024, 256), "lstm_scan"), ((1024, 3), "lstm_scan")]),
+             [((1024, 256), "lstm_scan", True), ((1024, 3), "lstm_scan", True)]),
             (MODELS["stdattn"].build(baselines.StdAttnConfig(3, 128), seed=1),
-             [((512, 3), "lstm_scan")]),
+             [((512, 3), "lstm_scan", True)]),
             # 24+20: below the threshold, nothing moves
             (MODELS["lstm"].build(baselines.LstmRegConfig(3, 24, 20, 2), seed=1),
-             [((80, 24), main), ((96, 3), main)]),
+             [((80, 24), main, False), ((96, 3), main, False)]),
             # retain 64/128: beta's whole BPTT on the worker, alpha's here
             (MODELS["retain"].build(retain.RetainConfig(
                 seq_len=length, embed_dim=64, alpha_hidden=128, beta_hidden=128,
                 n_sources=2), seed=1),
-             [((512, 64), main), ((512, 64), "lstm_scan")])):
-        d_w_in_threads.clear()
+             [((512, 64), main, False), ((512, 64), "lstm_scan", False)])):
+        jobs.clear()
         backward_with_reversal(model, x, y, labels, 0.1)
-        got = [(shape, name.split("_")[0] + ("_scan" if "scan" in name else ""))
-               for shape, name in d_w_in_threads]
+        got = [(shape, name.split("_")[0] + ("_scan" if "scan" in name else ""), streamed)
+               for shape, name, streamed in jobs]
         assert sorted(got) == sorted(expect), model.kind
     assert submitters and all(name == main for name in submitters)
 
@@ -797,7 +851,9 @@ def test_a_constant_operand_costs_no_product(monkeypatch, constant):
     counts = {}
     for case in ("none", constant):
         counting = CountingNumpy()
+        # the weight gradients' block products are the tape module's
         monkeypatch.setattr(lstm_module, "np", counting)
+        monkeypatch.setattr(T, "np", counting)
         nodes = {k: v if k.endswith(case) else T.Node(v) for k, v in p.items()}
         seq = x if case == "seq" else T.Node(x)
         tp = Tape()
@@ -837,8 +893,9 @@ def test_untaped_scan_keeps_one_step_of_gates():
 
 
 def test_production_lstm_training_step_peak_memory():
-    # both paths: the serial one and the worker's (the wavefront and the split
-    # weight-gradient products, as perfbench runs them at one BLAS thread)
+    # both paths: the serial one and the worker's (the wavefront and the
+    # streamed weight-gradient blocks, as perfbench runs them at one BLAS
+    # thread)
     model = MODELS["lstm"].build(baselines.LstmRegConfig(3, 256, 256, 5), seed=1)
     rng = np.random.default_rng(8)
     x, y = rng.normal(size=(50, 37, 3)), rng.normal(size=50)

@@ -1,18 +1,23 @@
-"""Whether two commits' CLI pipelines write the same files, byte for byte.
+"""Whether CLI pipelines write the same files, byte for byte: two commits'
+at each BLAS thread count, or one commit's at 1 and 2 threads.
 
     python3 tools/same_bytes.py --parent REV --change REV
+    python3 tools/same_bytes.py --threads REV
 
-Run from the root of the git checkout. Each side gets a fresh copy of its
+Run from the root of the git checkout. Each commit gets a fresh copy of its
 committed files (``git archive``, the snapshot of tools/bench_pairs.py), and
 in it, at OPENBLAS_NUM_THREADS=1 and then 2, runs the CLI at its default
 config: ``synth`` (3 patients x 8 days, seed 3), ``preprocess``, ``train``
 of ``retain``, ``stdattn`` and ``lstm`` for 1 epoch (target p02, sources
 p00,p01, seed 3), ``evaluate`` of each model, and ``explain --sample 2
 --event cho`` of the retain model. Every output file is compared,
-``effective.cfg``, ``model.json`` and ``profiles.json`` included.
+``effective.cfg``, ``model.json`` and ``profiles.json`` included: with
+``--parent`` and ``--change``, the two commits' files at the same thread
+count; with ``--threads``, the one commit's files at 1 thread against its
+files at 2.
 
 Prints each file that differs or that one side alone wrote, then one count
-line per thread count. Exits 1, keeping the copies and outputs in a
+line per comparison. Exits 1, keeping the copies and outputs in a
 temporary directory it names, if any file differs or a command fails; else
 exits 0 and removes them.
 """
@@ -60,29 +65,48 @@ def pipeline(src, out, threads):
         "--out", out / "retain" / "explain")
 
 
+def compare(label, trees, sides):
+    """Print each file of the two ``trees`` ({side: tree_bytes}) that differs
+    or that one side alone wrote, then a count line; the count of those."""
+    names = sorted(set(trees[sides[0]]) | set(trees[sides[1]]))
+    diff = [n for n in names if trees[sides[0]].get(n) != trees[sides[1]].get(n)]
+    for name in diff:
+        wrote = [side for side in sides if name in trees[side]]
+        how = "differs" if len(wrote) == 2 else f"only in the {wrote[0]}"
+        print(f"{label}: {name} {how}")
+    print(f"{label}: {len(names)} files, {len(diff)} differ")
+    return len(diff)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True)
-    parser.add_argument("--change", required=True)
+    parser.add_argument("--parent")
+    parser.add_argument("--change")
+    parser.add_argument("--threads", metavar="REV",
+                        help="compare REV's files at 1 thread with its files at 2")
     args = parser.parse_args(argv)
+    if (args.threads is None) == (args.parent is None or args.change is None):
+        parser.error("give --parent and --change, or --threads")
     work = Path(tempfile.mkdtemp(prefix="same_bytes-"))
     print(f"working in {work}", file=sys.stderr)
-    for side in SIDES:
-        snapshot(getattr(args, side), work / side)
-    differ = 0
+    revs = {"rev": args.threads} if args.threads else {side: getattr(args, side)
+                                                        for side in SIDES}
+    for side, rev in revs.items():
+        snapshot(rev, work / side)
+    trees = {}
     for threads in THREADS:
-        trees = {}
-        for side in SIDES:
-            pipeline(work / side / "src", work / f"{side}-out-{threads}", threads)
-            trees[side] = tree_bytes(work / f"{side}-out-{threads}")
-        names = sorted(set(trees["parent"]) | set(trees["change"]))
-        diff = [n for n in names if trees["parent"].get(n) != trees["change"].get(n)]
-        for name in diff:
-            wrote = [side for side in SIDES if name in trees[side]]
-            how = "differs" if len(wrote) == 2 else f"only in the {wrote[0]}"
-            print(f"OPENBLAS_NUM_THREADS={threads}: {name} {how}")
-        print(f"OPENBLAS_NUM_THREADS={threads}: {len(names)} files, {len(diff)} differ")
-        differ += len(diff)
+        for side in revs:
+            out = work / f"{side}-out-{threads}"
+            pipeline(work / side / "src", out, threads)
+            trees[side, threads] = tree_bytes(out)
+    if args.threads:
+        differ = compare(f"{args.threads} at OPENBLAS_NUM_THREADS=1 and 2",
+                         {f"{t} thread(s)": trees["rev", t] for t in THREADS},
+                         [f"{t} thread(s)" for t in THREADS])
+    else:
+        differ = sum(compare(f"OPENBLAS_NUM_THREADS={t}",
+                             {side: trees[side, t] for side in SIDES}, SIDES)
+                     for t in THREADS)
     if differ:
         print(f"outputs kept in {work}", file=sys.stderr)
         return 1
