@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --parent REV --change REV --label NAME \\
         [--workloads train-prod,train-small,pipeline] [--pairs 10] \\
         [--first-seed 9301] [--seconds 30] [--claim train-prod:train_samples_per_s|none] \\
-        [--cli-runs 5] [--busy-cpu N] [--work DIR]
+        [--cli-runs 5] [--cli-models retain,stdattn,lstm] [--busy-cpu N] [--work DIR]
 
 Run from the root of the git checkout; writes ``BENCH_<NAME>.json`` there.
 Every run gets a fresh copy of its side's committed files (``git archive``)
@@ -51,13 +51,14 @@ With ``--busy-cpu N``, a process that spins on CPU N alone runs beside every
 measured run (not beside the calibrations or the traced runs), as a busy
 sibling vCPU would.
 
-With ``--cli-runs N``, the CLI's production-size retain ``train`` (1 epoch)
-+ ``evaluate`` + ``explain`` on a 3 x 8-day cohort (seed 3) is timed N
+With ``--cli-runs N``, the CLI's production-size ``train`` (1 epoch) +
+``evaluate`` of each model family of ``--cli-models`` (default ``retain``),
+and ``explain`` of ``retain``, on a 3 x 8-day cohort (seed 3), are timed N
 alternating times per side at the default BLAS thread count (no
-``*_NUM_THREADS`` variable set), wall and CPU seconds. Each run also records
-``outputs_identical``: whether the files the two sides' three commands wrote
-(under ``<work>/cli-data/<side>-<k>/``) are the same names with the same
-bytes.
+``*_NUM_THREADS`` variable set), wall and CPU seconds per family. Each run
+also records ``outputs_identical``: whether the files the two sides'
+commands wrote (under ``<work>/cli-data/<side>-<k>/``) are the same names
+with the same bytes.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ def parse_args(argv):
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--claim", default="train-prod:train_samples_per_s")
     parser.add_argument("--cli-runs", type=int, default=0)
+    parser.add_argument("--cli-models", default="retain")
     parser.add_argument("--busy-cpu", type=int, default=None,
                         help="spin a process on this CPU beside every measured run")
     parser.add_argument("--work", type=Path, default=None,
@@ -246,9 +248,9 @@ def tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def cli_timing(copies, runs, work):
-    """Alternating timings of the CLI's production retain train + evaluate +
-    explain at the default BLAS thread count."""
+def cli_timing(copies, runs, work, models):
+    """Alternating timings, per model family, of the CLI's production train
+    + evaluate (+ explain for retain) at the default BLAS thread count."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     data = work / "cli-data"
     shutil.rmtree(data, ignore_errors=True)
@@ -264,32 +266,37 @@ def cli_timing(copies, runs, work):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         row = {"first": order[0]}
         for side in order:
-            out = data / f"{side}-{k}"
-            wall = cpu = 0.0
-            for argv in (("train", "--data", data / "prep", "--target", "p02", "--sources",
-                          "p00,p01", "--model", "retain", "--max-epochs", 1, "--seed", 3,
-                          "--out", out / "run"),
-                         ("evaluate", "--model", out / "run" / "model.json", "--data",
-                          data / "prep", "--target", "p02", "--out", out / "eval"),
-                         ("explain", "--model", out / "run" / "model.json", "--data",
-                          data / "prep", "--target", "p02", "--sample", 2, "--event",
-                          "cho", "--out", out / "explain")):
-                _, w, c, _ = cli(side, *argv)
-                wall, cpu = wall + w, cpu + c
-            row[side] = {"wall_s": wall, "cpu_s": cpu}
+            row[side] = {}
+            for model in models:
+                out = data / f"{side}-{k}" / model
+                commands = [("train", "--data", data / "prep", "--target", "p02",
+                             "--sources", "p00,p01", "--model", model, "--max-epochs", 1,
+                             "--seed", 3, "--out", out / "run"),
+                            ("evaluate", "--model", out / "run" / "model.json", "--data",
+                             data / "prep", "--target", "p02", "--out", out / "eval")]
+                if model == "retain":
+                    commands.append(("explain", "--model", out / "run" / "model.json",
+                                     "--data", data / "prep", "--target", "p02", "--sample",
+                                     2, "--event", "cho", "--out", out / "explain"))
+                wall = cpu = 0.0
+                for argv in commands:
+                    _, w, c, _ = cli(side, *argv)
+                    wall, cpu = wall + w, cpu + c
+                row[side][model] = {"wall_s": wall, "cpu_s": cpu}
         row["outputs_identical"] = (tree_bytes(data / f"parent-{k}")
                                     == tree_bytes(data / f"change-{k}"))
         timings.append(row)
-    return {"method": "glucast train --model retain --max-epochs 1 --seed 3 (sources "
-                      "p00,p01, target p02) + evaluate + explain --sample 2 --event cho, "
-                      "on synth --patients 3 --days 8 --seed 3, production defaults, no "
-                      "*_NUM_THREADS variable set; wall and child CPU seconds of the three "
-                      "commands, and whether the two sides wrote the same files byte for "
-                      "byte (outputs_identical)",
+    return {"method": "per model family: glucast train --model M --max-epochs 1 --seed 3 "
+                      "(sources p00,p01, target p02) + evaluate, and for retain explain "
+                      "--sample 2 --event cho, on synth --patients 3 --days 8 --seed 3, "
+                      "production defaults, no *_NUM_THREADS variable set; wall and child "
+                      "CPU seconds of each family's commands, and whether the two sides "
+                      "wrote the same files byte for byte (outputs_identical)",
             "blas_threads_default": len(os.sched_getaffinity(0)),
             "runs": timings,
-            "median": {side: {m: statistics.median(r[side][m] for r in timings)
-                              for m in ("wall_s", "cpu_s")}
+            "median": {side: {model: {m: statistics.median(r[side][model][m] for r in timings)
+                                      for m in ("wall_s", "cpu_s")}
+                              for model in models}
                        for side in ("parent", "change")}}
 
 
@@ -367,7 +374,8 @@ def main(argv=None):
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
     if args.cli_runs:
         copies = {side: snapshot(revs[side], work / f"cli-{side}") for side in revs}
-        doc["cli_default_blas"] = cli_timing(copies, args.cli_runs, work)
+        doc["cli_default_blas"] = cli_timing(copies, args.cli_runs, work,
+                                             args.cli_models.split(","))
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
     if args.work is None:
         shutil.rmtree(work, ignore_errors=True)
