@@ -126,8 +126,8 @@ def init_lstm_params(name, input_size, hidden_size, rng) -> dict:
 class _Layer:
     """One layer of a scan: its weights with the sigmoid gate rows scaled by
     0.5, and the buffers its step loops write. Every buffer is allocated by
-    the calling thread; ``forward`` and ``bptt`` only write into them, so
-    they may run on the worker thread."""
+    the calling thread; ``forward``, ``bptt`` and ``weight_grads`` only
+    write into them, so they may run on the worker thread."""
 
     def __init__(self, wi, wr, b, batch, length, taped):
         h4 = len(wi)
@@ -203,7 +203,7 @@ class _Layer:
         allocated before it; never set it in a job of the worker's own.
         Without, dc_dh is freed once the step loop has used it, before the
         gradients are allocated."""
-        z, c, h = self.z, self.c, self.h
+        z, c = self.z, self.c
         length, batch, h4 = z.shape
         hidden = h4 // 4
         gates = z.reshape(length, batch, 4, hidden)

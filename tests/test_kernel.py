@@ -706,9 +706,8 @@ def test_an_exception_in_either_stacked_layer_reaches_the_caller_after_both_end(
     assert stacked_bytes(p, x, weights, False, True, True, at_once=True) == expect
 
 
-@pytest.mark.parametrize("failing", ["step loop", "weight blocks"])
-def test_an_exception_in_either_thread_of_a_streamed_bptt_reaches_the_caller_after_both(
-        monkeypatch, failing):
+@pytest.mark.parametrize("failing", ["step loop", "weight blocks"], ids=["loop", "blocks"])
+def test_an_exception_in_a_streamed_bptt_reaches_the_caller_after_both(monkeypatch, failing):
     # the calling thread runs the step loop, the worker the weight gradients'
     # block products one step behind (L*B = 140 rows: a short block of rows
     # 100-139, then rows 0-99); the one that does not fail is slow, so the
