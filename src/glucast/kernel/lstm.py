@@ -20,14 +20,16 @@ when BLAS leaves a core free (``USE_WORKER``):
   the calling thread runs the first's;
 * stacked, it runs layer 2's forward step s as soon as the calling thread's
   layer 1 has written h1[s] (a wavefront); the two BPTTs run in turn;
-* in a BPTT that runs on the calling thread alone (of any layer of at least
-  that size), it computes the weight gradients (w_in, w_rec and bias) block
-  by block, each block as soon as the step loop has finalized its rows,
-  while the calling thread runs the step loop and the sequence gradient.
+* in a BPTT that runs on the calling thread alone, of a layer of at least
+  ``STREAM_STEP_WORK`` multiply-adds per step, it computes the weight
+  gradients (w_in, w_rec and bias) block by block, each block as soon as the
+  step loop has finalized its rows, while the calling thread runs the step
+  loop and the sequence gradient.
 
 Every weight gradient is a sum of fixed row blocks (``tape.block_products``)
-whichever thread computes it, and the sequence gradient is one product per
-step, so the bits depend neither on the worker nor on the BLAS thread count.
+whichever thread computes it, and the sequence gradient sums over 4*hidden
+alone, which BLAS does not split, so the bits depend neither on the worker
+nor on the BLAS thread count.
 
 Serially, each layer is allocated just before it runs, first to last. The
 worker only writes into buffers the calling thread allocated, and the op is
@@ -59,6 +61,15 @@ from . import tape as T
 # 16/24 acceptance size, up to PREDICT_CHUNK's 512 windows (2.0e6), on one
 # thread.
 PARALLEL_STEP_WORK = 2_500_000
+# Above this many per step, a BPTT on the calling thread alone streams its
+# weight-gradient blocks to the worker. At one BLAS thread, batch 50, on a
+# shared 2-vCPU machine: the stacked regressor's 256-unit BPTTs (13.3e6 and
+# 26.2e6 per step) are where train-prod's gain comes from. Streaming the
+# single-attention baseline's 128-unit one (3.35e6) as well bought nothing
+# end to end: train-prod 782.7 against 784.1 samples/s, better in 6 of 10
+# alternating pairs, CPU per iteration equal. In process it ran 1.34x while
+# the second vCPU was free and 0.93-0.97x while it was busy.
+STREAM_STEP_WORK = 10_000_000
 
 
 def _blas_leaves_a_core():
@@ -90,12 +101,12 @@ USE_WORKER = _blas_leaves_a_core()
 _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_scan")
 
 
-def _worth_the_worker(batch, *weights):
+def _worth_the_worker(threshold, batch, *weights):
     """Whether the worker may be used and every layer of ``weights`` (each
-    ``(w_in, w_rec, ...)``) takes at least PARALLEL_STEP_WORK multiply-adds
-    per step, batch * 4*hidden * (hidden + input)."""
+    ``(w_in, w_rec, ...)``) takes at least ``threshold`` multiply-adds per
+    step, batch * 4*hidden * (hidden + input)."""
     return USE_WORKER and min(batch * (wi.size + wr.size)
-                              for wi, wr, *_ in weights) >= PARALLEL_STEP_WORK
+                              for wi, wr, *_ in weights) >= threshold
 
 
 def glorot(rng, rows, cols):
@@ -201,8 +212,8 @@ class _Layer:
         to allocate each as it is needed. With ``stream``, the worker runs
         ``weight_grads`` one step behind the step loop, into buffers
         allocated before it; never set it in a job of the worker's own.
-        Without, dc_dh is freed once the step loop has used it, before the
-        gradients are allocated."""
+        dc_dh is freed once the step loop has used it (without ``stream``,
+        before the gradients are allocated)."""
         z, c = self.z, self.c
         length, batch, h4 = z.shape
         hidden = h4 // 4
@@ -231,7 +242,7 @@ class _Layer:
         dc_dh *= o
 
         def step_loop(after_step=None):
-            nonlocal dh, dc
+            nonlocal dh, dc, dc_dh
             for s in range(length - 1, -1, -1):
                 if s + 1 < length:
                     np.matmul(dz[s + 1], self.wr, out=dh)
@@ -246,12 +257,13 @@ class _Layer:
                 np.multiply(dc, f[s], out=dc_next)
                 if after_step is not None:
                     after_step()
+            dc_dh = None  # not alive through the products after the loop
 
         def seq_grad():
-            # one product per step, batched: a step's rows do not depend on
-            # the others', so a per-step backward wavefront keeps these bits
+            # whole: each row sums over 4*hidden alone, so its bits do not
+            # depend on how BLAS splits the product across its threads
             if grads[3] is not None:
-                np.matmul(dz, self.wi, out=grads[3].reshape(length, batch, -1))
+                np.matmul(flat, self.wi, out=grads[3])
 
         flat = dz.reshape(length * batch, h4)
         if stream:
@@ -259,7 +271,6 @@ class _Layer:
                        lambda ready: self.weight_grads(flat, xs_flat, grads, ready), length)
         else:
             step_loop()
-            del dc_dh  # not alive through the gradient products below
             grads = grads or self.grad_buffers(want)
             seq_grad()
             self.weight_grads(flat, xs_flat, grads)
@@ -389,7 +400,7 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
         """Layer k's time-major, scan-order input."""
         return xs if k < reads_seq else scans[k - 1].h
 
-    threaded = n == 2 and _worth_the_worker(batch, *weights)
+    threaded = n == 2 and _worth_the_worker(PARALLEL_STEP_WORK, batch, *weights)
     if threaded:
         scans += [_Layer(*w, batch, length, tp is not None) for w in weights]
         if stacked:
@@ -445,7 +456,8 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
                 flat_in = (xs_flat if k < reads_seq
                            else scans[k - 1].h.reshape(length * batch, -1))
                 grads[k] = scans[k].bptt(ups[k], flat_in, wants[k], None,
-                                         stream=_worth_the_worker(batch, weights[k]))
+                                         stream=_worth_the_worker(STREAM_STEP_WORK, batch,
+                                                                  weights[k]))
                 if k >= reads_seq and wants[k][3]:
                     ups[k - 1] = grads[k][3].reshape(length, batch, -1)
         return (*(d for k in reversed(range(n)) for d in grads[k][:3]),

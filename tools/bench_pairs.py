@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --parent REV --change REV --label NAME \\
         [--workloads train-prod,train-small,pipeline] [--pairs 10] \\
         [--first-seed 9301] [--seconds 30] [--claim train-prod:train_samples_per_s|none] \\
-        [--cli-runs 5] [--cli-models retain,stdattn,lstm] [--busy-cpu N] [--work DIR]
+        [--cli-runs 5] [--busy-cpu N] [--work DIR]
 
 Run from the root of the git checkout; writes ``BENCH_<NAME>.json`` there.
 Every run gets a fresh copy of its side's committed files (``git archive``)
@@ -52,9 +52,9 @@ measured run (not beside the calibrations or the traced runs), as a busy
 sibling vCPU would.
 
 With ``--cli-runs N``, the CLI's production-size ``train`` (1 epoch) +
-``evaluate`` of each model family of ``--cli-models`` (default ``retain``),
-and ``explain`` of ``retain``, on a 3 x 8-day cohort (seed 3), are timed N
-alternating times per side at the default BLAS thread count (no
+``evaluate`` of each model family (retain, stdattn, lstm), and ``explain``
+of retain, on a 3 x 8-day cohort (seed 3), are timed N alternating times
+per side at the default BLAS thread count (no
 ``*_NUM_THREADS`` variable set), wall and CPU seconds per family. Each run
 also records ``outputs_identical``: whether the files the two sides'
 commands wrote (under ``<work>/cli-data/<side>-<k>/``) are the same names
@@ -100,6 +100,7 @@ METHOD = ("{pairs} alternating parent/change pairs per workload of the unchanged
           "once, taken just before the pair. The harness pins one BLAS thread. Written "
           "by tools/bench_pairs.py.")
 CLI = "import sys; from glucast.cli import main; sys.exit(main(sys.argv[1:]))"
+CLI_MODELS = ("retain", "stdattn", "lstm")  # the families --cli-runs times
 
 
 def parse_args(argv):
@@ -113,7 +114,6 @@ def parse_args(argv):
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--claim", default="train-prod:train_samples_per_s")
     parser.add_argument("--cli-runs", type=int, default=0)
-    parser.add_argument("--cli-models", default="retain")
     parser.add_argument("--busy-cpu", type=int, default=None,
                         help="spin a process on this CPU beside every measured run")
     parser.add_argument("--work", type=Path, default=None,
@@ -248,7 +248,7 @@ def tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def cli_timing(copies, runs, work, models):
+def cli_timing(copies, runs, work):
     """Alternating timings, per model family, of the CLI's production train
     + evaluate (+ explain for retain) at the default BLAS thread count."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
@@ -267,7 +267,7 @@ def cli_timing(copies, runs, work, models):
         row = {"first": order[0]}
         for side in order:
             row[side] = {}
-            for model in models:
+            for model in CLI_MODELS:
                 out = data / f"{side}-{k}" / model
                 commands = [("train", "--data", data / "prep", "--target", "p02",
                              "--sources", "p00,p01", "--model", model, "--max-epochs", 1,
@@ -296,7 +296,7 @@ def cli_timing(copies, runs, work, models):
             "runs": timings,
             "median": {side: {model: {m: statistics.median(r[side][model][m] for r in timings)
                                       for m in ("wall_s", "cpu_s")}
-                              for model in models}
+                              for model in CLI_MODELS}
                        for side in ("parent", "change")}}
 
 
@@ -374,8 +374,7 @@ def main(argv=None):
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
     if args.cli_runs:
         copies = {side: snapshot(revs[side], work / f"cli-{side}") for side in revs}
-        doc["cli_default_blas"] = cli_timing(copies, args.cli_runs, work,
-                                             args.cli_models.split(","))
+        doc["cli_default_blas"] = cli_timing(copies, args.cli_runs, work)
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
     if args.work is None:
         shutil.rmtree(work, ignore_errors=True)
