@@ -92,8 +92,8 @@ def oracle_lstm_scan(tp, p, layers, seq, reverse_time=False):
     factors of all steps built from gate- and cell-sized temporaries. Same
     signature and node protocol as ``kernel.lstm_scan``, for one layer. Its
     sums over rows are those of the kernel, which the bits depend on: the
-    weight gradients are block sums, the sequence gradient one whole
-    product."""
+    weight gradients are block sums, the sequence gradient one product per
+    block of rows."""
     (name,) = layers
     parents = (p[f"{name}.w_in"], p[f"{name}.w_rec"], p[f"{name}.bias"], seq)
     wi, wr, b, x = map(T.value_of, parents)
@@ -162,7 +162,9 @@ def oracle_lstm_scan(tp, p, layers, seq, reverse_time=False):
         d_w_rec = oracle_block_sum(flat[batch:], h[:-1].reshape(-1, hidden))
         d_seq = None
         if isinstance(seq, T.Node):
-            d_seq = (flat @ wi).reshape(length, batch, n_in)
+            d_seq = np.concatenate([flat[r:r + T.GRAD_BLOCK_ROWS] @ wi
+                                    for r in range(0, len(flat), T.GRAD_BLOCK_ROWS)])
+            d_seq = d_seq.reshape(length, batch, n_in)
             d_seq = (d_seq[::-1] if reverse_time else d_seq).transpose(1, 0, 2)
         grads = (d_w_in, d_w_rec, flat.sum(axis=0), d_seq)
         return tuple(d if isinstance(x, T.Node) else None for x, d in zip(parents, grads))
