@@ -20,16 +20,15 @@ when BLAS leaves a core free (``USE_WORKER``):
   the calling thread runs the first's;
 * stacked, it runs layer 2's forward step s as soon as the calling thread's
   layer 1 has written h1[s] (a wavefront); the two BPTTs run in turn;
-* in a BPTT that runs on the calling thread alone, of a layer of at least
-  ``STREAM_STEP_WORK`` multiply-adds per step, it computes the weight
-  gradients (w_in, w_rec and bias) block by block, each block as soon as the
-  step loop has finalized its rows, while the calling thread runs the step
-  loop and the sequence gradient.
+* in a BPTT that runs on the calling thread alone (of any layer of at least
+  that size), it computes the weight gradients (w_in, w_rec and bias) block
+  by block, each block as soon as the step loop has finalized its rows,
+  while the calling thread runs the step loop and the sequence gradient.
 
 Every weight gradient is a sum of fixed row blocks (``tape.block_products``)
-whichever thread computes it, and the sequence gradient sums over 4*hidden
-alone, which BLAS does not split, so the bits depend neither on the worker
-nor on the BLAS thread count.
+whichever thread computes it, and the sequence gradient is one product per
+fixed row block, so the bits depend neither on the worker nor on the BLAS
+thread count.
 
 Serially, each layer is allocated just before it runs, first to last. The
 worker only writes into buffers the calling thread allocated, and the op is
@@ -60,16 +59,12 @@ from . import tape as T
 # 50, 4.9e6: 1.45-1.6x). 2.5e6 leaves a margin and keeps every batch of the
 # 16/24 acceptance size, up to PREDICT_CHUNK's 512 windows (2.0e6), on one
 # thread.
+# A BPTT on the calling thread alone streams its weight-gradient blocks at the
+# same threshold: streaming the single-attention baseline's 128-unit BPTT
+# (3.35e6) too, beside the 256-unit ones, raised perfbench train-prod from
+# 774.8 to 818.7 samples/s (better in 9 of 10 alternating pairs, equal CPU
+# per iteration); an earlier 10 pairs read 784.1 against 782.7 (6 of 10).
 PARALLEL_STEP_WORK = 2_500_000
-# Above this many per step, a BPTT on the calling thread alone streams its
-# weight-gradient blocks to the worker. At one BLAS thread, batch 50, on a
-# shared 2-vCPU machine: the stacked regressor's 256-unit BPTTs (13.3e6 and
-# 26.2e6 per step) are where train-prod's gain comes from. Streaming the
-# single-attention baseline's 128-unit one (3.35e6) as well bought nothing
-# end to end: train-prod 782.7 against 784.1 samples/s, better in 6 of 10
-# alternating pairs, CPU per iteration equal. In process it ran 1.34x while
-# the second vCPU was free and 0.93-0.97x while it was busy.
-STREAM_STEP_WORK = 10_000_000
 
 
 def _blas_leaves_a_core():
@@ -101,12 +96,12 @@ USE_WORKER = _blas_leaves_a_core()
 _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="lstm_scan")
 
 
-def _worth_the_worker(threshold, batch, *weights):
+def _worth_the_worker(batch, *weights):
     """Whether the worker may be used and every layer of ``weights`` (each
-    ``(w_in, w_rec, ...)``) takes at least ``threshold`` multiply-adds per
-    step, batch * 4*hidden * (hidden + input)."""
+    ``(w_in, w_rec, ...)``) takes at least PARALLEL_STEP_WORK multiply-adds
+    per step, batch * 4*hidden * (hidden + input)."""
     return USE_WORKER and min(batch * (wi.size + wr.size)
-                              for wi, wr, *_ in weights) >= threshold
+                              for wi, wr, *_ in weights) >= PARALLEL_STEP_WORK
 
 
 def glorot(rng, rows, cols):
@@ -260,11 +255,12 @@ class _Layer:
             dc_dh = None  # not alive through the products after the loop
 
         def seq_grad():
-            # each row sums over 4*hidden alone, so its bits depend neither on
-            # the BLAS thread count nor on the row blocks. One batched call
-            # over 100-row blocks: for a 256-unit layer at batch 50 it took
-            # 18.3 ms at one thread and 11.5 at two, against 20.2 and 12.7
-            # for one whole product, which also kept 5.3 MiB more of
+            # one batched call over fixed 100-row blocks, then the short one;
+            # a row's bits may depend on the rows multiplied with it (at 3
+            # inputs, 100-row blocks differ from one whole product), not on
+            # the BLAS thread count. For a 256-unit layer at batch 50 this
+            # took 18.3 ms at one thread and 11.5 at two, against 20.2 and
+            # 12.7 for one whole product, which also kept 5.3 MiB more of
             # OpenBLAS's buffer resident, and 22.3 and 17.6 for one per step
             if grads[3] is not None:
                 rows, n_in = grads[3].shape
@@ -410,7 +406,7 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
         """Layer k's time-major, scan-order input."""
         return xs if k < reads_seq else scans[k - 1].h
 
-    threaded = n == 2 and _worth_the_worker(PARALLEL_STEP_WORK, batch, *weights)
+    threaded = n == 2 and _worth_the_worker(batch, *weights)
     if threaded:
         scans += [_Layer(*w, batch, length, tp is not None) for w in weights]
         if stacked:
@@ -466,8 +462,7 @@ def lstm_scan(tp, p, layers, seq, reverse_time=False, stacked=False):
                 flat_in = (xs_flat if k < reads_seq
                            else scans[k - 1].h.reshape(length * batch, -1))
                 grads[k] = scans[k].bptt(ups[k], flat_in, wants[k], None,
-                                         stream=_worth_the_worker(STREAM_STEP_WORK, batch,
-                                                                  weights[k]))
+                                         stream=_worth_the_worker(batch, weights[k]))
                 if k >= reads_seq and wants[k][3]:
                     ups[k - 1] = grads[k][3].reshape(length, batch, -1)
         return (*(d for k in reversed(range(n)) for d in grads[k][:3]),

@@ -193,7 +193,6 @@ def test_stacked_regressor_bits_do_not_depend_on_the_worker_or_on_one_op(
     assert set(calls) == {(("layer1", "layer2"), True, 1), (("layer1", "layer2"), True, None)}
     monkeypatch.setattr(lstm, "USE_WORKER", True)
     monkeypatch.setattr(lstm, "PARALLEL_STEP_WORK", 0)
-    monkeypatch.setattr(lstm, "STREAM_STEP_WORK", 0)
     assert step_and_predict_bytes(model, x, y, labels) == one_thread
 
     def one_op_per_layer(tp, p, layers, seq, reverse_time=False, stacked=False):
@@ -220,8 +219,6 @@ def test_std_attention_bits_do_not_depend_on_the_streamed_weight_gradients(monke
         return weight_grads(layer, flat, xs_flat, grads, ready)
 
     monkeypatch.setattr(lstm._Layer, "weight_grads", spy)
-    # 3.35e6 per step, below STREAM_STEP_WORK: lowered so that it streams
-    monkeypatch.setattr(lstm, "USE_WORKER", True)
-    monkeypatch.setattr(lstm, "STREAM_STEP_WORK", 0)
+    monkeypatch.setattr(lstm, "USE_WORKER", True)  # 3.35e6 per step: above the threshold
     assert step_and_predict_bytes(model, x, y, None) == one_thread
     assert streamed == [True]

@@ -506,7 +506,7 @@ GLUCAST_CHILD = ("import sys\n"
                  "from glucast import cli\n"
                  "from glucast.kernel import lstm\n"
                  "if sys.argv[1] == 'streamed':\n"
-                 "    lstm.PARALLEL_STEP_WORK = lstm.STREAM_STEP_WORK = 0\n"
+                 "    lstm.PARALLEL_STEP_WORK = 0\n"
                  "sys.exit(cli.main(sys.argv[2:]))\n")
 
 

@@ -382,7 +382,6 @@ def force_worker(monkeypatch):
     thread count."""
     monkeypatch.setattr(lstm_module, "USE_WORKER", True)
     monkeypatch.setattr(lstm_module, "PARALLEL_STEP_WORK", 0)
-    monkeypatch.setattr(lstm_module, "STREAM_STEP_WORK", 0)
 
 
 def layers_bytes(p, x, weights, reverse_time, node_seq, taped, at_once):
@@ -438,9 +437,8 @@ def test_a_two_layer_scan_equals_two_one_layer_scans_bit_for_bit(
     p, x, weights = two_layers(np.random.default_rng(seed), batch, length, n_in,
                                hidden_a, hidden_b)
     args = (p, x, weights, reverse_time, node_seq, taped)
-    thresholds = (dict(PARALLEL_STEP_WORK=0, STREAM_STEP_WORK=0) if force_worker
-                  else {})
-    with mock.patch.multiple(lstm_module, USE_WORKER=True, **thresholds):
+    threshold = 0 if force_worker else lstm_module.PARALLEL_STEP_WORK
+    with mock.patch.multiple(lstm_module, USE_WORKER=True, PARALLEL_STEP_WORK=threshold):
         at_once = layers_bytes(*args, at_once=True)
     with mock.patch.object(lstm_module, "USE_WORKER", False):
         assert at_once == layers_bytes(*args, at_once=False)
@@ -627,8 +625,8 @@ def test_a_stacked_scan_equals_two_one_layer_scans_bit_for_bit(
     with mock.patch.object(lstm_module, "USE_WORKER", False):
         expect = stacked_bytes(*args, at_once=False)
         assert stacked_bytes(*args, at_once=True) == expect
-    thresholds = dict(PARALLEL_STEP_WORK=0, STREAM_STEP_WORK=0) if force else {}
-    with mock.patch.multiple(lstm_module, USE_WORKER=True, **thresholds):
+    threshold = 0 if force else lstm_module.PARALLEL_STEP_WORK
+    with mock.patch.multiple(lstm_module, USE_WORKER=True, PARALLEL_STEP_WORK=threshold):
         assert stacked_bytes(*args, at_once=True) == expect
 
 
@@ -785,7 +783,7 @@ def test_twenty_threaded_stacked_runs_give_identical_bits(monkeypatch):
 
 
 def test_weight_gradients_stream_only_outside_worker_jobs(monkeypatch):
-    # above STREAM_STEP_WORK, a BPTT on the calling thread alone streams its
+    # above the threshold, a BPTT on the calling thread alone streams its
     # weight gradients to the worker; the BPTTs of retain's threaded pair do
     # not stream, and no job of the worker's submits another (it would wait
     # on itself)
@@ -811,12 +809,11 @@ def test_weight_gradients_stream_only_outside_worker_jobs(monkeypatch):
         rng.integers(0, 2, size=batch)
     main = threading.current_thread().name
     for model, expect in (
-            # 256+256: both layers stream; stdattn's one 128-unit layer, above
-            # PARALLEL_STEP_WORK but below STREAM_STEP_WORK, does not
+            # 256+256: both layers stream; 128: stdattn's one layer streams
             (MODELS["lstm"].build(baselines.LstmRegConfig(3, 256, 256, 2), seed=1),
              [((1024, 256), "lstm_scan", True), ((1024, 3), "lstm_scan", True)]),
             (MODELS["stdattn"].build(baselines.StdAttnConfig(3, 128), seed=1),
-             [((512, 3), main, False)]),
+             [((512, 3), "lstm_scan", True)]),
             # 24+20: below the threshold, nothing moves
             (MODELS["lstm"].build(baselines.LstmRegConfig(3, 24, 20, 2), seed=1),
              [((80, 24), main, False), ((96, 3), main, False)]),
