@@ -264,10 +264,14 @@ def cmd_train(args, cfg) -> int:
     # no config key sets the input width: it is the target archive's
     model = _build_model(cfg, n_sources=max(len(source_ids), 1),
                          input_dim=len(archives[-1][0].input_mean))
-    owners = {"seq_len": "the model config",
-              "input_dim": f"the target archive {data / args.target / 'scaling.json'}"}
+    target_sidecar = f"the target archive {data / args.target / 'scaling.json'}"
+    owners = {"seq_len": "the model config", "input_dim": target_sidecar,
+              "ph_steps": target_sidecar, "period_minutes": target_sidecar}
+    # every archive's targets must lie as far ahead as the target archive's
+    geometry = {**model.window_geometry(), "ph_steps": archives[-1][1]["ph_steps"],
+                "period_minutes": archives[-1][1]["period_minutes"]}
     for pid, (scaling, meta, _, _) in zip(patient_ids, archives):
-        _check_geometry(model, owners, data / pid, scaling, meta)
+        _check_geometry(geometry, owners, data / pid, scaling, meta)
     *sources, target = (PatientSplits(train_x=train.x, train_y=train.y, valid_x=valid.x,
                                       valid_y=valid.y, patient_id=meta["patient_id"])
                         for _, meta, train, valid in archives)
@@ -288,13 +292,14 @@ def cmd_train(args, cfg) -> int:
     return EXIT_OK
 
 
-def _check_geometry(model, owners, root, scaling, meta):
+def _check_geometry(geometry, owners, root, scaling, meta):
     """ConfigError naming the owner of the field (``owners[field]``: the
     model file, the config or the target archive) and the archive's
-    scaling.json unless the model takes the windows that sidecar describes
+    scaling.json unless each field of ``geometry`` (the model's window
+    geometry, and in train the target's horizon) has the sidecar's value
     (each split's windows are checked against it where the split is read)."""
-    archive = {"seq_len": meta["seq_len"], "input_dim": len(scaling.input_mean)}
-    for name, value in model.window_geometry().items():
+    archive = {**meta, "input_dim": len(scaling.input_mean)}
+    for name, value in geometry.items():
         if archive[name] != value:
             raise ConfigError(
                 f"{owners[name]} has {name} = {value}, but the archive "
@@ -307,7 +312,7 @@ def _load_target_test(data_dir, target, model, model_path):
     root = Path(data_dir) / target
     scaling, meta, test = read_archive(root, "test")
     owners = dict.fromkeys(model.window_geometry(), f"model {model_path}")
-    _check_geometry(model, owners, root, scaling, meta)
+    _check_geometry(model.window_geometry(), owners, root, scaling, meta)
     return meta, test, scaling
 
 
@@ -322,22 +327,11 @@ def _read_model(args):
 def cmd_evaluate(args, cfg) -> int:
     model_path, model = _read_model(args)
     _, test, scaling = _load_target_test(args.data, args.target, model, model_path)
-    path = Path(args.data) / args.target / "test.csv"  # row i is on line i + 2
-    # the error grid reads consecutive points in time order: there must be
-    # two, and the rows must come in it, as preprocess writes them
+    # the error grid reads consecutive points in time order (reading the
+    # split checked the order): there must be two
     if len(test.y) < 2:
-        raise IngestionError(f"{path}: {len(test.y)} sample row, but the error grid "
-                             "needs at least 2")
-    late = np.flatnonzero(np.diff(test.target_t) <= np.timedelta64(0, "m"))
-    if late.size:
-        row = late[0] + 1
-        raise IngestionError(
-            f"{path}: line {row + 2}, column 'timestamp': {test.t[row]} does not come "
-            f"after the previous row's ({test.t[row - 1]})")
-    low = np.flatnonzero(scaling.invert_target(test.y) <= 0)
-    if low.size:
-        raise IngestionError(f"{path}: line {low[0] + 2}, column 'target': {test.y[low[0]]} "
-                             "is glucose at or below 0 mg/dL")
+        raise IngestionError(f"{Path(args.data) / args.target / 'test.csv'}: "
+                             f"{len(test.y)} sample row, but the error grid needs at least 2")
 
     preds = model.predict(test.x)
     low = np.flatnonzero(scaling.invert_target(preds) <= 0)

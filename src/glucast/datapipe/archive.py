@@ -9,7 +9,11 @@ Rows end in CRLF (as ``csv.writer`` writes them) and every value is the
 shortest decimal that round-trips (``repr``), so a read gives back the
 written arrays bit for bit. Both directions work ``BLOCK_ROWS`` rows at a
 time: consecutive windows share all but one step, so a block holds few
-distinct values, and no temporary grows with the split.
+distinct values, and no temporary grows with the split. A block that does
+not parse is read again row by row by ``series._row_fault``, given this
+format's checks, to name the line and the column of the first bad field.
+Reading a split also checks what ``preprocess`` guarantees of every split:
+rows in strictly increasing time, and targets above 0 mg/dL.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from ..errors import ConfigError, IngestionError
 from .pipeline import Scaling, SampleSet
-from .series import _FloatMemo, _shortest_reprs
+from .series import _FloatMemo, _row_fault, _shortest_reprs
 
 SCALING_FORMAT = "glucast-scaling-v1"
 VARIABLES = ["glucose", "cho", "insulin"]
@@ -50,42 +54,22 @@ def write_sample_csv(sample_set: SampleSet, path) -> None:
                           for t, row in zip(stamps, _shortest_reprs(rows).tolist()))
 
 
-def _is_stamp(token):
-    """Whether ``token`` is a minute timestamp as the writer formats one."""
+def _stamp_fault(token):
     try:
-        stamp = np.datetime64(token, "m")
+        written = str(np.datetime64(token, "m"))
     except ValueError:
-        return False
-    return not np.isnat(stamp) and str(stamp) == token
+        written = None
+    if written != token or token == "NaT":
+        return "is not a YYYY-MM-DDThh:mm timestamp"
 
 
-def _is_finite(token):
-    try:
-        return math.isfinite(float(token))
-    except ValueError:
-        return False
-
-
-def _first_fault(path, header, first_line, lines):
+def _block_fault(path, header, first_line, lines):
     """The error for the first bad line of a block that did not parse."""
-    for line_no, line in enumerate(lines, first_line):
-        fields = line.rstrip("\r\n").split(",")
-        if len(fields) < len(header):
-            return IngestionError(
-                f"{path}: line {line_no}, column {header[len(fields)]!r}: the row "
-                f"has {len(fields)} fields, the header {len(header)}")
-        if len(fields) > len(header):
-            return IngestionError(
-                f"{path}: line {line_no}, column {header[-1]!r}: the row has "
-                f"{len(fields) - len(header)} fields past the last column")
-        if not _is_stamp(fields[0]):
-            return IngestionError(f"{path}: line {line_no}, column {header[0]!r}: "
-                                  f"{fields[0]!r} is not a YYYY-MM-DDThh:mm timestamp")
-        for column, token in zip(header[1:], fields[1:]):
-            if not _is_finite(token):
-                return IngestionError(f"{path}: line {line_no}, column {column!r}: "
-                                      f"{token!r} is not a finite number")
-    return IngestionError(f"{path}: lines {first_line}-{line_no} do not parse")
+    rows = enumerate((line.rstrip("\r\n").split(",") for line in lines), first_line)
+    number = _FloatMemo().fault
+    checks = [(header[0], _stamp_fault), *((column, number) for column in header[1:])]
+    return _row_fault(path, header, rows, checks) or IngestionError(
+        f"{path}: lines {first_line}-{first_line + len(lines) - 1} do not parse")
 
 
 def _parse_block(path, header, first_line, lines, seq_len, n_vars):
@@ -93,21 +77,27 @@ def _parse_block(path, header, first_line, lines, seq_len, n_vars):
     of one block of data lines."""
     rows = [line.rstrip("\r\n").split(",") for line in lines]
     if any(len(row) != len(header) for row in rows):
-        raise _first_fault(path, header, first_line, lines)
+        raise _block_fault(path, header, first_line, lines)
     stamps = [row.pop(0) for row in rows]
     try:
         values = np.fromiter(map(_FloatMemo().__getitem__, chain.from_iterable(rows)),
                              dtype=np.float64, count=len(rows) * (len(header) - 1))
         t = np.array(stamps, dtype="datetime64[m]")
     except ValueError:
-        raise _first_fault(path, header, first_line, lines) from None
+        raise _block_fault(path, header, first_line, lines) from None
     if np.isnat(t).any() or t.astype(str).tolist() != stamps:
-        raise _first_fault(path, header, first_line, lines)
+        raise _block_fault(path, header, first_line, lines)
     values = values.reshape(len(rows), -1)
     return values[:, :-1].reshape(len(rows), n_vars, seq_len), values[:, -1], t
 
 
 def read_sample_csv(path, seq_len, period_minutes, ph_steps) -> SampleSet:
+    """The windows, targets and times of one archive split, in file order.
+    IngestionError names the file when it is not UTF-8 text, line 1 is not
+    the header of ``seq_len``-step windows or no row follows it, and names
+    the line and the column of the first row with a field too many or too
+    few, a timestamp not in the writer's form or a number not finite. Row
+    order and target range are read_archive_split's checks."""
     xs, ys, ts = [], [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -227,7 +217,9 @@ def read_archive_split(root, split, scaling, meta) -> SampleSet:
     """Load one split ("train", "valid" or "test") of the patient archive in
     directory ``root``, given its sidecar as returned by read_scaling_json.
     ConfigError names the split's file when its windows are of another width
-    than the sidecar's (their length is the header's, checked on reading)."""
+    than the sidecar's (their length is the header's, checked on reading),
+    and IngestionError its line and column when a row does not come after
+    the previous one, or its target is glucose at or below 0 mg/dL."""
     path = Path(root) / f"{split}.csv"
     samples = read_sample_csv(path, seq_len=meta["seq_len"],
                               period_minutes=meta["period_minutes"],
@@ -237,6 +229,17 @@ def read_archive_split(root, split, scaling, meta) -> SampleSet:
         raise ConfigError(f"{Path(root) / 'scaling.json'} has input_dim = {width}, but "
                           f"the archive windows in {path} have input_dim = "
                           f"{samples.x.shape[2]}")
+    # row i is on line i + 2
+    late = np.flatnonzero(np.diff(samples.t) <= np.timedelta64(0, "m"))
+    if late.size:
+        row = late[0] + 1
+        raise IngestionError(
+            f"{path}: line {row + 2}, column 'timestamp': {samples.t[row]} does not "
+            f"come after the previous row's ({samples.t[row - 1]})")
+    low = np.flatnonzero(scaling.invert_target(samples.y) <= 0)
+    if low.size:
+        raise IngestionError(f"{path}: line {low[0] + 2}, column 'target': "
+                             f"{samples.y[low[0]]} is glucose at or below 0 mg/dL")
     return samples
 
 

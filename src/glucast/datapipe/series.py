@@ -12,8 +12,9 @@ fields, blank rows skipped), then each column is parsed at once, the
 timestamps in one numpy call when all of them have the writer's form, and
 the columns become a ``GlucoseSeries``, whose checks are the only ones on
 order and range. When anything fails, one more pass over the rows finds
-the first bad line and raises an error naming the file, the line and the
-column.
+the first bad line with ``_row_fault``, the locator that the sample
+archives' reader shares, and raises an error naming the file, the line and
+the column.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ class _FloatMemo(dict):
         self[token] = value
         return value
 
+    def fault(self, token):
+        """None for a token this memo parses, else the fault text."""
+        try:
+            self[token]
+        except ValueError:
+            return ("is not a finite number" if self.missing is None
+                    else "is neither empty nor a finite number")
+
 
 def _parse_timestamp(token):
     """The minute of an ISO-8601 field as ``datetime.fromisoformat`` reads
@@ -111,49 +120,59 @@ def _parse_timestamp(token):
     return np.datetime64(stamp).astype("datetime64[m]")
 
 
-def _raise_row_error(path, text):
-    """Raise the IngestionError naming the file, the line and the column of
-    the first bad field, reading the file line by line with the ``csv``
-    module; return when no line is bad."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _row_fault(path, header, rows, checks):
+    """The IngestionError naming the file, the line and the column of the
+    first fault in ``rows``, (line number, fields) pairs, or None: a field
+    count other than ``header``'s, or the text that one of ``checks``,
+    (column, check) pairs run in their order, maps the column's token to."""
+    for line_no, fields in rows:
+        where = f"{path}: line {line_no}, column"
+        if len(fields) < len(header):
+            return IngestionError(f"{where} {header[len(fields)]!r}: the row has "
+                                  f"{len(fields)} fields, the header {len(header)}")
+        if len(fields) > len(header):
+            return IngestionError(f"{where} {header[-1]!r}: the row has "
+                                  f"{len(fields) - len(header)} fields past the last column")
+        for column, check in checks:
+            token = fields[header.index(column)]
+            if (fault := check(token)) is not None:
+                return IngestionError(f"{where} {column!r}: {token!r} {fault}")
+
+
+def _glucose_fault(token):  # of a token that parses
+    value = _FloatMemo(np.nan)[token]
+    if not (GLUCOSE_MIN < value < GLUCOSE_MAX or math.isnan(value)):
+        return f"lies outside ({GLUCOSE_MIN}, {GLUCOSE_MAX}) mg/dL"
+
+
+def _series_fault(path, text):
+    """The IngestionError naming the first bad line of ``text``, read line by
+    line with the ``csv`` module, and its column, or None."""
     previous = None
+
+    def stamp_fault(token):  # the one check that carries state
+        nonlocal previous
+        try:
+            stamp = _parse_timestamp(token)
+        except ValueError:
+            return "is not an ISO-8601 timestamp without a UTC offset"
+        if previous is not None and stamp <= previous:
+            return f"does not come after the previous reading ({previous})"
+        previous = stamp
+
+    number = _FloatMemo(0.0).fault
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         if [h.strip() for h in next(reader, [])] != CSV_HEADER:
-            raise IngestionError(f"{path}: line 1 is not the header "
-                                 f"{','.join(CSV_HEADER)}")
-        for row in reader:
-            if all(not field.strip() for field in row):
-                continue
-            where = f"{path}: line {reader.line_num}, column"
-            if len(row) < len(CSV_HEADER):
-                raise IngestionError(
-                    f"{where} {CSV_HEADER[len(row)]!r}: the row has {len(row)} "
-                    f"fields, the header {len(CSV_HEADER)}")
-            if len(row) > len(CSV_HEADER):
-                raise IngestionError(
-                    f"{where} {CSV_HEADER[-1]!r}: the row has "
-                    f"{len(row) - len(CSV_HEADER)} fields past the last column")
-            try:
-                stamp = _parse_timestamp(row[0])
-            except ValueError:
-                raise IngestionError(f"{where} 'datetime': {row[0]!r} is not an "
-                                     f"ISO-8601 timestamp without a UTC offset") from None
-            if previous is not None and stamp <= previous:
-                raise IngestionError(f"{where} 'datetime': {row[0]!r} does not come "
-                                     f"after the previous reading ({previous})")
-            previous = stamp
-            values = []
-            for column, token, missing in zip(CSV_HEADER[1:], row[1:], _MISSING):
-                try:
-                    values.append(_FloatMemo(missing)[token])
-                except ValueError:
-                    raise IngestionError(f"{where} {column!r}: {token!r} is neither "
-                                         f"empty nor a finite number") from None
-            if not (GLUCOSE_MIN < values[0] < GLUCOSE_MAX or math.isnan(values[0])):
-                raise IngestionError(f"{where} 'glucose': {row[1]!r} lies outside "
-                                     f"({GLUCOSE_MIN}, {GLUCOSE_MAX}) mg/dL")
+            return IngestionError(f"{path}: line 1 is not the header "
+                                  f"{','.join(CSV_HEADER)}")
+        rows = ((reader.line_num, row) for row in reader if any(map(str.strip, row)))
+        # glucose's range is checked once every number of the row parses
+        return _row_fault(path, CSV_HEADER, rows, [
+            ("datetime", stamp_fault), *((c, number) for c in CSV_HEADER[1:]),
+            ("glucose", _glucose_fault)])
     except csv.Error as exc:
-        raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
+        return IngestionError(f"{path}: line {reader.line_num}: {exc}")
 
 
 def read_series_csv(path) -> GlucoseSeries:
@@ -188,8 +207,7 @@ def read_series_csv(path) -> GlucoseSeries:
         return GlucoseSeries(patient_id=path.stem, t=t, glucose=glucose, cho=cho,
                              insulin=insulin)
     except (ValueError, csv.Error) as exc:
-        _raise_row_error(path, text)
-        raise IngestionError(f"{path}: {exc}") from None
+        raise _series_fault(path, text) or IngestionError(f"{path}: {exc}") from None
 
 
 def write_series_csv(series: GlucoseSeries, path) -> None:

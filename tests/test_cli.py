@@ -641,7 +641,7 @@ def test_evaluate_missing_model_exit_3(mini_run):
 
 
 def _corrupt(line_no, column, token):
-    """An edit of test.csv that sets one field of one line (1-based)."""
+    """An edit of an archive CSV that sets one field of one line (1-based)."""
     def edit(lines):
         fields = lines[line_no - 1].split(",")
         fields[column] = token
@@ -650,7 +650,7 @@ def _corrupt(line_no, column, token):
 
 
 def _swap(line_no):
-    """An edit of test.csv that swaps one line (1-based) with the next."""
+    """An edit of an archive CSV that swaps one line (1-based) with the next."""
     def edit(lines):
         lines[line_no - 1], lines[line_no] = lines[line_no], lines[line_no - 1]
     return edit
@@ -685,6 +685,39 @@ def test_evaluate_rejects_corrupted_test_csv_exit_3(mini_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{path}: {where}" in err and "Traceback" not in err
     assert not (tmp_path / "ev").exists()
+
+
+# faults that no row of an archive CSV can hold, whichever split it is: rows
+# out of time order, and a target that stands for glucose below 0 mg/dL
+SPLIT_FAULTS = {
+    "swapped-rows": (_swap(5), "line 6, column 'timestamp'"),
+    "repeated-row": (lambda lines: lines.insert(7, lines[6]), "line 8, column 'timestamp'"),
+    "negative-target": (_corrupt(5, -1, "-100"), "line 5, column 'target'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(SPLIT_FAULTS))
+@pytest.mark.parametrize("command, split", [
+    ("train", "p02/train.csv"), ("train", "p02/valid.csv"), ("train", "p00/train.csv"),
+    ("train", "p00/valid.csv"), ("explain", "p02/test.csv")])
+def test_split_fault_exits_3_under_every_command_naming_file_line_and_column(
+        mini_run, tmp_path, capsys, command, split, fault):
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep", prep)
+    path = prep / split
+    edit, where = SPLIT_FAULTS[fault]
+    lines = path.read_bytes().decode().split("\r\n")[:-1]
+    edit(lines)
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    argv = {"train": ["train", "--sources", "p00,p01", "--max-epochs", "1",
+                      "--config", str(_mini_cfg(mini_run))],
+            "explain": ["explain", "--model", str(mini_run / "run" / "model.json"),
+                        "--sample", "0"]}[command]
+    out = tmp_path / "out"
+    assert run(*argv, "--data", str(prep), "--target", "p02", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: {where}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 SIDECAR_KEYS = ["format", "input_mean", "input_std", "target_mean", "target_std",
@@ -968,6 +1001,30 @@ def test_train_rejects_archives_of_other_window_geometry(mini_run, tmp_path, cap
     err = capsys.readouterr().err
     assert f"the model config has {field} = {value}" in err
     assert str(mini_run / "prep" / "p00" / "scaling.json") in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("ph_steps", 12), ("period_minutes", 10)])
+def test_train_rejects_a_source_archive_of_another_horizon(mini_run, tmp_path, capsys,
+                                                           field, value):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    shutil.copy(mini_run / "raw" / "p01.csv", raw)
+    prep = tmp_path / "prep"
+    shutil.copytree(mini_run / "prep", prep)
+    cfg = tmp_path / "p01.cfg"
+    cfg.write_text(_mini_cfg(mini_run).read_text() + f"{field} = {value}\n")
+    assert run("preprocess", "--data", str(raw), "--config", str(cfg),
+               "--out", str(prep)) == 0
+    out = tmp_path / "run"
+    assert run("train", "--data", str(prep), "--target", "p02", "--sources", "p00,p01",
+               "--max-epochs", "1", "--config", str(_mini_cfg(mini_run)),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert (f"the target archive {prep / 'p02' / 'scaling.json'} has "
+            f"{field} = {CONFIG_DEFAULTS[field]}, but the archive "
+            f"{prep / 'p01' / 'scaling.json'}") in err
+    assert f"have {field} = {value}" in err
     assert "Traceback" not in err and not out.exists()
 
 
