@@ -26,9 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .datapipe import (
-    PERIOD_MINUTES,
-    PH_STEPS,
-    SPIKE_THRESHOLD,
     VARIABLES,
     SplitSpec,
     preprocess_series,
@@ -40,12 +37,12 @@ from .datapipe import (
 )
 from .errors import (
     AT_LEAST_1,
-    POSITIVE,
+    CapabilityError,
     ConfigError,
     EvaluationError,
     GlucastError,
     IngestionError,
-    TrainingError,
+    config_key,
 )
 from .evalmetrics import (
     cg_ega_report,
@@ -68,30 +65,16 @@ from .models.attribution import event_mask_from_windows
 from .synthdata import PatientProfile, default_cohort, generate_patient
 from .training import PatientSplits, TrainConfig, finetune, train_source, write_history_csv
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_MISSING_INPUT = 3
-EXIT_NUMERIC = 4
-EXIT_CAPABILITY = 5
-
-# dataclass field -> the config key it is read from, where the names differ
-FIELD_KEYS = {"lam": "lambda", "hidden": "stdattn_hidden",
-              "hidden1": "lstm_hidden1", "hidden2": "lstm_hidden2"}
-
 # every tunable, as key: (default, domain). The default fixes the type; the
 # domain is (test, description) of the values beyond that type, checked where
-# a value enters. A key that sets a library dataclass field is that field's
-# default and domain, checked there again; the inputs set input_dim and n_sources.
+# a value enters. Every key but the three here sets a library dataclass field,
+# declared on it (errors.tunable) and checked there again.
 CONFIG_KEYS = {
     "model": ("retain", (lambda v: v in MODELS, "one of " + ", ".join(MODELS))),
-    **{FIELD_KEYS.get(f.name, f.name): (f.default, f.metadata["domain"])
+    **{config_key(f): (f.default, f.metadata["domain"])
        for cls in (*(family.config_type for family in MODELS.values()), TrainConfig,
                    SplitSpec, PatientProfile)
-       for f in fields(cls) if "domain" in f.metadata
-       and f.name not in ("input_dim", "n_sources")},
-    "ph_steps": (PH_STEPS, AT_LEAST_1),
-    "period_minutes": (PERIOD_MINUTES, AT_LEAST_1),
-    "spike_threshold": (SPIKE_THRESHOLD, POSITIVE),
+       for f in fields(cls) if config_key(f)},
     "patients": (6, AT_LEAST_1),
     "days": (21, AT_LEAST_1),
 }
@@ -186,10 +169,9 @@ def _ensure_out_dir(path):
 
 def _from_config(cls, cfg, **derived):
     """The dataclass ``cls``, each field read from ``derived`` (values worked
-    out from the inputs) or else from the config key of its name or, where
-    FIELD_KEYS renames it, of that name."""
-    settings = {**cfg, **derived}
-    return cls(**{f.name: settings[FIELD_KEYS.get(f.name, f.name)] for f in fields(cls)})
+    out from the inputs) or else from the config key it declares."""
+    return cls(**{f.name: derived[f.name] if f.name in derived else cfg[config_key(f)]
+                  for f in fields(cls)})
 
 
 def _build_model(cfg, **derived):
@@ -205,7 +187,7 @@ def _build_model(cfg, **derived):
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_synth(args, cfg) -> int:
+def cmd_synth(args, cfg) -> None:
     out = _ensure_out_dir(args.out)
     profiles = default_cohort(cfg["patients"], cfg["seed"],
                               noise_std=cfg["noise_std"],
@@ -216,10 +198,9 @@ def cmd_synth(args, cfg) -> int:
     with open(out / "profiles.json", "w", encoding="utf-8") as fh:
         json.dump([asdict(profile) for profile in profiles], fh, indent=1)
     print(f"wrote {len(profiles)} patient series to {out}")
-    return EXIT_OK
 
 
-def cmd_preprocess(args, cfg) -> int:
+def cmd_preprocess(args, cfg) -> None:
     data = Path(args.data)
     if not data.is_dir():
         raise FileNotFoundError(f"raw data directory {data} does not exist")
@@ -231,21 +212,15 @@ def cmd_preprocess(args, cfg) -> int:
     for path in csvs:
         series = read_series_csv(path)
         try:
-            train, valid, test, scaling = preprocess_series(
-                series, spec, seq_len=cfg["seq_len"], ph_steps=cfg["ph_steps"],
-                period_minutes=cfg["period_minutes"],
-                spike_threshold=cfg["spike_threshold"])
+            train, valid, test, scaling = preprocess_series(series, spec)
         except ConfigError as exc:  # a series too short to split, say
             raise ConfigError(f"{path}: {exc}") from None
-        write_patient_archive(out, series.patient_id, train, valid, test, scaling,
-                              seq_len=cfg["seq_len"], ph_steps=cfg["ph_steps"],
-                              period_minutes=cfg["period_minutes"])
+        write_patient_archive(out, series.patient_id, train, valid, test, scaling, spec)
         print(f"{series.patient_id}: train={len(train)} valid={len(valid)} "
               f"test={len(test)}")
-    return EXIT_OK
 
 
-def cmd_train(args, cfg) -> int:
+def cmd_train(args, cfg) -> None:
     source_ids = [p for p in args.sources.split(",") if p]
     if len(source_ids) == 1 or len(set(source_ids)) < len(source_ids):
         raise ConfigError(f"--sources {args.sources}: source training needs at least "
@@ -261,9 +236,10 @@ def cmd_train(args, cfg) -> int:
         archives = [read_archive(data / pid, "train", "valid") for pid in patient_ids]
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"missing preprocessed archive: {exc}") from exc
-    # no config key sets the input width: it is the target archive's
+    # the target archive sets the input width, the preprocessing spec the window
     model = _build_model(cfg, n_sources=max(len(source_ids), 1),
-                         input_dim=len(archives[-1][0].input_mean))
+                         input_dim=len(archives[-1][0].input_mean),
+                         seq_len=_from_config(SplitSpec, cfg).seq_len)
     target_sidecar = f"the target archive {data / args.target / 'scaling.json'}"
     owners = {"seq_len": "the model config", "input_dim": target_sidecar,
               "ph_steps": target_sidecar, "period_minutes": target_sidecar}
@@ -289,7 +265,6 @@ def cmd_train(args, cfg) -> int:
     final = history[-1]["valid_mse"] if history else float("nan")
     print(f"trained {cfg['model']} on target {args.target} "
           f"({len(source_ids)} sources); final valid MSE {final:.6f}")
-    return EXIT_OK
 
 
 def _check_geometry(geometry, owners, root, scaling, meta):
@@ -324,7 +299,7 @@ def _read_model(args):
     return path, load_model(path)
 
 
-def cmd_evaluate(args, cfg) -> int:
+def cmd_evaluate(args, cfg) -> None:
     model_path, model = _read_model(args)
     _, test, scaling = _load_target_test(args.data, args.target, model, model_path)
     # the error grid reads consecutive points in time order (reading the
@@ -355,7 +330,6 @@ def cmd_evaluate(args, cfg) -> int:
     write_points_csv(series, report, out / "points.csv")
     print(f"RMSE {metrics['rmse_mgdl']:.2f} mg/dL, MAPE {metrics['mape_pct']:.2f}%, "
           f"AP {report.overall['AP']:.3f}")
-    return EXIT_OK
 
 
 def _write_matrix_csv(path, matrix, period_minutes, suffix="", footer=()):
@@ -373,14 +347,13 @@ def _write_matrix_csv(path, matrix, period_minutes, suffix="", footer=()):
             writer.writerow([label, repr(value)] + [""] * (n_vars - 1))
 
 
-def cmd_explain(args, cfg) -> int:
+def cmd_explain(args, cfg) -> None:
     if args.horizon < 0:
         raise ConfigError(f"--horizon must be at least 0 minutes, got {args.horizon}")
     model_path, model = _read_model(args)
     if not model.attributable:
-        print("error: model is not attributable (per-input contributions need "
-              "the two-level-attention model)", file=sys.stderr)
-        return EXIT_CAPABILITY
+        raise CapabilityError("model is not attributable (per-input contributions "
+                              "need the two-level-attention model)")
 
     meta, test, scaling = _load_target_test(args.data, args.target, model, model_path)
     if args.sample is not None and not 0 <= args.sample < len(test):
@@ -426,7 +399,6 @@ def cmd_explain(args, cfg) -> int:
                           "event table is empty")
 
     print(f"explained {len(test)} test samples into {out}")
-    return EXIT_OK
 
 
 # --- entry point -----------------------------------------------------------------
@@ -475,22 +447,21 @@ def main(argv=None) -> int:
     try:
         flags = {key: getattr(args, key) for key in FLAGS[args.command]}
         cfg = load_config(args.config, flags)
-        code = args.func(args, cfg)
-        if code == EXIT_OK:  # a command that fails leaves no echo
-            echo_config(cfg, args.out, args.command)
-        return code
-    except (OSError, IngestionError) as exc:  # a missing or unreadable input
+        args.func(args, cfg)  # a command that fails raises, and leaves no echo
+        echo_config(cfg, args.out, args.command)
+        return 0
+    except GlucastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except ConfigError as exc:
+        return exc.exit_code
+    except OSError as exc:  # a missing or unreadable input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TrainingError, FloatingPointError, GlucastError) as exc:
+        return IngestionError.exit_code
+    except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return GlucastError.exit_code
     except ValueError as exc:  # bad argument combinations from library checks
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

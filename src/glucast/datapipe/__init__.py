@@ -12,10 +12,6 @@ from .archive import (
     write_scaling_json,
 )
 from .pipeline import (
-    PERIOD_MINUTES,
-    PH_STEPS,
-    SEQ_LEN,
-    SPIKE_THRESHOLD,
     SampleSet,
     Scaling,
     SplitSpec,
@@ -34,7 +30,6 @@ __all__ = [
     "SampleSet", "Scaling", "SplitSpec",
     "clean_spikes", "resample", "build_samples", "recover_missing",
     "split", "standardize", "preprocess_series",
-    "SEQ_LEN", "PH_STEPS", "PERIOD_MINUTES", "SPIKE_THRESHOLD",
     "write_sample_csv", "read_sample_csv", "write_scaling_json",
     "read_scaling_json", "write_patient_archive", "read_patient_archive",
     "read_archive", "read_archive_split", "VARIABLES",

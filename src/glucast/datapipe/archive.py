@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, IngestionError
-from .pipeline import Scaling, SampleSet
+from .pipeline import SampleSet, Scaling, SplitSpec
 from .series import _FloatMemo, _row_fault, _shortest_reprs
 
 SCALING_FORMAT = "glucast-scaling-v1"
@@ -126,17 +126,16 @@ def read_sample_csv(path, seq_len, period_minutes, ph_steps) -> SampleSet:
                      t=t, target_t=t + horizon)
 
 
-def write_scaling_json(scaling: Scaling, path, seq_len, ph_steps, period_minutes,
-                       patient_id) -> None:
+def write_scaling_json(scaling: Scaling, path, spec: SplitSpec, patient_id) -> None:
     doc = {
         "format": SCALING_FORMAT,
         "input_mean": scaling.input_mean.tolist(),
         "input_std": scaling.input_std.tolist(),
         "target_mean": scaling.target_mean,
         "target_std": scaling.target_std,
-        "seq_len": seq_len,
-        "ph_steps": ph_steps,
-        "period_minutes": period_minutes,
+        "seq_len": spec.seq_len,
+        "ph_steps": spec.ph_steps,
+        "period_minutes": spec.period_minutes,
         "patient_id": patient_id,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -201,15 +200,15 @@ def read_scaling_json(path):
 
 
 def write_patient_archive(directory, patient_id, train, valid, test, scaling,
-                          seq_len, ph_steps, period_minutes) -> Path:
-    """Write train/valid/test CSVs plus the scaling sidecar for one patient."""
+                          spec: SplitSpec) -> Path:
+    """Write train/valid/test CSVs plus the scaling sidecar, with the window
+    of the SplitSpec ``spec``, for one patient."""
     root = Path(directory) / patient_id
     root.mkdir(parents=True, exist_ok=True)
     write_sample_csv(train, root / "train.csv")
     write_sample_csv(valid, root / "valid.csv")
     write_sample_csv(test, root / "test.csv")
-    write_scaling_json(scaling, root / "scaling.json", seq_len, ph_steps,
-                       period_minutes, patient_id)
+    write_scaling_json(scaling, root / "scaling.json", spec, patient_id)
     return root
 
 
@@ -221,9 +220,7 @@ def read_archive_split(root, split, scaling, meta) -> SampleSet:
     and IngestionError its line and column when a row does not come after
     the previous one, or its target is glucose at or below 0 mg/dL."""
     path = Path(root) / f"{split}.csv"
-    samples = read_sample_csv(path, seq_len=meta["seq_len"],
-                              period_minutes=meta["period_minutes"],
-                              ph_steps=meta["ph_steps"])
+    samples = read_sample_csv(path, meta["seq_len"], meta["period_minutes"], meta["ph_steps"])
     width = len(scaling.input_mean)
     if samples.x.shape[2] != width:
         raise ConfigError(f"{Path(root) / 'scaling.json'} has input_dim = {width}, but "

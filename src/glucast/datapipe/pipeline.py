@@ -15,20 +15,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import AT_LEAST_1, ConfigError, check_fields, tunable
+from ..errors import AT_LEAST_1, AT_LEAST_2, POSITIVE, ConfigError, check_fields, tunable
 from .series import GlucoseSeries
 
-SPIKE_THRESHOLD = 50.0   # mg/dL jump-and-return within one sample
-PERIOD_MINUTES = 5
-SEQ_LEN = 37             # 3-hour history inclusive at 5-minute spacing
-PH_STEPS = 6             # 30-minute prediction horizon
 STD_FLOOR = 1e-8
 
 
 @dataclass
 class SplitSpec:
+    """How a patient series is cleaned, windowed and split."""
+
     test_days: int = tunable(5, AT_LEAST_1)
     valid_fraction: float = tunable(0.2, (lambda v: 0 < v < 1, "in (0, 1)"))
+    # a 3-hour history inclusive at 5-minute spacing; recover_missing keeps
+    # no window of fewer than 2 glucose readings
+    seq_len: int = tunable(37, AT_LEAST_2)
+    ph_steps: int = tunable(6, AT_LEAST_1)  # a 30-minute prediction horizon
+    period_minutes: int = tunable(5, AT_LEAST_1)
+    spike_threshold: float = tunable(50.0, POSITIVE)  # mg/dL jump-and-return in one sample
 
     __post_init__ = check_fields
 
@@ -81,7 +85,7 @@ def _select(samples: SampleSet, index) -> SampleSet:
                    t=samples.t[index], target_t=samples.target_t[index])
 
 
-def clean_spikes(series: GlucoseSeries, threshold=SPIKE_THRESHOLD) -> GlucoseSeries:
+def clean_spikes(series: GlucoseSeries, threshold=SplitSpec.spike_threshold) -> GlucoseSeries:
     """Drop isolated one-sample glucose spikes.
 
     A reading goes missing when both jumps to its present neighbors exceed
@@ -105,7 +109,7 @@ def clean_spikes(series: GlucoseSeries, threshold=SPIKE_THRESHOLD) -> GlucoseSer
     return replace(series, glucose=glucose)
 
 
-def resample(series: GlucoseSeries, period_minutes=PERIOD_MINUTES) -> GlucoseSeries:
+def resample(series: GlucoseSeries, period_minutes=SplitSpec.period_minutes) -> GlucoseSeries:
     """Place the series on a regular grid anchored at the first timestamp.
 
     Glucose goes to its nearest slot (ties to the earlier slot; on a slot
@@ -140,8 +144,9 @@ def resample(series: GlucoseSeries, period_minutes=PERIOD_MINUTES) -> GlucoseSer
                          glucose=glucose, cho=cho, insulin=insulin)
 
 
-def build_samples(series: GlucoseSeries, seq_len=SEQ_LEN, ph_steps=PH_STEPS,
-                  period_minutes=PERIOD_MINUTES) -> SampleSet:
+def build_samples(series: GlucoseSeries, seq_len=SplitSpec.seq_len,
+                  ph_steps=SplitSpec.ph_steps,
+                  period_minutes=SplitSpec.period_minutes) -> SampleSet:
     """Slide a full-coverage window over a gridded series.
 
     Emits one candidate per grid index with complete history and horizon:
@@ -262,12 +267,16 @@ def standardize(train: SampleSet, valid: SampleSet, test: SampleSet):
     return (*sets, scaling)
 
 
-def preprocess_series(series: GlucoseSeries, spec: SplitSpec, seq_len=SEQ_LEN,
-                      ph_steps=PH_STEPS, period_minutes=PERIOD_MINUTES,
-                      spike_threshold=SPIKE_THRESHOLD):
-    """Full chain from a raw series to standardized train/valid/test sets."""
-    gridded = resample(clean_spikes(series, spike_threshold), period_minutes)
-    samples = recover_missing(build_samples(gridded, seq_len, ph_steps,
-                                            period_minutes))
+def preprocess_series(series: GlucoseSeries, spec: SplitSpec):
+    """Full chain from a raw series to standardized train/valid/test sets;
+    ConfigError when the series holds no window, or too few for the splits."""
+    gridded = resample(clean_spikes(series, spec.spike_threshold), spec.period_minutes)
+    if len(gridded) < spec.seq_len + spec.ph_steps:
+        raise ConfigError(
+            f"{len(gridded)} grid points at period_minutes = {spec.period_minutes}, "
+            f"fewer than one window of seq_len = {spec.seq_len} plus ph_steps = "
+            f"{spec.ph_steps} to its target")
+    samples = recover_missing(build_samples(gridded, spec.seq_len, spec.ph_steps,
+                                            spec.period_minutes))
     train, valid, test = split(samples, spec)
     return standardize(train, valid, test)

@@ -24,8 +24,8 @@ LSTM_REG_L2 = 1e-4  # weight penalty used when training the stacked regressor
 class StdAttnConfig:
     """Sizes of the single-level attention baseline (in saved key order)."""
 
-    input_dim: int = tunable(MISSING, AT_LEAST_1)
-    hidden: int = tunable(128, AT_LEAST_1)
+    input_dim: int = tunable(MISSING, AT_LEAST_1, key=None)
+    hidden: int = tunable(128, AT_LEAST_1, key="stdattn_hidden")
 
     __post_init__ = check_fields
 
@@ -45,10 +45,10 @@ def init_std_attn_params(config: StdAttnConfig, rng) -> dict:
 class LstmRegConfig:
     """Sizes of the stacked regressor (in saved key order)."""
 
-    input_dim: int = tunable(MISSING, AT_LEAST_1)
-    hidden1: int = tunable(256, AT_LEAST_1)
-    hidden2: int = tunable(256, AT_LEAST_1)
-    n_sources: int = tunable(1, AT_LEAST_1)
+    input_dim: int = tunable(MISSING, AT_LEAST_1, key=None)
+    hidden1: int = tunable(256, AT_LEAST_1, key="lstm_hidden1")
+    hidden2: int = tunable(256, AT_LEAST_1, key="lstm_hidden2")
+    n_sources: int = tunable(1, AT_LEAST_1, key=None)
 
     __post_init__ = check_fields
 

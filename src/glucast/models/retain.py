@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AT_LEAST_1, ConsistencyError, DimensionError, check_fields, tunable
+from ..datapipe import SplitSpec
+from ..errors import (
+    AT_LEAST_1,
+    AT_LEAST_2,
+    ConsistencyError,
+    DimensionError,
+    check_fields,
+    tunable,
+)
 from ..kernel import glorot, init_lstm_params, lstm_scan
 from ..kernel import tape as T
 
@@ -32,13 +40,12 @@ class RetainConfig:
     37-step windows (3 h at 5 min), 3 input signals, 64-dim embeddings and
     single-layer 128-unit LSTMs for both attention networks."""
 
-    # recover_missing keeps no window of fewer than 2 glucose readings
-    seq_len: int = tunable(37, (lambda v: v >= 2, "at least 2"))
-    input_dim: int = tunable(3, AT_LEAST_1)
+    seq_len: int = tunable(SplitSpec.seq_len, AT_LEAST_2, key=None)
+    input_dim: int = tunable(3, AT_LEAST_1, key=None)
     embed_dim: int = tunable(64, AT_LEAST_1)
     alpha_hidden: int = tunable(128, AT_LEAST_1)
     beta_hidden: int = tunable(128, AT_LEAST_1)
-    n_sources: int = tunable(1, AT_LEAST_1)
+    n_sources: int = tunable(1, AT_LEAST_1, key=None)
     reverse_time: bool = tunable(False, (lambda v: isinstance(v, bool), "true or false"))
 
     __post_init__ = check_fields

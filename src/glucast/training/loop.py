@@ -38,7 +38,7 @@ class TrainConfig:
     lr_finetune: float = tunable(1e-4, POSITIVE)
     patience_source: int = tunable(100, AT_LEAST_1)
     patience_finetune: int = tunable(25, AT_LEAST_1)
-    lam: float = tunable(10.0 ** -2.5, NON_NEGATIVE)
+    lam: float = tunable(10.0 ** -2.5, NON_NEGATIVE, key="lambda")
     max_epochs: int = tunable(500, AT_LEAST_0)
     seed: int = tunable(0, AT_LEAST_0)
 

@@ -21,8 +21,15 @@ from hypothesis import strategies as st
 
 from glucast import cli
 from glucast.cli import CONFIG_DEFAULTS, load_config, main
-from glucast.datapipe import GlucoseSeries, SplitSpec, preprocess_series, write_series_csv
-from glucast.errors import ConfigError
+from glucast.datapipe import (
+    GlucoseSeries,
+    SplitSpec,
+    build_samples,
+    clean_spikes,
+    resample,
+    write_series_csv,
+)
+from glucast.errors import ConfigError, config_key
 from glucast.models import (
     LstmRegConfig,
     LstmRegModel,
@@ -190,8 +197,8 @@ def _typed(key, text):
 
 # each config key that sets a library dataclass field: (the dataclass, the field)
 KEY_FIELDS = {
-    **{key: (RetainConfig, key) for key in ("seq_len", "embed_dim", "alpha_hidden",
-                                            "beta_hidden", "reverse_time")},
+    **{key: (RetainConfig, key) for key in ("embed_dim", "alpha_hidden", "beta_hidden",
+                                            "reverse_time")},
     "stdattn_hidden": (StdAttnConfig, "hidden"),
     "lstm_hidden1": (LstmRegConfig, "hidden1"),
     "lstm_hidden2": (LstmRegConfig, "hidden2"),
@@ -199,8 +206,8 @@ KEY_FIELDS = {
                                            "patience_source", "patience_finetune",
                                            "max_epochs", "seed")},
     "lambda": (TrainConfig, "lam"),
-    "test_days": (SplitSpec, "test_days"),
-    "valid_fraction": (SplitSpec, "valid_fraction"),
+    **{key: (SplitSpec, key) for key in ("test_days", "valid_fraction", "seq_len",
+                                         "ph_steps", "period_minutes", "spike_threshold")},
     "noise_std": (PatientProfile, "noise_std"),
     "missing_rate": (PatientProfile, "missing_rate"),
 }
@@ -319,12 +326,22 @@ def test_default_and_example_configs_are_the_same_values():
     assert sorted(keys) == sorted(CONFIG_DEFAULTS)  # every key, each once
 
 
+# every library dataclass with a field that a config key sets
+CONFIG_CLASSES = (RetainConfig, StdAttnConfig, LstmRegConfig, TrainConfig, SplitSpec,
+                  PatientProfile)
+
+
 def test_each_field_key_is_declared_once_on_its_field():
-    assert len(KEY_FIELDS) == 20
+    assert len(KEY_FIELDS) == 23
+    assert set(KEY_FIELDS) == set(cli.CONFIG_KEYS) - {"model", "patients", "days"}
     for key, (cls, name) in KEY_FIELDS.items():
-        (field,) = [f for f in fields(cls) if f.name == name]
+        declared = [(c, f) for c in CONFIG_CLASSES for f in fields(c)
+                    if config_key(f) == key]
+        assert [(c, f.name) for c, f in declared] == [(cls, name)], key
+        field = declared[0][1]
         default, domain = cli.CONFIG_KEYS[key]
-        assert default == field.default and domain is field.metadata["domain"], key
+        assert type(default) is type(field.default) and default == field.default, key
+        assert domain is field.metadata["domain"], key
 
 
 # values outside a field's domain, noise_std = nan among them, are in OUT_OF_DOMAIN
@@ -341,15 +358,18 @@ def test_library_config_of_the_wrong_type_is_named(cls, name, value, message):
 def test_config_defaults_are_the_library_defaults():
     # the train-small and train-prod workloads run on the library's defaults,
     # the CLI and the pipeline workload on CONFIG_KEYS: each key both set agrees
-    pairs = [(cls.__name__, cli.FIELD_KEYS.get(f.name, f.name), f.default)
+    pairs = [(cls.__name__, config_key(f), f.default)
              for cls in (RetainConfig, TrainConfig, SplitSpec) for f in fields(cls)]
-    pairs += [(func.__name__, name, param.default)
-              for func in (preprocess_series, default_cohort)
+    # the model's window length, which train sets from the preprocessing spec
+    pairs += [("RetainConfig", "seq_len", RetainConfig().seq_len)]
+    renamed = {"threshold": "spike_threshold"}  # clean_spikes's parameter
+    pairs += [(func.__name__, renamed.get(name, name), param.default)
+              for func in (clean_spikes, resample, build_samples, default_cohort)
               for name, param in inspect.signature(func).parameters.items()
               if param.default is not param.empty]
     pairs = [(owner, key, default) for owner, key, default in pairs
              if key in CONFIG_DEFAULTS]
-    assert len(pairs) == 21
+    assert len(pairs) == 26
     assert [(owner, key, default) for owner, key, default in pairs
             if (type(default), default) != (type(CONFIG_DEFAULTS[key]),
                                             CONFIG_DEFAULTS[key])] == []
@@ -478,6 +498,26 @@ def test_preprocess_names_a_patient_file_too_short_to_split(tmp_path, capsys, n_
     assert run("preprocess", "--data", str(raw), "--out", str(tmp_path / "prep")) == 2
     err = capsys.readouterr().err
     assert f"error: {path}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, points", [("seq_len = 300", 288),
+                                          ("period_minutes = 1000", 2)],
+                         ids=["seq_len", "period_minutes"])
+def test_preprocess_names_the_window_a_patient_file_is_too_short_for(tmp_path, capsys,
+                                                                     line, points):
+    raw = tmp_path / "raw"
+    assert run("synth", "--patients", "1", "--days", "1", "--out", str(raw)) == 0
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    out = tmp_path / "prep"
+    assert run("preprocess", "--data", str(raw), "--config", str(cfg_file),
+               "--out", str(out)) == 2
+    spec = load_config(cfg_file)
+    err = capsys.readouterr().err
+    assert (f"error: {raw / 'p00.csv'}: {points} grid points at period_minutes = "
+            f"{spec['period_minutes']}, fewer than one window of seq_len = "
+            f"{spec['seq_len']} plus ph_steps = 6 to its target\n") in err
+    assert "Traceback" not in err and not (out / "p00").exists()
 
 
 # --- train / evaluate / explain -----------------------------------------------------
@@ -1063,7 +1103,7 @@ def test_train_names_the_target_split_narrower_than_its_own_sidecar(
 # (the archive's width and the number of sources filled in)
 FAMILY_SIZES = {
     "retain": ("embed_dim = 5\nalpha_hidden = 7\nbeta_hidden = 4\nreverse_time = true\n",
-               {"seq_len": 37, "input_dim": 3, "embed_dim": 5, "alpha_hidden": 7,
+               {"seq_len": 20, "input_dim": 3, "embed_dim": 5, "alpha_hidden": 7,
                 "beta_hidden": 4, "n_sources": 2, "reverse_time": True}),
     "stdattn": ("stdattn_hidden = 5\n", {"input_dim": 3, "hidden": 5}),
     "lstm": ("lstm_hidden1 = 5\nlstm_hidden2 = 4\n",
@@ -1077,7 +1117,9 @@ def test_config_keys_reach_every_family_and_the_training_and_split_configs(
     sizes, block = FAMILY_SIZES[family]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(sizes + "lambda = 0.25\nbatch_size = 7\ntest_days = 3\n"
-                   "valid_fraction = 0.3\npatience_source = 2\npatience_finetune = 2\n")
+                   "valid_fraction = 0.3\npatience_source = 2\npatience_finetune = 2\n"
+                   "seq_len = 20\nph_steps = 3\nperiod_minutes = 10\n"
+                   "spike_threshold = 40\n")
     seen = []
 
     def spy(real, at):  # records the config argument at position ``at``
@@ -1094,14 +1136,17 @@ def test_config_keys_reach_every_family_and_the_training_and_split_configs(
     assert run("train", "--data", str(prep), "--target", "p02", "--sources", "p00,p01",
                "--model", family, "--max-epochs", "1", "--seed", "3",
                "--config", str(cfg), "--out", str(out)) == 0
-    split = SplitSpec(test_days=3, valid_fraction=0.3)
+    split = SplitSpec(test_days=3, valid_fraction=0.3, seq_len=20, ph_steps=3,
+                      period_minutes=10, spike_threshold=40.0)
     train = TrainConfig(batch_size=7, lam=0.25, max_epochs=1, seed=3,
                         patience_source=2, patience_finetune=2)
     assert seen == [split] * 3 + [train] * 2
+    assert all(type(spec.spike_threshold) is float for spec in seen[:3])
     doc = json.loads((out / "model.json").read_text())
     assert doc["config"] == block
-    width = len(json.loads((prep / "p02" / "scaling.json").read_text())["input_mean"])
-    assert doc["config"]["input_dim"] == width
+    sidecar = json.loads((prep / "p02" / "scaling.json").read_text())
+    assert (sidecar["seq_len"], sidecar["ph_steps"], sidecar["period_minutes"]) == (20, 3, 10)
+    assert doc["config"]["input_dim"] == len(sidecar["input_mean"])
 
 
 def _target_is_a_file(mini_run, tmp_path):

@@ -586,7 +586,7 @@ def test_patient_archive_round_trip(tmp_path):
     train, valid, test = split(samples, SplitSpec(test_days=1, valid_fraction=0.2))
     tr, va, te, scaling = standardize(train, valid, test)
     write_patient_archive(tmp_path, "p07", tr, va, te, scaling,
-                          seq_len=4, ph_steps=6, period_minutes=5)
+                          SplitSpec(test_days=1, valid_fraction=0.2, seq_len=4))
     back = read_patient_archive(tmp_path, "p07")
     assert np.array_equal(back["train"].x, tr.x)
     assert np.array_equal(back["train"].y, tr.y)

@@ -10,8 +10,12 @@ in it, at OPENBLAS_NUM_THREADS=1 and then 2, runs the CLI at its default
 config: ``synth`` (3 patients x 8 days, seed 3), ``preprocess``, ``train``
 of ``retain``, ``stdattn`` and ``lstm`` for 1 epoch (target p02, sources
 p00,p01, seed 3), ``evaluate`` of each model, and ``explain --sample 2
---event cho`` of the retain model. Every output file is compared,
-``effective.cfg``, ``model.json`` and ``profiles.json`` included: with
+--event cho`` of the retain model; then, under a config of another window
+(``seq_len = 20``, ``ph_steps = 3``, ``period_minutes = 10``,
+``spike_threshold = 40``), ``preprocess`` of the same cohort, ``train`` of
+``retain`` and its ``evaluate``. Every output file is compared,
+``effective.cfg``, ``model.json``, ``scaling.json`` and ``profiles.json``
+included: with
 ``--parent`` and ``--change``, the two commits' files at the same thread
 count; with ``--threads``, the one commit's files at 1 thread against its
 files at 2.
@@ -63,6 +67,16 @@ def pipeline(src, out, threads):
     cli("explain", "--model", out / "retain" / "run" / "model.json", "--data", prep,
         "--target", "p02", "--sample", 2, "--event", "cho",
         "--out", out / "retain" / "explain")
+    window = out.parent / "window.cfg"  # an input: not among the outputs compared
+    window.write_text("seq_len = 20\nph_steps = 3\nperiod_minutes = 10\n"
+                      "spike_threshold = 40\n", encoding="utf-8")
+    prep, run = out / "window" / "prep", out / "window" / "run"
+    cli("preprocess", "--data", out / "raw", "--config", window, "--out", prep)
+    cli("train", "--data", prep, "--target", "p02", "--sources", "p00,p01",
+        "--model", "retain", "--max-epochs", 1, "--seed", 3, "--config", window,
+        "--out", run)
+    cli("evaluate", "--model", run / "model.json", "--data", prep, "--target", "p02",
+        "--config", window, "--out", out / "window" / "eval")
 
 
 def compare(label, trees, sides):
