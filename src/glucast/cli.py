@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return IngestionError.exit_code
-    except FloatingPointError as exc:
+    except FloatingPointError as exc:  # a numeric failure outside training
         print(f"error: {exc}", file=sys.stderr)
         return GlucastError.exit_code
     except ValueError as exc:  # bad argument combinations from library checks

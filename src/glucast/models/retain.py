@@ -36,8 +36,8 @@ from ..kernel import tape as T
 
 @dataclass
 class RetainConfig:
-    """Model dimensions. Defaults follow the production configuration:
-    37-step windows (3 h at 5 min), 3 input signals, 64-dim embeddings and
+    """Model dimensions. Defaults follow the production configuration: the
+    preprocessing spec's window, 3 input signals, 64-dim embeddings and
     single-layer 128-unit LSTMs for both attention networks."""
 
     seq_len: int = tunable(SplitSpec.seq_len, AT_LEAST_2, key=None)
