@@ -340,8 +340,7 @@ def test_each_field_key_is_declared_once_on_its_field():
         assert [(c, f.name) for c, f in declared] == [(cls, name)], key
         field = declared[0][1]
         default, domain = cli.CONFIG_KEYS[key]
-        assert type(default) is type(field.default) and default == field.default, key
-        assert domain is field.metadata["domain"], key
+        assert default is field.default and domain is field.metadata["domain"], key
 
 
 # values outside a field's domain, noise_std = nan among them, are in OUT_OF_DOMAIN
@@ -512,11 +511,11 @@ def test_preprocess_names_the_window_a_patient_file_is_too_short_for(tmp_path, c
     out = tmp_path / "prep"
     assert run("preprocess", "--data", str(raw), "--config", str(cfg_file),
                "--out", str(out)) == 2
-    spec = load_config(cfg_file)
+    cfg = load_config(cfg_file)
     err = capsys.readouterr().err
     assert (f"error: {raw / 'p00.csv'}: {points} grid points at period_minutes = "
-            f"{spec['period_minutes']}, fewer than one window of seq_len = "
-            f"{spec['seq_len']} plus ph_steps = 6 to its target\n") in err
+            f"{cfg['period_minutes']}, fewer than one window of seq_len = "
+            f"{cfg['seq_len']} plus ph_steps = 6 to its target\n") in err
     assert "Traceback" not in err and not (out / "p00").exists()
 
 
