@@ -8,13 +8,14 @@ per-input contribution tables. Every command echoes its effective
 configuration into the output directory, so a run is reproducible from the
 echo plus the seed.
 
-Exit codes: 0 ok, 2 usage/config, 3 missing or unreadable input, 4 numeric
-failure, 5 capability mismatch.
+Exit codes, from the error class raised: 0 ok, 2 usage/config, 3 missing or
+unreadable input (any OSError too), 4 numeric failure, 5 capability mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -231,23 +232,19 @@ def cmd_train(args, cfg) -> None:
     data = Path(args.data)
     if not data.is_dir():
         raise FileNotFoundError(f"archive directory {data} does not exist")
-    patient_ids = [*source_ids, args.target]
     try:
-        archives = [read_archive(data / pid, "train", "valid") for pid in patient_ids]
+        archives = [read_archive(data / pid, "train", "valid")
+                    for pid in [*source_ids, args.target]]
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"missing preprocessed archive: {exc}") from exc
-    # the target archive sets the input width, the preprocessing spec the window
-    model = _build_model(cfg, n_sources=max(len(source_ids), 1),
-                         input_dim=len(archives[-1][0].input_mean),
-                         seq_len=_from_config(SplitSpec, cfg).seq_len)
+    # the target archive sets the window geometry of every source and of the model
+    scaling, meta = archives[-1][:2]
+    geometry = {"seq_len": meta["seq_len"], "input_dim": len(scaling.input_mean),
+                "ph_steps": meta["ph_steps"], "period_minutes": meta["period_minutes"]}
     target_sidecar = f"the target archive {data / args.target / 'scaling.json'}"
-    owners = {"seq_len": "the model config", "input_dim": target_sidecar,
-              "ph_steps": target_sidecar, "period_minutes": target_sidecar}
-    # every archive's targets must lie as far ahead as the target archive's
-    geometry = {**model.window_geometry(), "ph_steps": archives[-1][1]["ph_steps"],
-                "period_minutes": archives[-1][1]["period_minutes"]}
-    for pid, (scaling, meta, _, _) in zip(patient_ids, archives):
-        _check_geometry(geometry, owners, data / pid, scaling, meta)
+    for pid, (scaling, meta, _, _) in zip(source_ids, archives):
+        _check_geometry(geometry, target_sidecar, data / pid, scaling, meta)
+    model = _build_model(cfg, n_sources=max(len(source_ids), 1), **geometry)
     *sources, target = (PatientSplits(train_x=train.x, train_y=train.y, valid_x=valid.x,
                                       valid_y=valid.y, patient_id=meta["patient_id"])
                         for _, meta, train, valid in archives)
@@ -267,17 +264,15 @@ def cmd_train(args, cfg) -> None:
           f"({len(source_ids)} sources); final valid MSE {final:.6f}")
 
 
-def _check_geometry(geometry, owners, root, scaling, meta):
-    """ConfigError naming the owner of the field (``owners[field]``: the
-    model file, the config or the target archive) and the archive's
-    scaling.json unless each field of ``geometry`` (the model's window
-    geometry, and in train the target's horizon) has the sidecar's value
-    (each split's windows are checked against it where the split is read)."""
+def _check_geometry(geometry, owner, root, scaling, meta):
+    """ConfigError naming ``owner`` (the model file, or the target archive)
+    and the archive's scaling.json unless each field of ``geometry`` has the
+    sidecar's value (each split's windows were checked against it)."""
     archive = {**meta, "input_dim": len(scaling.input_mean)}
     for name, value in geometry.items():
         if archive[name] != value:
             raise ConfigError(
-                f"{owners[name]} has {name} = {value}, but the archive "
+                f"{owner} has {name} = {value}, but the archive "
                 f"{root / 'scaling.json'} and its windows have {name} = {archive[name]}")
 
 
@@ -286,9 +281,19 @@ def _load_target_test(data_dir, target, model, model_path):
     checking that the model takes the archive's windows."""
     root = Path(data_dir) / target
     scaling, meta, test = read_archive(root, "test")
-    owners = dict.fromkeys(model.window_geometry(), f"model {model_path}")
-    _check_geometry(model.window_geometry(), owners, root, scaling, meta)
+    _check_geometry(model.window_geometry(), f"model {model_path}", root, scaling, meta)
     return meta, test, scaling
+
+
+@contextlib.contextmanager
+def _scoring(model_path, target):
+    """A numeric failure of the model on the target's test windows (attention
+    scores that overflow, say) as an EvaluationError naming both."""
+    try:
+        yield
+    except (FloatingPointError, GlucastError) as exc:
+        raise EvaluationError(f"model {model_path} fails on the test windows of "
+                              f"{target}: {exc}") from exc
 
 
 def _read_model(args):
@@ -308,7 +313,8 @@ def cmd_evaluate(args, cfg) -> None:
         raise IngestionError(f"{Path(args.data) / args.target / 'test.csv'}: "
                              f"{len(test.y)} sample row, but the error grid needs at least 2")
 
-    preds = model.predict(test.x)
+    with _scoring(model_path, args.target):
+        preds = model.predict(test.x)
     low = np.flatnonzero(scaling.invert_target(preds) <= 0)
     if low.size:
         raise EvaluationError(
@@ -352,8 +358,8 @@ def cmd_explain(args, cfg) -> None:
         raise ConfigError(f"--horizon must be at least 0 minutes, got {args.horizon}")
     model_path, model = _read_model(args)
     if not model.attributable:
-        raise CapabilityError("model is not attributable (per-input contributions "
-                              "need the two-level-attention model)")
+        raise CapabilityError(f"model {model_path} is not attributable (per-input "
+                              "contributions need the two-level-attention model)")
 
     meta, test, scaling = _load_target_test(args.data, args.target, model, model_path)
     if args.sample is not None and not 0 <= args.sample < len(test):
@@ -363,12 +369,12 @@ def cmd_explain(args, cfg) -> None:
         raise ConfigError(f"--event {args.event}: the archive "
                           f"{Path(args.data) / args.target / 'scaling.json'} has "
                           f"only the variables {', '.join(names)}")
+    with _scoring(model_path, args.target):
+        trace = model.trace_batch(test.x)
+        cmap = contributions(test.x, trace, model.params)
+        attributions = normalized_contributions(cmap)
     period = meta["period_minutes"]
     out = _ensure_out_dir(args.out)
-
-    trace = model.trace_batch(test.x)
-    cmap = contributions(test.x, trace, model.params)
-    attributions = normalized_contributions(cmap)
 
     _write_matrix_csv(out / "attribution_mean.csv",
                       aggregate_attributions(attributions, "mean"), period)
@@ -456,12 +462,6 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return IngestionError.exit_code
-    except FloatingPointError as exc:  # a numeric failure outside training
-        print(f"error: {exc}", file=sys.stderr)
-        return GlucastError.exit_code
-    except ValueError as exc:  # bad argument combinations from library checks
-        print(f"error: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -828,6 +828,40 @@ def test_evaluate_rejects_predictions_at_or_below_zero_exit_4(mini_run, tmp_path
     assert not (tmp_path / "ev").exists()
 
 
+def _fill_param(mini_run, tmp_path, name, value):
+    """The mini run's model with every entry of the parameter ``name`` set
+    to ``value``."""
+    doc = json.loads((mini_run / "run" / "model.json").read_text())
+    doc["params"][name] = np.full(np.shape(doc["params"][name]), value).tolist()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+@pytest.mark.parametrize("command, name, value, cause", [
+    ("evaluate", "alpha_w", 1e308, "softmax input contains NaN or Inf entries"),
+    ("explain", "alpha_w", 1e308, "softmax input contains NaN or Inf entries"),
+    ("explain", "out_w", 0.0, "all contributions are zero (window 0)"),
+])
+def test_a_model_that_fails_on_the_test_windows_exits_4_naming_it_and_the_target(
+        mini_run, tmp_path, capsys, command, name, value, cause):
+    model = _fill_param(mini_run, tmp_path, name, value)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(command, "--model", str(model), "--data", str(mini_run / "prep"),
+                   "--target", "p02", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert f"error: model {model} fails on the test windows of p02: {cause}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_evaluate_scores_a_constant_predictor(mini_run, tmp_path):
+    model = _fill_param(mini_run, tmp_path, "out_w", 0.0)
+    assert run("evaluate", "--model", str(model), "--data", str(mini_run / "prep"),
+               "--target", "p02", "--out", str(tmp_path / "ev")) == 0
+    assert (tmp_path / "ev" / "metrics.json").exists()
+
+
 def test_train_whose_scores_overflow_exits_4_naming_phase_and_epoch(mini_run, tmp_path,
                                                                    capsys):
     cfg = tmp_path / "diverge.cfg"
@@ -1028,24 +1062,11 @@ def test_explain_rejects_model_of_other_window_geometry(mini_run, tmp_path, caps
     assert not (tmp_path / "ex").exists()
 
 
-@pytest.mark.parametrize("field, value", [("seq_len", 12)])
+@pytest.mark.parametrize("family, field, value", [
+    ("retain", "seq_len", 12), ("stdattn", "seq_len", 12), ("retain", "ph_steps", 12),
+    ("retain", "period_minutes", 10)])
 def test_train_rejects_archives_of_other_window_geometry(mini_run, tmp_path, capsys,
-                                                         field, value):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(_mini_cfg(mini_run).read_text() + f"{field} = {value}\n")
-    out = tmp_path / "run"
-    assert run("train", "--data", str(mini_run / "prep"), "--target", "p02",
-               "--sources", "p00,p01", "--max-epochs", "1", "--config", str(cfg),
-               "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert f"the model config has {field} = {value}" in err
-    assert str(mini_run / "prep" / "p00" / "scaling.json") in err
-    assert "Traceback" not in err and not out.exists()
-
-
-@pytest.mark.parametrize("field, value", [("ph_steps", 12), ("period_minutes", 10)])
-def test_train_rejects_a_source_archive_of_another_horizon(mini_run, tmp_path, capsys,
-                                                           field, value):
+                                                         family, field, value):
     raw = tmp_path / "raw"
     raw.mkdir()
     shutil.copy(mini_run / "raw" / "p01.csv", raw)
@@ -1057,14 +1078,27 @@ def test_train_rejects_a_source_archive_of_another_horizon(mini_run, tmp_path, c
                "--out", str(prep)) == 0
     out = tmp_path / "run"
     assert run("train", "--data", str(prep), "--target", "p02", "--sources", "p00,p01",
-               "--max-epochs", "1", "--config", str(_mini_cfg(mini_run)),
-               "--out", str(out)) == 2
+               "--model", family, "--max-epochs", "1", "--config",
+               str(_mini_cfg(mini_run)), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert (f"the target archive {prep / 'p02' / 'scaling.json'} has "
             f"{field} = {CONFIG_DEFAULTS[field]}, but the archive "
             f"{prep / 'p01' / 'scaling.json'}") in err
     assert f"have {field} = {value}" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_train_takes_the_window_from_the_target_archive(mini_run, tmp_path):
+    cfg = tmp_path / "w20.cfg"
+    cfg.write_text("seq_len = 20\ntest_days = 2\n")
+    prep, out = tmp_path / "prep", tmp_path / "run"
+    assert run("preprocess", "--data", str(mini_run / "raw"), "--config", str(cfg),
+               "--out", str(prep)) == 0
+    assert run("train", "--data", str(prep), "--target", "p02", "--sources", "p00,p01",
+               "--max-epochs", "1", "--out", str(out)) == 0  # the config's seq_len is 37
+    assert json.loads((out / "model.json").read_text())["config"]["seq_len"] == 20
+    assert run("evaluate", "--model", str(out / "model.json"), "--data", str(prep),
+               "--target", "p02", "--out", str(tmp_path / "ev")) == 0
 
 
 def test_train_rejects_a_source_archive_narrower_than_the_target(mini_run, tmp_path,
@@ -1268,7 +1302,7 @@ def test_explain_of_a_non_attributable_model_exits_5_before_reading_the_archive(
     save_model(StdAttnModel.create(input_dim=3, hidden=4, seed=0), model)
     assert run("explain", "--model", str(model), "--data", str(tmp_path / "missing"),
                "--target", "p00", "--out", str(tmp_path / "ex")) == 5
-    assert "not attributable" in capsys.readouterr().err
+    assert f"model {model} is not attributable" in capsys.readouterr().err
     assert not (tmp_path / "ex").exists()
 
 
@@ -1377,6 +1411,14 @@ def _edit_model_format(doc, draw):
         draw(st.sampled_from(["retain-v0", None, [], 3]))
 
 
+def _overflow_scores(doc, draw):
+    """Every entry of embed_w or alpha_w at +-1e308: finite, but the
+    attention scores of every test window overflow."""
+    name = draw(st.sampled_from(["embed_w", "alpha_w"]))
+    doc["params"][name] = np.full(np.shape(doc["params"][name]),
+                                  draw(st.sampled_from([1e308, -1e308]))).tolist()
+
+
 CONFIG_TYPED_KEYS = [key for key, value in CONFIG_DEFAULTS.items()
                      if not isinstance(value, str)]
 
@@ -1399,39 +1441,73 @@ def _corrupt_config(draw, data):
     return "\n".join(lines).encode()
 
 
-# input kind -> (the file, relative to a copy of the mini run, and a corruption)
+PATIENTS = ("p00", "p01", "p02")
+
+
+def _argv(command, root):
+    """The arguments of ``command`` on a copy of the mini run at ``root``."""
+    if command == "preprocess":
+        return ["preprocess", "--data", str(root / "raw")]
+    if command == "train":
+        return ["train", "--data", str(root / "prep"), "--target", "p02",
+                "--sources", "p00,p01", "--max-epochs", "0"]
+    return [command, "--model", str(root / "run" / "model.json"),
+            "--data", str(root / "prep"), "--target", "p02"]
+
+
+# input kind -> (the commands that read it, and a corruption)
 INPUT_KINDS = {
-    "patient-csv": ("raw/p02.csv", _corrupt_patient_csv),
-    "archive-csv": ("prep/p02/test.csv", _corrupt_archive_csv),
-    "scaling-json": ("prep/p02/scaling.json",
+    "patient-csv": (["preprocess"], _corrupt_patient_csv),
+    "archive-csv": (["train", "evaluate", "explain"], _corrupt_archive_csv),
+    "scaling-json": (["train", "evaluate", "explain"],
                      lambda draw, data: _corrupt_json(draw, data, [_edit_sidecar])),
-    "model-json": ("run/model.json", lambda draw, data: _corrupt_json(
-        draw, data, [_edit_model_config, _edit_model_param, _edit_model_format])),
-    "config": ("mini.cfg", _corrupt_config),
+    "model-json": (["evaluate", "explain"], lambda draw, data: _corrupt_json(
+        draw, data, [_edit_model_config, _edit_model_param, _edit_model_format,
+                     _overflow_scores])),
+    "config": (["preprocess"], _corrupt_config),
 }
+INPUT_FILES = ["raw/p02.csv", "mini.cfg", "run/model.json",
+               *(f"prep/{pid}/{name}" for pid in PATIENTS
+                 for name in ("scaling.json", "train.csv", "valid.csv", "test.csv"))]
+
+
+def _input_file(draw, kind, command):
+    """The file of the mini run that ``command`` reads as an input of
+    ``kind``: train reads every patient's train.csv and valid.csv, evaluate
+    and explain the target's test.csv."""
+    fixed = {"patient-csv": "raw/p02.csv", "model-json": "run/model.json",
+             "config": "mini.cfg"}
+    if kind in fixed:
+        return fixed[kind]
+    pid = draw(st.sampled_from(PATIENTS)) if command == "train" else "p02"
+    if kind == "scaling-json":
+        return f"prep/{pid}/scaling.json"
+    split = draw(st.sampled_from(["train", "valid"])) if command == "train" else "test"
+    return f"prep/{pid}/{split}.csv"
 
 
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(sorted(INPUT_KINDS)), data=st.data())
 def test_corrupted_input_of_every_kind_is_named_with_a_documented_exit(mini_run, kind,
                                                                       data):
-    relative, corrupt = INPUT_KINDS[kind]
+    commands, corrupt = INPUT_KINDS[kind]
+    command = data.draw(st.sampled_from(commands))
+    relative = _input_file(data.draw, kind, command)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, _ in INPUT_KINDS.values():
+        for name in INPUT_FILES:  # the corrupted file is the only copy
             (root / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy(mini_run / name, root / name)
-        path = root / relative
-        path.write_bytes(corrupt(data.draw, path.read_bytes()))
-        if kind in ("patient-csv", "config"):
-            argv = ["preprocess", "--data", str(root / "raw")]
-        else:
-            argv = ["evaluate", "--model", str(root / "run" / "model.json"),
-                    "--data", str(root / "prep"), "--target", "p02"]
+            if name == relative:
+                (root / name).write_bytes(corrupt(data.draw, (mini_run / name).read_bytes()))
+            else:
+                (root / name).symlink_to(mini_run / name)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(*argv, "--config", str(root / "mini.cfg"),
+        with contextlib.redirect_stderr(err), np.errstate(over="ignore", invalid="ignore"):
+            code = run(*_argv(command, root), "--config", str(root / "mini.cfg"),
                        "--out", str(root / "out"))
-    assert code in (2, 3, 4), (kind, err.getvalue())
-    assert str(path) in err.getvalue() and "Traceback" not in err.getvalue(), \
-        (kind, err.getvalue())
+        # preprocess makes --out before it reads the first patient file
+        created = (root / "out").exists() and kind != "patient-csv"
+    assert code in (2, 3, 4, 5), (kind, command, err.getvalue())
+    assert str(root / relative) in err.getvalue() and "Traceback" not in err.getvalue(), \
+        (kind, command, err.getvalue())
+    assert not created, (kind, command, err.getvalue())
