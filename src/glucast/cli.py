@@ -255,13 +255,15 @@ def cmd_train(args, cfg) -> None:
     history = []
     if sources:
         history += train_source(model, sources, train_cfg)
-    history += finetune(model, target, train_cfg)
+    tuned = finetune(model, target, train_cfg)
+    history += tuned
 
     save_model(model, out / "model.json")
     write_history_csv(history, out / "history.csv")
-    final = history[-1]["valid_mse"] if history else float("nan")
+    # epoch 0: no finetune epoch improved on the model it started from
     print(f"trained {cfg['model']} on target {args.target} "
-          f"({len(source_ids)} sources); final valid MSE {final:.6f}")
+          f"({len(source_ids)} sources); kept the finetune epoch {tuned.kept_epoch} "
+          f"model, valid MSE {tuned.kept_valid_mse:.6f}")
 
 
 def _check_geometry(geometry, owner, root, scaling, meta):

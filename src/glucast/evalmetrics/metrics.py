@@ -29,8 +29,8 @@ class PredictionSeries:
             raise ValueError("prediction series columns have inconsistent lengths")
         if n > 1 and not np.all(np.diff(self.t).astype(np.int64) > 0):
             raise ValueError("prediction series timestamps must be increasing")
-        if np.any(self.y_true <= 0) or np.any(self.y_pred <= 0):
-            raise ValueError("glucose values must be positive")
+        if not (np.all(self.y_true > 0) and np.all(self.y_pred > 0)):  # NaN too
+            raise ValueError("glucose values must be positive numbers")
 
     def __len__(self):
         return self.t.shape[0]

@@ -33,8 +33,18 @@ thread count.
 Serially, each layer is allocated just before it runs, first to last. The
 worker only writes into buffers the calling thread allocated, and the op is
 recorded on the tape from the calling thread only, after both have
-finished; the bits are those of running everything on one thread. Gate
-layout is fixed: the stacked weight rows hold the input, forget,
+finished; the bits are those of running everything on one thread.
+
+The backward function frees what it no longer needs as it goes. Each
+layer's BPTT computes the cell factor dc_dh in place over the layer's saved
+cell states and frees them once its step loop has run; it frees the
+layer's saved gates when it returns. So a stacked layer's gates and cells
+are gone before the BPTT of the layer below runs, and the op can be run
+backwards once (as ``Tape.backward`` does). The hidden states, which the
+weight gradients of a layer and of the one above read, go when the tape
+drops the op.
+
+Gate layout is fixed: the stacked weight rows hold the input, forget,
 cell-candidate and output gates, in that order. Initial hidden and cell
 states are zero vectors. A layer's parameters are three entries of its
 model's flat name -> array dict: ``<layer>.w_in`` (4*hidden, input),
@@ -184,16 +194,15 @@ class _Layer:
             self.z = self.c = None
 
     def loop_buffers(self):
-        """dz, dc_dh and the (dh, dc, dc_next) state of a BPTT's step loop."""
-        return [np.empty_like(self.z), np.empty_like(self.c),
-                np.empty((3, *self.c.shape[1:]))]
+        """dz and the (dh, dc, dc_next) state of a BPTT's step loop."""
+        return [np.empty_like(self.z), np.empty((3, *self.c.shape[1:]))]
 
     def grad_buffers(self, want):
         """The gradients of the parents flagged in ``want`` (w_in, w_rec,
         bias, seq), None where not wanted, then the ``block_products`` stack
         that the w_in and w_rec gradients use in turn."""
-        length, batch, h4 = self.z.shape
-        rows, n_in, hidden = length * batch, self.wi.shape[1], self.wr.shape[1]
+        length, batch, hidden = self.h.shape
+        (h4, n_in), rows = self.wi.shape, length * batch
         shapes = (self.wi.shape, self.wr.shape, (h4,), (rows, n_in))
         room = max(T.stack_size(n, h4, m) if w else 0
                    for n, m, w in ((rows, n_in, want[0]), (rows - batch, hidden, want[1])))
@@ -207,8 +216,9 @@ class _Layer:
         to allocate each as it is needed. With ``stream``, the worker runs
         ``weight_grads`` one step behind the step loop, into buffers
         allocated before it; never set it in a job of the worker's own.
-        dc_dh is freed once the step loop has used it (without ``stream``,
-        before the gradients are allocated)."""
+        A layer runs one BPTT, which frees its saved gates when it returns,
+        and its cell states, over which it computes dc_dh, after its step
+        loop."""
         z, c = self.z, self.c
         length, batch, h4 = z.shape
         hidden = h4 // 4
@@ -216,11 +226,13 @@ class _Layer:
         i, f, g, o = (gates[:, :, k] for k in range(4))
         # dz = [dc * d_i, dc * d_f, dc * d_g, dh * d_o], where dc and dh are the
         # step's cell and hidden adjoints; fill the d_* factors for all steps
-        # in the one gate-sized buffer, and dc_dh in a cell-sized one
+        # in the one gate-sized buffer, and dc_dh over the cells once d_f has
+        # read them
         if bufs is None:
             bufs = self.loop_buffers() + (self.grad_buffers(want) if stream else [])
-        dz, dc_dh, (dh, dc, dc_next), *grads = bufs
+        dz, (dh, dc, dc_next), *grads = bufs
         bufs.clear()  # so that the caller's list keeps no buffer alive
+        self.z = self.c = None
         np.subtract(1.0, z, out=dz)
         dz *= z
         d = dz.reshape(length, batch, 4, hidden)
@@ -230,7 +242,8 @@ class _Layer:
         d_g = np.multiply(g, g, out=d[:, :, 2])
         np.subtract(1.0, d_g, out=d_g)
         d_g *= i
-        np.tanh(c, out=dc_dh)
+        dc_dh = np.tanh(c, out=c)
+        del c  # so that the step loop frees the cells' buffer
         d[:, :, 3] *= dc_dh
         np.multiply(dc_dh, dc_dh, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)

@@ -1,10 +1,12 @@
 """Reverse-mode differentiation over dense float64 numpy arrays.
 
-A ``Tape`` records every primitive operation in execution order; replaying
-it backwards accumulates vector-Jacobian products into the participating
-``Node`` objects. Gradients accumulate additively at fan-out, and the replay
-order is the exact reverse of the recording order, so two identical forward
-passes produce bit-identical gradients.
+A ``Tape`` records every primitive operation in execution order; its
+backward pass runs them in the exact reverse of that order, accumulating
+vector-Jacobian products into the participating ``Node`` objects.
+Gradients accumulate additively at fan-out, so two identical forward
+passes produce bit-identical gradients. The pass consumes the tape: each op
+is dropped as soon as its vjp has run, and with it the forward arrays that
+only its vjp read, so a tape is run backwards once.
 
 All operations accept either ``Node`` operands or plain array-likes. Plain
 arrays are treated as constants: they take part in the value computation but
@@ -17,8 +19,8 @@ and one function from the outputs' adjoints to one gradient per operand.
 New ops record through ``emit``.
 
 Values are immutable once emitted and the ops are pure, so evaluation is
-safe from multiple threads. Ops are recorded, and a Tape is replayed, only
-from the calling thread: an op that hands part of its work to another
+safe from multiple threads. Ops are recorded, and a Tape is run backwards,
+only from the calling thread: an op that hands part of its work to another
 thread waits for it before it records or returns.
 
 A weight gradient sums over the rows of a batch; it is computed by
@@ -136,7 +138,7 @@ class Node:
 
 
 class Tape:
-    """Ordered record of primitive operations for reverse-mode replay."""
+    """Ordered record of primitive operations for one backward pass."""
 
     def __init__(self):
         self._ops = []
@@ -154,17 +156,16 @@ class Tape:
     def backward(self, root):
         """Accumulate d(root)/d(node) into every node reachable from root.
 
-        The adjoints of recorded op outputs are reset first, so a graph can be
-        replayed; leaf nodes accumulate across passes. An op output's adjoint
-        is dropped once the op's vjp has run, so after the pass only the
-        leaves hold gradients. A node's gradients are summed in reverse
-        recording order across ops and in parent order within one.
+        The pass consumes the tape: it pops each op, last first, and drops it
+        once its vjp has run, with the arrays that vjp kept; an op output's
+        adjoint is dropped then too, so after the pass the tape is empty and
+        only the leaves hold gradients. Leaves accumulate across tapes. A
+        node's gradients are summed in reverse recording order across ops and
+        in parent order within one.
         """
-        for outs, _, _ in self._ops:
-            for out in outs:
-                out.grad = None
         root.grad = np.ones_like(root.value, dtype=np.float64)
-        for outs, parents, vjp in reversed(self._ops):
+        while self._ops:
+            outs, parents, vjp = self._ops.pop()
             adjoints = [out.grad for out in outs]
             if all(g is None for g in adjoints):
                 continue

@@ -55,16 +55,25 @@ def check_windows(model, x) -> np.ndarray:
 def untaped_pass(model, x, outputs, chunk=PREDICT_CHUNK) -> dict:
     """{name: array} of the named graph outputs for a batch of windows,
     checked once and run ``chunk`` windows at a time. The adversary head
-    runs only when ``adv_probs`` is named."""
+    runs only when ``adv_probs`` is named. Each output is allocated once,
+    from the first chunk's, and each chunk copied into its rows, so the
+    outputs are never held twice (as chunks and joined)."""
     x = check_windows(model, x)
     arrays = model.param_arrays()
+    result = {}
 
-    def run(xs):  # a chunk's other nodes are freed before the next chunk runs
-        nodes = model.graph(None, xs, arrays, with_adversary="adv_probs" in outputs)
-        return [nodes[name].value for name in outputs]
+    def run(lo):  # a chunk's other nodes are freed before the next chunk runs
+        nodes = model.graph(None, x[lo:lo + chunk], arrays,
+                            with_adversary="adv_probs" in outputs)
+        for name in outputs:
+            part = nodes[name].value
+            if name not in result:
+                result[name] = np.empty((len(x), *part.shape[1:]), part.dtype)
+            result[name][lo:lo + len(part)] = part
 
-    parts = [run(x[lo:lo + chunk]) for lo in range(0, len(x), chunk)]
-    return {name: np.concatenate(values) for name, values in zip(outputs, zip(*parts))}
+    for lo in range(0, len(x), chunk):
+        run(lo)
+    return result
 
 
 class _Model:

@@ -61,6 +61,15 @@ class EarlyStopState:
         return False
 
 
+class History(list):
+    """A phase's per-epoch rows (those of history.csv), and the epoch whose
+    model the phase kept, with that model's validation MSE. Epoch 0 is the
+    initial model, kept when no epoch improved on it."""
+
+    kept_epoch = 0
+    kept_valid_mse = float("nan")
+
+
 @dataclass
 class PatientSplits:
     """Standardized training material for one patient."""
@@ -132,7 +141,7 @@ def _optimize(model, train_x, train_y, train_labels, valid_x, valid_y,
     opt = AdamState.init(params)
     v_mse, _ = _validation_scores(model, valid_x, valid_y, None, 0.0)
     stop = EarlyStopState(best_loss=v_mse, best_params=snapshot(model))
-    history = []
+    history = History()
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
@@ -153,11 +162,13 @@ def _optimize(model, train_x, train_y, train_labels, valid_x, valid_y,
         history.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
                         "valid_mse": v_mse, "valid_ce": v_ce, "lr": lr,
                         "phase": phase})
-        stop.update(v_mse, model)
+        if stop.update(v_mse, model):
+            history.kept_epoch = epoch
         if stop.epochs_since_improvement >= patience:
             break
 
     restore(model, stop.best_params)
+    history.kept_valid_mse = stop.best_loss
     return history
 
 
@@ -165,8 +176,8 @@ def train_source(model, sources, cfg: TrainConfig):
     """Pooled multi-source phase with the adversarial patient classifier.
 
     sources: list of PatientSplits, one per source patient, index = class
-    label. The model is updated in place to the best snapshot; the per-epoch
-    history is returned.
+    label. The model is updated in place to the best snapshot; the phase's
+    ``History`` is returned.
     """
     if len(sources) < 2:
         raise ValueError("source training needs at least 2 source patients")
@@ -186,7 +197,9 @@ def train_source(model, sources, cfg: TrainConfig):
 
 
 def finetune(model, target: PatientSplits, cfg: TrainConfig):
-    """Target-patient phase: no adversary, reduced rate, short patience."""
+    """Target-patient phase: no adversary, reduced rate, short patience. The
+    model is updated in place to the best snapshot; the phase's ``History``
+    is returned."""
     return _optimize(model, target.train_x, target.train_y, None,
                      target.valid_x, target.valid_y, None,
                      lr=cfg.lr_finetune, patience=cfg.patience_finetune,

@@ -26,6 +26,7 @@ from glucast.datapipe import (
     SplitSpec,
     build_samples,
     clean_spikes,
+    read_archive,
     resample,
     write_series_csv,
 )
@@ -36,6 +37,7 @@ from glucast.models import (
     RetainConfig,
     StdAttnConfig,
     StdAttnModel,
+    load_model,
     save_model,
 )
 from glucast.synthdata import PatientProfile, default_cohort, generate_patient
@@ -605,6 +607,29 @@ def test_train_without_sources_skips_source_phase(mini_run):
     with open(out / "history.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["phase"] for r in rows} == {"finetune"}
+
+
+@pytest.mark.parametrize("lr, kept_epoch", [("1e-3", 2), ("10", 0)])
+def test_train_prints_the_kept_models_validation_mse_and_epoch(mini_run, tmp_path,
+                                                              capsys, lr, kept_epoch):
+    # at lr 10 no finetune epoch improves on the initial model, which is kept
+    cfg = tmp_path / "lr.cfg"
+    cfg.write_text(_mini_cfg(mini_run).read_text() + f"lr_finetune = {lr}\n")
+    out = tmp_path / "run"
+    assert run("train", "--data", str(mini_run / "prep"), "--target", "p00",
+               "--model", "retain", "--max-epochs", "2", "--seed", "1",
+               "--config", str(cfg), "--out", str(out)) == 0
+    _, _, valid = read_archive(mini_run / "prep" / "p00", "valid")
+    kept = np.mean((load_model(out / "model.json").predict(valid.x) - valid.y) ** 2)
+    with open(out / "history.csv") as fh:
+        epochs = [float(r["valid_mse"]) for r in csv.DictReader(fh)]
+    assert len(epochs) == 2
+    if kept_epoch:
+        assert kept == epochs[kept_epoch - 1] == min(epochs)
+    else:
+        assert kept < min(epochs)
+    assert capsys.readouterr().out.endswith(
+        f"kept the finetune epoch {kept_epoch} model, valid MSE {kept:.6f}\n")
 
 
 def test_train_missing_archive_exit_3(mini_run):

@@ -70,6 +70,15 @@ def test_empty_series_rejected():
         rmse(make_series([], []))
 
 
+@pytest.mark.parametrize("nan_in", ["y_true", "y_pred"])
+def test_a_nan_glucose_value_is_rejected(nan_in):
+    # a NaN is not > 0; before, one NaN prediction scored CG-EGA AP 1.0
+    series = {"y_true": [100.0, 120.0, 140.0], "y_pred": [100.0, 120.0, 140.0]}
+    series[nan_in][1] = np.nan
+    with pytest.raises(ValueError, match="positive numbers"):
+        make_series(**series)
+
+
 # --- rates ---------------------------------------------------------------------
 
 def test_rates_constant_and_ramp():

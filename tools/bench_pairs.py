@@ -17,7 +17,8 @@ each run records:
   child), set-up included, and ``cpu_per_iteration_s``;
 * ``raw_iteration_s``: the median unscaled wall seconds per iteration, from
   the run's details file, and ``iteration_peak_rss_mb``;
-* the child's minor page faults and voluntary and involuntary context
+* the child's peak RSS (``ru_maxrss_mb``, the whole process, set-up
+  included), minor page faults and voluntary and involuntary context
   switches, and each CPU's user, system, idle and steal ticks over the run
   (``/proc/stat``, every process on the machine).
 
@@ -55,8 +56,9 @@ With ``--cli-runs N``, the CLI's production-size ``train`` (1 epoch) +
 ``evaluate`` of each model family (retain, stdattn, lstm), and ``explain``
 of retain, on a 3 x 8-day cohort (seed 3), are timed N alternating times
 per side at the default BLAS thread count (no
-``*_NUM_THREADS`` variable set), wall and CPU seconds per family. Each run
-also records ``outputs_identical``: whether the files the two sides'
+``*_NUM_THREADS`` variable set), wall and CPU seconds per family, and each
+command's peak RSS (``ru_maxrss`` of that child, through ``os.wait4``).
+Each run also records ``outputs_identical``: whether the files the two sides'
 commands wrote (under ``<work>/cli-data/<side>-<k>/``) are the same names
 with the same bytes.
 """
@@ -68,7 +70,6 @@ import datetime
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import subprocess
@@ -94,7 +95,7 @@ METHOD = ("{pairs} alternating parent/change pairs per workload of the unchanged
           "first alternates, starting with the parent. cpu_s is the run's user + system "
           "CPU seconds (getrusage of the child, set-up included); raw_iteration_s is the "
           "median unscaled wall seconds per iteration from the run's details file; "
-          "ru_minflt, ru_nvcsw and ru_nivcsw are the child's counts and "
+          "ru_maxrss_mb, ru_minflt, ru_nvcsw and ru_nivcsw are the child's own (os.wait4) and "
           "cpu_ticks_user_sys_idle_steal each CPU's /proc/stat tick deltas over the run "
           "(all processes); each pair's calibration is a 1-thread GEMM loop in one process alone and in two at "
           "once, taken just before the pair. The harness pins one BLAS thread. Written "
@@ -150,23 +151,27 @@ def cpu_ticks():
 
 def timed_child(cmd, cwd, env=None):
     """(completed process, wall seconds, child CPU seconds, host counters) of
-    one command. The counters are the child's minor page faults and
-    voluntary and involuntary context switches, and each CPU's user, system,
-    idle and steal ticks (all processes) over the run."""
-    before, ticks = resource.getrusage(resource.RUSAGE_CHILDREN), cpu_ticks()
-    start = time.perf_counter()
-    done = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    after, ticks_after = resource.getrusage(resource.RUSAGE_CHILDREN), cpu_ticks()
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    one command. The counters are the child's peak RSS in MB
+    (``ru_maxrss_mb``), minor page faults and voluntary and involuntary
+    context switches, all from ``os.wait4`` of that child alone, and each
+    CPU's user, system, idle and steal ticks (all processes) over the run."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        ticks, start = cpu_ticks(), time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall, ticks_after = time.perf_counter() - start, cpu_ticks()
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(cmd, child.returncode, out.read(), err.read())
     if done.returncode:
         raise SystemExit(f"{' '.join(map(str, cmd))} in {cwd} exited "
                          f"{done.returncode}:\n{done.stderr[-4000:]}")
-    counters = {k: getattr(after, k) - getattr(before, k)
-                for k in ("ru_minflt", "ru_nvcsw", "ru_nivcsw")}
+    counters = {"ru_maxrss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB on Linux
+                **{k: getattr(usage, k) for k in ("ru_minflt", "ru_nvcsw", "ru_nivcsw")}}
     counters["cpu_ticks_user_sys_idle_steal"] = {
         name: [b - a for a, b in zip(ticks[name], row)] for name, row in ticks_after.items()}
-    return done, wall, cpu, counters
+    return done, wall, usage.ru_utime + usage.ru_stime, counters
 
 
 def bench_run(copy, workload, seed, seconds, trace=0, busy_cpu=None):
@@ -279,10 +284,12 @@ def cli_timing(copies, runs, work):
                                      "--data", data / "prep", "--target", "p02", "--sample",
                                      2, "--event", "cho", "--out", out / "explain"))
                 wall = cpu = 0.0
+                peaks = {}
                 for argv in commands:
-                    _, w, c, _ = cli(side, *argv)
+                    _, w, c, counters = cli(side, *argv)
                     wall, cpu = wall + w, cpu + c
-                row[side][model] = {"wall_s": wall, "cpu_s": cpu}
+                    peaks[argv[0]] = counters["ru_maxrss_mb"]
+                row[side][model] = {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": peaks}
         row["outputs_identical"] = (tree_bytes(data / f"parent-{k}")
                                     == tree_bytes(data / f"change-{k}"))
         timings.append(row)
@@ -290,14 +297,19 @@ def cli_timing(copies, runs, work):
                       "(sources p00,p01, target p02) + evaluate, and for retain explain "
                       "--sample 2 --event cho, on synth --patients 3 --days 8 --seed 3, "
                       "production defaults, no *_NUM_THREADS variable set; wall and child "
-                      "CPU seconds of each family's commands, and whether the two sides "
+                      "CPU seconds of each family's commands, each command's peak RSS in MB "
+                      "(ru_maxrss of that child, from os.wait4), and whether the two sides "
                       "wrote the same files byte for byte (outputs_identical)",
             "blas_threads_default": len(os.sched_getaffinity(0)),
             "runs": timings,
-            "median": {side: {model: {m: statistics.median(r[side][model][m] for r in timings)
-                                      for m in ("wall_s", "cpu_s")}
-                              for model in CLI_MODELS}
-                       for side in ("parent", "change")}}
+            "median": {side: {model: {
+                **{m: statistics.median(r[side][model][m] for r in timings)
+                   for m in ("wall_s", "cpu_s")},
+                "peak_rss_mb": {command: statistics.median(
+                    r[side][model]["peak_rss_mb"][command] for r in timings)
+                    for command in timings[0][side][model]["peak_rss_mb"]}}
+                for model in CLI_MODELS}
+                for side in ("parent", "change")}}
 
 
 def environment(seconds):
