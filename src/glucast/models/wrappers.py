@@ -61,8 +61,7 @@ def untaped_pass(model, x, outputs, chunk=PREDICT_CHUNK) -> dict:
     x = check_windows(model, x)
     arrays = model.param_arrays()
     result = {}
-
-    def run(lo):  # a chunk's other nodes are freed before the next chunk runs
+    for lo in range(0, len(x), chunk):
         nodes = model.graph(None, x[lo:lo + chunk], arrays,
                             with_adversary="adv_probs" in outputs)
         for name in outputs:
@@ -70,9 +69,7 @@ def untaped_pass(model, x, outputs, chunk=PREDICT_CHUNK) -> dict:
             if name not in result:
                 result[name] = np.empty((len(x), *part.shape[1:]), part.dtype)
             result[name][lo:lo + len(part)] = part
-
-    for lo in range(0, len(x), chunk):
-        run(lo)
+        del nodes, part  # so that the next chunk runs without this one's nodes
     return result
 
 
